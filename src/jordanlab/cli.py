@@ -13,7 +13,7 @@ import os
 import random
 import sys
 
-from .errors import JordanLabError, OutOfRangeError
+from .errors import InputFormatError, JordanLabError, OutOfRangeError
 from .freealg import (
     confluence_check,
     hilbert_dim,
@@ -34,11 +34,10 @@ from .reps import (
     evaluate,
     extract_params,
     faithful_witness,
-    fiber_basis,
     jordan_matrix,
     verify_rep,
 )
-from .sampling import rand_rational
+from .sampling import rand_fiber_point, rand_rational
 from .scalars import parse_scalar, scalar_str
 from .strata import census, decompose, jacobian_rank
 from .matrices import block_diag
@@ -56,17 +55,40 @@ def rep_to_json(rep: RepPair, partition: "Partition | None" = None) -> dict:
     return out
 
 
-def _matrix_from_lists(data, n: int) -> QMatrix:
-    if len(data) != n or any(len(row) != n for row in data):
-        raise ValueError("matrix shape does not match n")
-    return QMatrix(n, n, tuple(parse_scalar(v) for row in data for v in row))
+def _matrix_from_lists(data, n: int, key: str) -> QMatrix:
+    if (not isinstance(data, list) or len(data) != n
+            or any(not isinstance(row, list) or len(row) != n for row in data)):
+        raise InputFormatError(f"{key!r} must be a list of {n} lists of {n} entries")
+    entries = []
+    for row in data:
+        for v in row:
+            if not isinstance(v, str):
+                raise InputFormatError(
+                    f"entries of {key!r} must be rational strings, got {json.dumps(v)}")
+            try:
+                entries.append(parse_scalar(v))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise InputFormatError(f"bad entry {v!r} in {key!r}") from exc
+    return QMatrix(n, n, tuple(entries))
 
 
 def load_matrix_pair(path: str) -> "tuple[QMatrix, QMatrix]":
+    """The (X, Y) of a representation file; InputFormatError unless it is a
+    JSON object with an integer "n" and n x n lists of rational strings."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    n = int(data["n"])
-    return _matrix_from_lists(data["X"], n), _matrix_from_lists(data["Y"], n)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputFormatError(f"not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputFormatError("a representation file must hold a JSON object")
+    missing = [key for key in ("n", "X", "Y") if key not in data]
+    if missing:
+        raise InputFormatError(f"missing key(s): {', '.join(missing)}")
+    n = data["n"]
+    if type(n) is not int:
+        raise InputFormatError(f'"n" must be an integer, got {json.dumps(n)}')
+    return _matrix_from_lists(data["X"], n, "X"), _matrix_from_lists(data["Y"], n, "Y")
 
 
 def load_rep(path: str) -> RepPair:
@@ -115,6 +137,8 @@ def _cmd_mul(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
+    if args.max_degree < 0:
+        raise OutOfRangeError(f"--max-degree must be >= 0, got {args.max_degree}")
     dims = [hilbert_dim(d) for d in range(args.max_degree + 1)]
     if args.json:
         _emit({"dims": dims})
@@ -151,14 +175,7 @@ def _cmd_rep_build(args) -> int:
         rep = canonical_pair(parse_scalar(lam_text), parse_scalar(mu_text),
                              partition.n)
     elif args.seed is not None:
-        rng = random.Random(args.seed)
-        particular, basis = fiber_basis(partition)
-        x = particular
-        for b in basis:
-            c = rand_rational(rng)
-            if c != 0:
-                x = x + b.scale(c)
-        rep = RepPair(x, y)
+        rep = RepPair(rand_fiber_point(random.Random(args.seed), partition), y)
     else:
         rep = RepPair(block_diag([x_zero(k) for k in partition.parts]), y)
     _emit(rep_to_json(rep, partition))

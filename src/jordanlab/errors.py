@@ -27,6 +27,10 @@ class PolyParseError(JordanLabError):
     """Malformed polynomial text."""
 
 
+class InputFormatError(JordanLabError):
+    """A representation file is not JSON of the documented shape and types."""
+
+
 class RelationViolationError(JordanLabError):
     """A matrix pair failed the defining relation XY - YX = Y^2."""
 

@@ -518,7 +518,11 @@ def alpha_coeff(k: int, n: int) -> Scalar:
     return factorial(n) // factorial(n - k + 1)
 
 
-@lru_cache(maxsize=None)
+# Bounded: a word with an x-run of length D meets about 2D (b, c) pairs, each
+# expansion holding b + 1 integers, so an unbounded cache grows as D^2 with
+# long input words.  4096 is about three times the 1350-1420 pairs that one
+# pass of the benchmark's normal_forms workload meets, so it never evicts.
+@lru_cache(maxsize=4096)
 def _x_power_times_y_power(b: int, c: int):
     """Normal form of x^b y^c as a tuple of ((k, m), coeff).
 

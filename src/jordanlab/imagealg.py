@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import IrrationalEigenvaluesError
 from .freealg import NormalPoly
@@ -28,15 +29,28 @@ from .scalars import Scalar, scalar_str
 
 @dataclass(frozen=True)
 class ImageAlgebra:
-    """Echelonized basis of the unital algebra generated by X and Y."""
+    """The unital algebra generated by X and Y, as an echelonized span.
+
+    Stores the span's integral reduced-echelon rows (gcd-reduced, positive
+    pivots) and their pivot columns: an immutable, hashable snapshot from
+    which the dimension is read directly and the basis is built on demand.
+    """
 
     rep: RepPair
-    basis: tuple  # of QMatrix, canonical reduced-echelon order
+    rows: tuple  # of tuple of int, one per basis element, pivot-sorted
+    pivots: tuple  # pivot column of each row
     closure_certified: bool
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @cached_property
+    def basis(self) -> tuple:
+        """QMatrix basis in canonical reduced-echelon order (unit pivots)."""
+        n = self.rep.n
+        span = SpanBuilder(n * n, list(self.rows), list(self.pivots))
+        return tuple(QMatrix(n, n, vec) for vec in span.basis_vectors())
 
 
 def image_algebra(rep: RepPair) -> ImageAlgebra:
@@ -65,9 +79,9 @@ def image_algebra(rep: RepPair) -> ImageAlgebra:
             if span.add(prod.entries):
                 queue.append(prod)
                 accepted += 1
-    basis = [QMatrix(n, n, vec) for vec in span.basis_vectors()]
-    certified = processed == accepted and len(basis) == accepted
-    return ImageAlgebra(rep, tuple(basis), certified)
+    certified = processed == accepted and span.rank == accepted
+    return ImageAlgebra(rep, tuple(map(tuple, span.rows)), tuple(span.pivots),
+                        certified)
 
 
 def dim_bound(n: int) -> int:

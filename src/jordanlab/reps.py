@@ -15,7 +15,6 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import NamedTuple
 
 from .errors import (
@@ -35,7 +34,7 @@ from .matrices import (
     nullspace_basis,
     poly_at_matrix,
 )
-from .polynomials import UniPoly, squarefree_part
+from .polynomials import UniPoly
 from .scalars import Scalar, exact
 
 
@@ -108,10 +107,12 @@ def x_zero(n: int) -> QMatrix:
 class RepPair:
     """Verified pair: X@Y - Y@X = Y@Y holds exactly and Y is nilpotent.
 
-    Construction also certifies that S(X) is nilpotent, where S is the
-    squarefree part of the characteristic polynomial of X (this equals the
-    product of (x - lambda_i) over distinct eigenvalues whenever the
-    spectrum is rational, and avoids root-finding when it is not).
+    Construction does not test whether S(X) is nilpotent, where S is the
+    squarefree part of the characteristic polynomial of X (the product of
+    (t - lambda_i) over the distinct eigenvalues): that holds for every
+    square X.  Proof: over a splitting field char(X) is the product of
+    (t - lambda_i)^(m_i) with every m_i <= n, so char(X) divides S^n, and
+    Cayley-Hamilton gives char(X)(X) = 0; hence S(X)^n = 0.
     """
 
     X: QMatrix
@@ -128,34 +129,10 @@ class RepPair:
             raise RelationViolationError("XY - YX != Y^2", residual=residual)
         if not is_nilpotent(y):
             raise RelationViolationError("Y is not nilpotent")
-        s = squarefree_part(char_poly(x))
-        if not _poly_at_matrix_nilpotent(s, x):
-            raise RelationViolationError("S(X) is not nilpotent")
 
     @property
     def n(self) -> int:
         return self.X.rows
-
-
-def _poly_at_matrix_nilpotent(p: UniPoly, x: QMatrix) -> bool:
-    """Whether p(x) is nilpotent, evaluated in integer arithmetic.
-
-    Substituting x = u/d with u = d*x integral gives p(x) = T(u)/d^deg up to
-    a positive constant, and nilpotency is scale-invariant.
-    """
-    d = common_denominator([x])
-    if d == 1:
-        return is_nilpotent(poly_at_matrix(p, x))
-    u = x.scale(d)
-    r = p.degree
-    scaled = UniPoly([p[k] * d ** (r - k) for k in range(r + 1)])
-    mult = 1
-    for c in scaled.coeffs:
-        if isinstance(c, Fraction):
-            mult = mult * c.denominator // gcd(mult, c.denominator)
-    if mult != 1:
-        scaled = scaled * mult
-    return is_nilpotent(poly_at_matrix(scaled, u))
 
 
 def _relation_residual(x: QMatrix, y: QMatrix) -> "QMatrix | None":

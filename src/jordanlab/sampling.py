@@ -33,14 +33,20 @@ def rand_partition(rng: random.Random, n: int) -> Partition:
 
 
 def rand_fiber_point(rng: random.Random, p: Partition) -> QMatrix:
-    """Random solution X of the relation for Y = jordan_matrix(p)."""
+    """Random solution X of the relation for Y = jordan_matrix(p).
+
+    particular + sum of c_i * basis_i with one rand_rational draw per basis
+    element, in basis order, accumulated entrywise into one matrix.
+    """
     particular, basis = fiber_basis(p)
-    x = particular
+    acc = list(particular.entries)
     for b in basis:
         c = rand_rational(rng)
         if c != 0:
-            x = x + b.scale(c)
-    return x
+            for i, v in enumerate(b.entries):
+                if v:
+                    acc[i] += c * v
+    return QMatrix(particular.rows, particular.cols, tuple(acc))
 
 
 def rand_unimodular(rng: random.Random, n: int) -> "tuple[QMatrix, QMatrix]":

@@ -198,6 +198,39 @@ def test_domain_error_exit_code(capture, tmp_path):
     assert "error" in err
 
 
+def test_hilbert_negative_degree_is_out_of_range(capture):
+    code, out, err = capture("hilbert", "--max-degree", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: OutOfRangeError: ")
+
+
+MALFORMED_REP_FILES = {
+    "top_level_array": "[1, 2]",
+    "integer_entries": json.dumps({"n": 1, "X": [[0]], "Y": [[0]]}),
+    "null_entry": json.dumps({"n": 1, "X": [[None]], "Y": [["0"]]}),
+    "scalar_matrix": json.dumps({"n": 1, "X": 5, "Y": [["0"]]}),
+    "missing_key": json.dumps({"n": 1, "X": [["0"]]}),
+    "string_n": json.dumps({"n": "1", "X": [["0"]], "Y": [["0"]]}),
+    "wrong_shape": json.dumps({"n": 2, "X": [["0"]], "Y": [["0"]]}),
+    "bad_rational": json.dumps({"n": 1, "X": [["1/0"]], "Y": [["0"]]}),
+    "not_json": "{",
+}
+
+
+@pytest.mark.parametrize("command", [("rep", "verify"), ("image", "dim")])
+@pytest.mark.parametrize("name", sorted(MALFORMED_REP_FILES))
+def test_malformed_rep_file_is_input_format_error(capture, tmp_path, name, command):
+    path = tmp_path / f"{name}.json"
+    path.write_text(MALFORMED_REP_FILES[name])
+    code, out, err = capture(*command, str(path))
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: InputFormatError: ")
+
+
 def test_parse_error_is_domain_error(capture):
     code, _, err = capture("nf", "x^0")
     assert code == 1

@@ -177,6 +177,13 @@ def test_normal_form_rejects_foreign_letter():
         normal_form(NcPoly.monomial("xzy"))
 
 
+def test_power_cache_is_bounded():
+    from jordanlab.freealg import _x_power_times_y_power
+
+    maxsize = _x_power_times_y_power.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 4096
+
+
 def test_multiply_associative():
     rng = random.Random(14)
     for _ in range(10):

@@ -85,6 +85,46 @@ def test_image_contains_identity_and_closed():
         assert span.contains((b @ a.rep.Y).entries)
 
 
+def sympy_image_rref(rep: RepPair) -> "list[tuple]":
+    """Oracle: sympy's reduced row-echelon rows of the image algebra.
+
+    V starts as span{I}; each round stacks the vectors of b, b X and b Y for
+    the current rows b and takes sympy.Matrix.rref.  Once a round adds
+    nothing, V is closed under right multiplication by X and Y and contains
+    I, so it is the span of all words.
+    """
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(m: QMatrix):
+        return sympy.Matrix(m.rows, m.cols, [sympy.Rational(v.numerator, v.denominator)
+                                             for v in m.entries])
+
+    n = rep.n
+    x, y = to_sympy(rep.X), to_sympy(rep.Y)
+    rows = [sympy.eye(n)]
+    while True:
+        stacked = sympy.Matrix([list(m) for b in rows for m in (b, b * x, b * y)])
+        rref, pivots = stacked.rref()
+        if len(pivots) == len(rows):
+            return [tuple(rref.row(i)) for i in range(len(pivots))]
+        rows = [rref.row(i).reshape(n, n) for i in range(len(pivots))]
+
+
+def test_image_basis_is_lazy_canonical_and_hashable():
+    rng = random.Random(37)
+    reps = [epsilon_rep(n) for n in range(1, 9)]
+    reps += [rand_rep(rng, 1 + i % 8) for i in range(20)]
+    for rep in reps:
+        a = image_algebra(rep)
+        assert "basis" not in vars(a)  # .dim does not build the basis
+        assert a.dim == len(a.basis)
+        assert [tuple(b.entries) for b in a.basis] == sympy_image_rref(rep)
+        assert a.basis is a.basis
+        again = image_algebra(rep)
+        assert again == a and hash(again) == hash(a)
+        assert a.closure_certified
+
+
 def test_dim_bound_values():
     assert dim_bound(6) == 12
     assert dim_bound(7) == 16

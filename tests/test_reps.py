@@ -39,6 +39,7 @@ from jordanlab import (
     parse_poly,
     poly_at_matrix,
     rational_roots,
+    squarefree_part,
     verify_rep,
     x_zero,
 )
@@ -183,6 +184,72 @@ def test_constructed_pairs_nilpotency_invariants():
         if roots is not None:
             s = UniPoly.from_roots([lam for lam, _ in roots])
             assert is_nilpotent(poly_at_matrix(s, rep.X))
+
+
+def sympy_char_poly(x: QMatrix):
+    """Oracle: det(tI - X) computed by sympy over QQ, independent of char_poly.
+
+    Returns the polynomial and whether it splits into linear factors over QQ.
+    """
+    sympy = pytest.importorskip("sympy")
+    m = sympy.Matrix(x.rows, x.cols,
+                     [sympy.Rational(v.numerator, v.denominator) for v in x.entries])
+    char = m.charpoly()
+    splits = all(f.degree() == 1 for f, _ in char.factor_list()[1])
+    coeffs = char.all_coeffs()  # highest degree first
+    return UniPoly([Fraction(int(c.p), int(c.q)) for c in reversed(coeffs)]), splits
+
+
+def doubled(c: QMatrix) -> QMatrix:
+    """[[C, I], [0, C]]: characteristic polynomial char(C)^2, not semisimple."""
+    k = c.rows
+    ident, zero = QMatrix.identity(k), QMatrix.zeros(k)
+    return QMatrix.from_rows([c.row(i) + ident.row(i) for i in range(k)]
+                             + [zero.row(i) + c.row(i) for i in range(k)])
+
+
+def test_squarefree_part_of_char_poly_is_nilpotent_at_every_matrix():
+    # RepPair does not check this: char(X) divides S^n and char(X)(X) = 0.
+    rng = random.Random(23)
+    samples = [QMatrix(n, n, tuple(rand_rational(rng) for _ in range(n * n)))
+               for n in range(1, 9) for _ in range(3)]
+    # Irrational spectra with repeated roots, where S(X) is nonzero but
+    # nilpotent: char = (t^2 - 2)^2 (t - 3)^2 and (t^3 - 2)^2.
+    root2 = QMatrix.from_rows([[0, 2], [1, 0]])
+    root3 = QMatrix.from_rows([[0, 0, 2], [1, 0, 0], [0, 1, 0]])
+    repeated = [block_diag([doubled(root2), doubled(QMatrix(1, 1, (3,)))]),
+                doubled(root3)]
+    for x in repeated:
+        u, u_inv = rand_unimodular(rng, x.rows)
+        samples.append(u @ x @ u_inv)
+    irrational = 0
+    for x in samples:
+        char, splits = sympy_char_poly(x)
+        assert char_poly(x) == char
+        irrational += not splits
+        s_of_x = poly_at_matrix(squarefree_part(char), x)
+        assert is_nilpotent(s_of_x)
+    assert not s_of_x.is_zero()
+    assert irrational >= 20
+
+
+def test_rand_rep_pinned_output():
+    # Pins the seeded draw order of rand_partition, rand_fiber_point and
+    # rand_unimodular; any drift changes seeded outputs everywhere.
+    rep = rand_rep(random.Random(0), 4)
+    f = Fraction
+    assert rep.X == QMatrix.from_rows([
+        [-35, f(-117, 4), f(31, 4), f(-43, 4)],
+        [91, 84, f(-35, 2), f(73, 2)],
+        [-24, -12, 8, 0],
+        [-116, f(-219, 2), f(43, 2), f(-99, 2)],
+    ])
+    assert rep.Y == QMatrix.from_rows([
+        [-6, -6, 1, -3],
+        [12, 12, -2, 6],
+        [0, 0, 0, 0],
+        [-12, -12, 2, -6],
+    ])
 
 
 # -- fiber --------------------------------------------------------------------------
