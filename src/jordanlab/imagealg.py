@@ -200,18 +200,15 @@ def quiver(a: ImageAlgebra) -> QuiverData:
     for b1 in rad:
         for b2 in rad:
             rad_sq.add((b1 @ b2).entries)
-    sq_vectors = rad_sq.basis_vectors()
     arrows = []
     for ei in es:
         row = []
         for ej in es:
-            sb = SpanBuilder(n * n)
-            for vec in sq_vectors:
-                sb.add(vec)
-            base = sb.rank
+            # add() never mutates a row in place, so copying the lists is safe.
+            sb = SpanBuilder(n * n, list(rad_sq.rows), list(rad_sq.pivots))
             for b in rad:
                 sb.add((ei @ b @ ej).entries)
-            row.append(sb.rank - base)
+            row.append(sb.rank - rad_sq.rank)
         arrows.append(tuple(row))
     return QuiverData(tuple(vertices), tuple(arrows))
 

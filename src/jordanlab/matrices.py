@@ -1,21 +1,23 @@
 """Dense exact-rational matrices and the elimination kernel.
 
-All arithmetic is exact; pivoting is always "first nonzero" since there is
-no roundoff to manage.  Two independent elimination routines are provided on
-purpose: ``rank`` uses classic Bareiss single-step fraction-free elimination,
-while ``nullspace_basis`` uses a gcd-controlled integer Gauss-Jordan pass.
-The test suite plays them against each other.
+All arithmetic is exact.  There is one elimination routine, ``SpanBuilder``:
+a fraction-free integral reduced row-echelon form kept with primitive rows
+and positive pivots.  ``rank``, ``nullspace_basis``, ``solve`` and
+``inverse`` are views of the echelon form of a matrix's rows; since that
+form is unique (proof in the ``SpanBuilder`` docstring), their results do
+not depend on the elimination order.  The test suite checks them against
+sympy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .errors import NonSquareError, SingularMatrixError, SizeMismatchError
 from .polynomials import UniPoly
-from .scalars import Scalar, exact, parse_scalar, scalar_str
+from .scalars import Scalar, exact, parse_scalar, primitive_integral, scalar_str
 
 
 @dataclass(frozen=True)
@@ -204,29 +206,9 @@ def matrix_from_json(data: dict) -> QMatrix:
 # -- elimination kernel ----------------------------------------------------
 
 
-def _integer_rows(m: QMatrix) -> "list[list[int]]":
-    """Copy of the rows with denominators cleared row-wise (rank-preserving)."""
-    out = []
-    for i in range(m.rows):
-        row = list(m.row(i))
-        mult = 1
-        for v in row:
-            if isinstance(v, Fraction):
-                d = v.denominator
-                mult = mult * d // gcd(mult, d)
-        out.append([int(v * mult) for v in row])
-    return out
-
-
 def common_denominator(matrices) -> int:
     """Least common denominator of all entries of the given matrices."""
-    mult = 1
-    for m in matrices:
-        for v in m.entries:
-            if isinstance(v, Fraction):
-                d = v.denominator
-                mult = mult * d // gcd(mult, d)
-    return mult
+    return lcm(*(v.denominator for m in matrices for v in m.entries if type(v) is not int))
 
 
 def int_normalized(m: QMatrix) -> QMatrix:
@@ -235,102 +217,116 @@ def int_normalized(m: QMatrix) -> QMatrix:
     Span computations may replace any element by a nonzero multiple; doing
     so keeps the worklist arithmetic integral and small.
     """
-    d = common_denominator([m])
-    entries = m.entries if d == 1 else tuple(v * d for v in m.entries)
-    g = 0
-    for v in entries:
-        if v:
-            g = gcd(g, int(v))
-            if g == 1:
-                break
-    if g > 1:
-        entries = tuple(int(v) // g for v in entries)
-    elif d != 1:
-        entries = tuple(int(v) for v in entries)
-    return QMatrix(m.rows, m.cols, entries)
+    return QMatrix(m.rows, m.cols, tuple(primitive_integral(m.entries)))
+
+
+@dataclass
+class SpanBuilder:
+    """Incrementally maintained integral reduced row-echelon form of a span.
+
+    This is the package's only elimination routine: ``rank``,
+    ``nullspace_basis``, ``solve`` and ``inverse`` read their answers off
+    the span of a matrix's rows.  Invariant: ``rows`` are primitive integer
+    vectors (coprime entries) sorted by pivot column, each with a positive
+    entry at its own pivot and a zero at every other row's pivot.
+
+    Canonical form.  Dividing each row by its pivot entry gives the reduced
+    row-echelon form (RREF) of the span, and the RREF of a row space V is
+    unique: its pivot columns are the positions at which nonzero vectors of
+    V have their first nonzero entry, and the row with pivot p is the only
+    vector of V with 1 at p and 0 at the other pivots (a vector of V is the
+    combination of the rows whose coefficients are its entries at the pivot
+    columns).  A nonzero rational vector has exactly one positive multiple
+    that is a primitive integer vector, so the integral rows are unique
+    too.  Hence ``rows`` and ``pivots`` depend only on the span, not on
+    which vectors were added or in what order, and neither does anything
+    read off them: the rank, the kernel basis, the inverse, and the
+    solution with free variables set to 0.
+
+    ``add`` keeps the invariant: the new vector is reduced against every
+    row, which zeroes it at the existing pivots, and made primitive with a
+    positive leading entry; each row that is nonzero at the new pivot is
+    then combined with it, which zeroes that entry and leaves the row's own
+    pivot entry positive.  Rows are replaced or inserted, never mutated in
+    place, so a copy of the two lists is an independent span.
+    """
+
+    length: int
+    rows: list = field(default_factory=list)    # integer rows, pivot-sorted
+    pivots: list = field(default_factory=list)  # pivot column of each row
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def _reduce(self, vec: "list[int]") -> "list[int]":
+        for row, p in zip(self.rows, self.pivots):
+            f = vec[p]
+            if f != 0:
+                pv = row[p]
+                vec = primitive_integral([pv * a - f * b for a, b in zip(vec, row)])
+        return vec
+
+    def contains(self, vec) -> bool:
+        return not any(self._reduce(primitive_integral(vec)))
+
+    def add(self, vec) -> bool:
+        """Insert a vector; True if it enlarged the span."""
+        work = self._reduce(primitive_integral(vec))
+        pivot = next((j for j, v in enumerate(work) if v != 0), None)
+        if pivot is None:
+            return False
+        if work[pivot] < 0:
+            work = [-v for v in work]
+        pv = work[pivot]
+        for idx, row in enumerate(self.rows):
+            f = row[pivot]
+            if f != 0:
+                self.rows[idx] = primitive_integral([pv * a - f * b for a, b in zip(row, work)])
+        at = next((k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
+        self.rows.insert(at, work)
+        self.pivots.insert(at, pivot)
+        return True
+
+    def basis_vectors(self) -> "list[tuple[Scalar, ...]]":
+        """The RREF rows (unit pivots) as exact scalar tuples."""
+        out = []
+        for row, p in zip(self.rows, self.pivots):
+            pv = row[p]
+            if pv == 1:
+                out.append(tuple(row))
+            else:
+                out.append(tuple(exact(Fraction(v, pv)) for v in row))
+        return out
+
+
+def _echelon(m: QMatrix) -> SpanBuilder:
+    """The integral RREF of the row space of m."""
+    span = SpanBuilder(m.cols)
+    for i in range(m.rows):
+        span.add(m.row(i))
+    return span
 
 
 def rank(m: QMatrix) -> int:
-    """Rank over the rationals via Bareiss fraction-free elimination."""
-    rows = _integer_rows(m)
-    nr, nc = m.rows, m.cols
-    r = 0
-    prev = 1
-    for c in range(nc):
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pr = rows[r]
-        p = pr[c]
-        for i in range(r + 1, nr):
-            ri = rows[i]
-            f = ri[c]
-            # Single-step Bareiss update: stays integral, divides by the
-            # previous pivot exactly.
-            for j in range(c, nc):
-                ri[j] = (p * ri[j] - f * pr[j]) // prev
-        prev = p
-        r += 1
-    return r
-
-
-def _gauss_jordan_int(rows: "list[list[int]]", ncols: int):
-    """In-place gcd-controlled integer Gauss-Jordan; returns pivot list.
-
-    Pivot entries are not normalized to 1 (rows stay integral); each row is
-    divided by its gcd after every update to control growth.
-    """
-    pivots = []  # (row index, col index)
-    r = 0
-    nr = len(rows)
-    for c in range(ncols):
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pr = rows[r]
-        p = pr[c]
-        for i in range(nr):
-            if i == r:
-                continue
-            ri = rows[i]
-            f = ri[c]
-            if f == 0:
-                continue
-            g = 0
-            for j in range(ncols):
-                v = p * ri[j] - f * pr[j]
-                ri[j] = v
-                if v:
-                    g = gcd(g, v)
-            if g > 1:
-                for j in range(ncols):
-                    ri[j] //= g
-        pivots.append((r, c))
-        r += 1
-    return pivots
+    """Rank over the rationals."""
+    return _echelon(m).rank
 
 
 def nullspace_basis(m: QMatrix) -> "list[tuple[Scalar, ...]]":
     """Canonical (reduced-echelon) basis of the right kernel."""
-    rows = _integer_rows(m)
-    pivots = _gauss_jordan_int(rows, m.cols)
-    pivot_cols = {c for _, c in pivots}
+    span = _echelon(m)
+    pivot_cols = set(span.pivots)
     basis = []
     for free in range(m.cols):
         if free in pivot_cols:
             continue
         vec: list[Scalar] = [0] * m.cols
         vec[free] = 1
-        for r, c in pivots:
-            num = rows[r][free]
+        for row, c in zip(span.rows, span.pivots):
+            num = row[free]
             if num:
-                vec[c] = exact(Fraction(-num, rows[r][c]))
+                vec[c] = exact(Fraction(-num, row[c]))
         basis.append(tuple(vec))
     return basis
 
@@ -340,48 +336,29 @@ def solve(m: QMatrix, rhs) -> "tuple[Scalar, ...] | None":
     b = list(rhs)
     if len(b) != m.rows:
         raise SizeMismatchError("right-hand side length does not match rows")
-    aug = QMatrix(m.rows, m.cols + 1,
-                  tuple(v for i in range(m.rows) for v in (*m.row(i), b[i])))
-    rows = _integer_rows(aug)
-    pivots = _gauss_jordan_int(rows, m.cols + 1)
-    if any(c == m.cols for _, c in pivots):
+    n = m.cols
+    span = _echelon(QMatrix(m.rows, n + 1,
+                            tuple(v for i in range(m.rows) for v in (*m.row(i), b[i]))))
+    if span.pivots and span.pivots[-1] == n:
         return None  # inconsistent system
-    vec: list[Scalar] = [0] * m.cols
-    for r, c in pivots:
-        num = rows[r][m.cols]
-        if num:
-            vec[c] = exact(Fraction(num, rows[r][c]))
+    vec: list[Scalar] = [0] * n
+    for row, c in zip(span.rows, span.pivots):
+        if row[n]:
+            vec[c] = exact(Fraction(row[n], row[c]))
     return tuple(vec)
 
 
 def inverse(m: QMatrix) -> QMatrix:
-    """Exact inverse via Gauss-Jordan; raises SingularMatrixError if singular."""
+    """Exact inverse, read off the RREF of [m | I]; raises SingularMatrixError
+    if m is singular."""
     if not m.is_square:
         raise NonSquareError("inverse of a non-square matrix")
     n = m.rows
-    work = [list(m.row(i)) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if work[i][c] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        work[r], work[piv] = work[piv], work[r]
-        pr = work[r]
-        pval = pr[c]
-        if pval != 1:
-            inv = Fraction(1) / pval
-            work[r] = pr = [v * inv for v in pr]
-        for i in range(n):
-            if i == r:
-                continue
-            f = work[i][c]
-            if f == 0:
-                continue
-            wi = work[i]
-            for j in range(c, 2 * n):
-                wi[j] -= f * pr[j]
-        r += 1
-    return QMatrix(n, n, tuple(work[i][n + j] for i in range(n) for j in range(n)))
+    span = _echelon(QMatrix(n, 2 * n, tuple(
+        v for i in range(n) for v in (*m.row(i), *(int(j == i) for j in range(n))))))
+    if span.pivots != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return QMatrix(n, n, tuple(v for row in span.basis_vectors() for v in row[n:]))
 
 
 def char_poly(m: QMatrix) -> UniPoly:
@@ -458,89 +435,3 @@ def is_nilpotent(m: QMatrix) -> bool:
             return False
         p = p @ p
         e *= 2
-
-
-@dataclass
-class SpanBuilder:
-    """Incrementally maintained row-echelon span of exact vectors.
-
-    Rows are kept integral (gcd-reduced, pivots not normalized); the
-    canonical reduced-echelon basis with unit pivots is produced on demand
-    by basis_vectors().
-    """
-
-    length: int
-    rows: list = field(default_factory=list)    # integer rows, pivot-sorted
-    pivots: list = field(default_factory=list)  # pivot column of each row
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    @staticmethod
-    def _clear(vec) -> "list[int]":
-        mult = 1
-        vec = list(vec)
-        for v in vec:
-            if isinstance(v, Fraction):
-                d = v.denominator
-                mult = mult * d // gcd(mult, d)
-        if mult == 1:
-            return [int(v) for v in vec]
-        return [int(v * mult) for v in vec]
-
-    @staticmethod
-    def _gcd_reduce(vec: "list[int]") -> "list[int]":
-        g = 0
-        for v in vec:
-            if v:
-                g = gcd(g, v)
-                if g == 1:
-                    return vec
-        if g > 1:
-            return [v // g for v in vec]
-        return vec
-
-    def _reduce(self, vec: "list[int]") -> "list[int]":
-        for row, p in zip(self.rows, self.pivots):
-            f = vec[p]
-            if f != 0:
-                pv = row[p]
-                for j in range(self.length):
-                    rv = row[j]
-                    vec[j] = pv * vec[j] - f * rv if rv else pv * vec[j]
-                vec = self._gcd_reduce(vec)
-        return vec
-
-    def contains(self, vec) -> bool:
-        return all(v == 0 for v in self._reduce(self._clear(vec)))
-
-    def add(self, vec) -> bool:
-        """Insert a vector; True if it enlarged the span."""
-        work = self._reduce(self._clear(vec))
-        pivot = next((j for j, v in enumerate(work) if v != 0), None)
-        if pivot is None:
-            return False
-        if work[pivot] < 0:
-            work = [-v for v in work]
-        # Back-reduce existing rows so extraction stays canonical.
-        pv = work[pivot]
-        for idx, (row, p) in enumerate(zip(self.rows, self.pivots)):
-            f = row[pivot]
-            if f != 0:
-                new_row = [pv * a - f * b for a, b in zip(row, work)]
-                self.rows[idx] = self._gcd_reduce(new_row)
-        at = next((k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
-        self.rows.insert(at, work)
-        self.pivots.insert(at, pivot)
-        return True
-
-    def basis_vectors(self) -> "list[tuple[Scalar, ...]]":
-        out = []
-        for row, p in zip(self.rows, self.pivots):
-            pv = row[p]
-            if pv == 1:
-                out.append(tuple(row))
-            else:
-                out.append(tuple(exact(Fraction(v, pv)) for v in row))
-        return out

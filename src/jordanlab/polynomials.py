@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Scalar, exact
+from .scalars import Scalar, exact, primitive_integral
 
 
 class UniPoly:
@@ -273,15 +273,7 @@ def rational_roots(p: UniPoly) -> "list[tuple[Scalar, int]] | None":
     roots: list[Scalar] = [0] * (1 if k0 else 0)
     reduced = UniPoly(sf.coeffs[k0:])
     if reduced.degree > 0:
-        denom_lcm = 1
-        for c in reduced.coeffs:
-            if isinstance(c, Fraction):
-                denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
-        ics = [int(c * denom_lcm) for c in reduced.coeffs]
-        content = 0
-        for c in ics:
-            content = _gcd(content, abs(c))
-        ics = [c // content for c in ics]
+        ics = primitive_integral(reduced.coeffs)
         lead, const = ics[-1], ics[0]
         seen = set()
         for q in _divisors(lead):
@@ -309,9 +301,3 @@ def rational_roots(p: UniPoly) -> "list[tuple[Scalar, int]] | None":
             mult += 1
         result.append((r, mult))
     return result
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

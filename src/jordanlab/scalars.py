@@ -10,6 +10,7 @@ Floats are rejected everywhere -- there are no tolerances in this package.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Scalar = int | Fraction
 
@@ -33,3 +34,21 @@ def scalar_str(value: Scalar) -> str:
 
 def parse_scalar(text: str) -> Scalar:
     return exact(Fraction(text.strip()))
+
+
+def primitive_integral(values) -> "list[int]":
+    """The positive multiple of a rational vector with coprime integer entries.
+
+    Multiplies by the lcm of the denominators, then divides by the gcd of
+    the entries; the zero vector stays zero.  This is the one place where
+    the package clears denominators.
+    """
+    vec = list(values)
+    dens = [v.denominator for v in vec if type(v) is not int]
+    if dens:
+        d = lcm(*dens)
+        vec = [int(v * d) for v in vec]
+    g = gcd(*vec)
+    if g > 1:
+        vec = [v // g for v in vec]
+    return vec

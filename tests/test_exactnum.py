@@ -11,6 +11,9 @@ import pytest
 from jordanlab import (
     NonSquareError,
     QMatrix,
+    SingularMatrixError,
+    SizeMismatchError,
+    SpanBuilder,
     UniPoly,
     block_diag,
     char_poly,
@@ -27,6 +30,7 @@ from jordanlab import (
     squarefree_part,
 )
 from jordanlab.reps import jordan_block
+from jordanlab.scalars import primitive_integral
 
 
 def rand_rational(rng):
@@ -197,6 +201,116 @@ def test_solve_and_inverse():
 def test_solve_inconsistent():
     m = QMatrix.from_rows([[1, 1], [1, 1]])
     assert solve(m, [0, 1]) is None
+
+
+def test_inverse_singular():
+    with pytest.raises(SingularMatrixError):
+        inverse(QMatrix.zeros(3))
+    rank_two = QMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3), 1],
+                                  [Fraction(3, 2), 1, 3],
+                                  [0, Fraction(-2, 7), 5]])
+    with pytest.raises(SingularMatrixError):
+        inverse(rank_two)
+
+
+def test_inverse_non_square():
+    with pytest.raises(NonSquareError):
+        inverse(QMatrix.zeros(2, 3))
+
+
+def test_inverse_empty():
+    assert inverse(QMatrix.zeros(0, 0)) == QMatrix.zeros(0, 0)
+
+
+def test_solve_rhs_length_mismatch():
+    with pytest.raises(SizeMismatchError):
+        solve(QMatrix.identity(2), [1, 2, 3])
+
+
+def oracle_matrix(rng, rows, cols):
+    """Fractional entries with many zeros; every third matrix has low rank."""
+    def entry():
+        return 0 if rng.random() < 0.3 else rand_rational(rng)
+
+    if rows and cols and rng.random() < 1 / 3:
+        k = rng.randint(0, min(rows, cols) - 1)
+        a = QMatrix(rows, k, tuple(entry() for _ in range(rows * k)))
+        b = QMatrix(k, cols, tuple(entry() for _ in range(k * cols)))
+        return a @ b
+    return QMatrix(rows, cols, tuple(entry() for _ in range(rows * cols)))
+
+
+def test_kernel_views_match_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(m):
+        return sympy.Matrix(m.rows, m.cols, [sympy.Rational(v.numerator, v.denominator)
+                                             for v in m.entries])
+
+    def from_sympy(vec):
+        return tuple(Fraction(int(v.p), int(v.q)) for v in vec)
+
+    rng = random.Random(7)
+    for _ in range(300):
+        m = oracle_matrix(rng, rng.randint(0, 6), rng.randint(0, 6))
+        ms = to_sympy(m)
+        r = ms.rank()
+        assert rank(m) == r
+        assert nullspace_basis(m) == [from_sympy(v) for v in ms.nullspace()]
+        if m.is_square:
+            if r == m.rows:
+                assert inverse(m).entries == from_sympy(ms.inv())
+            else:
+                with pytest.raises(SingularMatrixError):
+                    inverse(m)
+        if rng.random() < 0.5:  # a consistent right-hand side
+            x0 = [rand_rational(rng) for _ in range(m.cols)]
+            b = [sum(m[i, j] * x0[j] for j in range(m.cols)) for i in range(m.rows)]
+        else:
+            b = [rand_rational(rng) for _ in range(m.rows)]
+        x = solve(m, b)
+        consistent = ms.row_join(sympy.Matrix(m.rows, 1, b)).rank() == r
+        assert (x is not None) == consistent
+        if x is not None:
+            assert [sum(m[i, j] * x[j] for j in range(m.cols)) for i in range(m.rows)] == b
+            pivots = set(ms.rref()[1])
+            assert all(x[j] == 0 for j in range(m.cols) if j not in pivots)
+
+
+# -- span builder ----------------------------------------------------------------
+
+
+def test_primitive_integral():
+    assert primitive_integral([Fraction(1, 2), Fraction(-1, 3), 0]) == [3, -2, 0]
+    assert primitive_integral([-4, 6, Fraction(4, 2)]) == [-2, 3, 1]
+    assert primitive_integral([0, 0]) == [0, 0]
+    assert primitive_integral([]) == []
+
+
+def test_span_rows_are_canonical():
+    """Same span, any order and scaling: identical primitive rows, positive pivots."""
+    rng = random.Random(8)
+    span = SpanBuilder(2)
+    span.add((2, 4))
+    assert span.rows == [[1, 2]]
+    for _ in range(30):
+        length = rng.randint(1, 6)
+        vectors = [[0 if rng.random() < 0.3 else rand_rational(rng) for _ in range(length)]
+                   for _ in range(rng.randint(1, 6))]
+        vectors.append([sum(c) for c in zip(*vectors)])  # a dependent vector
+        results = set()
+        for _ in range(4):
+            rng.shuffle(vectors)
+            span = SpanBuilder(length)
+            for vec in vectors:
+                factor = Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9))
+                span.add([factor * v for v in vec])
+            for row, p in zip(span.rows, span.pivots):
+                assert row[p] > 0
+                assert primitive_integral(row) == row
+                assert all(row[q] == 0 for q in span.pivots if q != p)
+            results.add((tuple(map(tuple, span.rows)), tuple(span.pivots)))
+        assert len(results) == 1
 
 
 # -- polynomial helpers -----------------------------------------------------------
