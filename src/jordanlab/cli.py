@@ -24,7 +24,7 @@ from .freealg import (
     parse_poly,
 )
 from .imagealg import discover_relations, ideal_codim, image_algebra, quiver
-from .matrices import QMatrix, matrix_to_json
+from .matrices import QMatrix, block_diag, matrix_to_json
 from .reps import (
     Partition,
     RepPair,
@@ -36,12 +36,11 @@ from .reps import (
     faithful_witness,
     jordan_matrix,
     verify_rep,
+    x_zero,
 )
 from .sampling import rand_fiber_point, rand_rational
 from .scalars import parse_scalar, scalar_str
 from .strata import census, decompose, jacobian_rank
-from .matrices import block_diag
-from .reps import x_zero
 
 
 def rep_to_json(rep: RepPair, partition: "Partition | None" = None) -> dict:
@@ -422,7 +421,7 @@ def run(argv) -> int:
     except JordanLabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -1,7 +1,11 @@
 """Free algebra on {x, y}, the Jordan-plane product and the rewriting engine.
 
-Monomials are plain strings over the alphabet.  Normal forms on the basis
-y^k x^m come from the Ore-extension product ``multiply``: the algebra is
+Monomials are plain strings over the alphabet.  ``NcPoly`` (keyed by word)
+and ``NormalPoly`` (keyed by (k, m) for y^k x^m) share one term-dictionary
+core, ``_Terms``: each operation adds raw sums into a plain dict and
+normalizes it once in ``_nonzero``, which drops zero terms and stores
+integral coefficients as int.  Normal forms on the basis y^k x^m come
+from the Ore-extension product ``multiply``: the algebra is
 k[y][x; y^2 d/dy] (see ``normal_form``).  The generic rewriting engine
 (deglex with x > y, the single rule xy -> yx + y^2) remains for
 ``confluence_check``, ``complete()``, the toy systems and as the test
@@ -39,28 +43,74 @@ def _ranks(alphabet) -> "dict[str, int]":
 # -- noncommutative polynomials ---------------------------------------------
 
 
-class NcPoly:
-    """Finite rational combination of words; no zero coefficients stored."""
+def _nonzero(terms: dict) -> dict:
+    """The term dict without zero coefficients and with integral ones as int."""
+    return {key: exact(c) for key, c in terms.items() if c}
+
+
+class _Terms:
+    """Shared core of ``NcPoly`` and ``NormalPoly``: a finite rational
+    combination of keys.  Equality holds only within one class."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         data = {}
         if terms:
-            for word, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                c = exact(coeff)
-                if c != 0:
-                    prev = data.get(word, 0)
-                    total = prev + c
-                    if total == 0:
-                        data.pop(word, None)
-                    else:
-                        data[word] = exact(total)
-        self._terms = data
+            for key, coeff in (terms.items() if isinstance(terms, dict) else terms):
+                key = self._key(key)
+                data[key] = data.get(key, 0) + exact(coeff)
+        self._terms = _nonzero(data)
+
+    @staticmethod
+    def _key(key):
+        """The stored form of an input key."""
+        return key
 
     @classmethod
-    def zero(cls) -> "NcPoly":
+    def _of(cls, terms: dict):
+        """Wrap a term dict that is already normalized, as ``_nonzero`` leaves it."""
+        res = cls.__new__(cls)
+        res._terms = terms
+        return res
+
+    @classmethod
+    def zero(cls):
         return cls()
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._terms == other._terms
+
+    def __hash__(self):
+        return hash(frozenset(self._terms.items()))
+
+    def __add__(self, other):
+        out = dict(self._terms)
+        for key, c in other._terms.items():
+            out[key] = out.get(key, 0) + c
+        return self._of(_nonzero(out))
+
+    def __neg__(self):
+        return self._of({key: -c for key, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = exact(c)
+        return self._of(_nonzero({key: v * c for key, v in self._terms.items()}))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._terms!r})"
+
+
+class NcPoly(_Terms):
+    """Finite rational combination of words; no zero coefficients stored."""
+
+    __slots__ = ()
 
     @classmethod
     def one(cls) -> "NcPoly":
@@ -82,46 +132,9 @@ class NcPoly:
     def coefficient(self, word: str) -> Scalar:
         return self._terms.get(word, 0)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     @property
     def degree(self) -> int:
         return max((len(w) for w in self._terms), default=-1)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NcPoly) and self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "NcPoly") -> "NcPoly":
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            total = out.get(w, 0) + c
-            if total == 0:
-                out.pop(w, None)
-            else:
-                out[w] = exact(total)
-        res = NcPoly()
-        res._terms = out
-        return res
-
-    def __neg__(self) -> "NcPoly":
-        res = NcPoly()
-        res._terms = {w: -c for w, c in self._terms.items()}
-        return res
-
-    def __sub__(self, other: "NcPoly") -> "NcPoly":
-        return self + (-other)
-
-    def scale(self, c) -> "NcPoly":
-        c = exact(c)
-        if c == 0:
-            return NcPoly.zero()
-        res = NcPoly()
-        res._terms = {w: exact(v * c) for w, v in self._terms.items()}
-        return res
 
     def __mul__(self, other):
         if not isinstance(other, NcPoly):
@@ -130,47 +143,25 @@ class NcPoly:
         for wa, ca in self._terms.items():
             for wb, cb in other._terms.items():
                 w = wa + wb
-                total = out.get(w, 0) + ca * cb
-                if total == 0:
-                    out.pop(w, None)
-                else:
-                    out[w] = exact(total)
-        res = NcPoly()
-        res._terms = out
-        return res
+                out[w] = out.get(w, 0) + ca * cb
+        return NcPoly._of(_nonzero(out))
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def __str__(self) -> str:
-        return format_terms([(w, c) for w, c in self.items()], word_text)
-
-    def __repr__(self) -> str:
-        return f"NcPoly({self._terms!r})"
+        return format_terms(self.items(), word_text)
 
 
-class NormalPoly:
+class NormalPoly(_Terms):
     """Polynomial on the normal basis y^k x^m, keyed by (k, m)."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for key, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                k, m = key
-                c = exact(coeff)
-                if c != 0:
-                    total = data.get((k, m), 0) + c
-                    if total == 0:
-                        data.pop((k, m), None)
-                    else:
-                        data[(k, m)] = exact(total)
-        self._terms = data
-
-    @classmethod
-    def zero(cls) -> "NormalPoly":
-        return cls()
+    @staticmethod
+    def _key(key) -> "tuple[int, int]":
+        k, m = key
+        return (k, m)
 
     @classmethod
     def one(cls) -> "NormalPoly":
@@ -190,46 +181,9 @@ class NormalPoly:
     def support(self) -> "list[tuple[int, int]]":
         return [km for km, _ in self.items()]
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     @property
     def degree(self) -> int:
         return max((k + m for k, m in self._terms), default=-1)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NormalPoly) and self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "NormalPoly") -> "NormalPoly":
-        out = dict(self._terms)
-        for km, c in other._terms.items():
-            total = out.get(km, 0) + c
-            if total == 0:
-                out.pop(km, None)
-            else:
-                out[km] = exact(total)
-        res = NormalPoly()
-        res._terms = out
-        return res
-
-    def __neg__(self) -> "NormalPoly":
-        res = NormalPoly()
-        res._terms = {km: -c for km, c in self._terms.items()}
-        return res
-
-    def __sub__(self, other: "NormalPoly") -> "NormalPoly":
-        return self + (-other)
-
-    def scale(self, c) -> "NormalPoly":
-        c = exact(c)
-        if c == 0:
-            return NormalPoly.zero()
-        res = NormalPoly()
-        res._terms = {km: exact(v * c) for km, v in self._terms.items()}
-        return res
 
     def embed(self) -> NcPoly:
         """The same element as a word polynomial (y's before x's)."""
@@ -237,9 +191,6 @@ class NormalPoly:
 
     def __str__(self) -> str:
         return format_terms([(Y * k + X * m, c) for (k, m), c in self.items()], word_text)
-
-    def __repr__(self) -> str:
-        return f"NormalPoly({self._terms!r})"
 
 
 # -- text form ---------------------------------------------------------------
@@ -478,7 +429,8 @@ def _algebra_map(f: NcPoly, images: "dict[str, NormalPoly]") -> NormalPoly:
     """Image of f under the algebra map sending each letter to images[letter].
 
     Each word is folded run by run: the power of a run's image is formed
-    first, so a run of a monomial image costs one expansion per run.
+    first, by repeated squaring, so a run of length e costs O(log e)
+    products (the product is associative, so the result is the same).
     """
     out = []
     for word, coeff in f._terms.items():
@@ -486,10 +438,7 @@ def _algebra_map(f: NcPoly, images: "dict[str, NormalPoly]") -> NormalPoly:
         for ch, run in groupby(word):
             if ch not in images:
                 raise ValueError(f"word {word!r} has a letter outside {{x, y}}")
-            power = NormalPoly.one()
-            for _ in run:
-                power = multiply(power, images[ch])
-            prod = multiply(prod, power)
+            prod = multiply(prod, _power(images[ch], sum(1 for _ in run)))
         out.extend((km, coeff * v) for km, v in prod._terms.items())
     return NormalPoly(out)
 
@@ -520,7 +469,7 @@ def alpha_coeff(k: int, n: int) -> Scalar:
 
 # Bounded: a word with an x-run of length D meets about 2D (b, c) pairs, each
 # expansion holding b + 1 integers, so an unbounded cache grows as D^2 with
-# long input words.  4096 is about three times the 1350-1420 pairs that one
+# long input words.  4096 is nearly three times the 1400-1450 pairs that one
 # pass of the benchmark's normal_forms workload meets, so it never evicts.
 @lru_cache(maxsize=4096)
 def _x_power_times_y_power(b: int, c: int):
@@ -543,7 +492,8 @@ def _x_power_times_y_power(b: int, c: int):
 def multiply(f: NormalPoly, g: NormalPoly) -> NormalPoly:
     """Product in the algebra, returned in normal form.
 
-    Expands x^b y^c by the Ore-extension closed form termwise;
+    Expands x^b y^c by the Ore-extension closed form termwise, adds the
+    raw products into one dict and normalizes it once;
     tests/test_freealg.py::test_multiply_matches_engine checks it against
     the rewriting engine ``reduce_poly``.
     """
@@ -551,22 +501,18 @@ def multiply(f: NormalPoly, g: NormalPoly) -> NormalPoly:
     for (a, b), cf in f._terms.items():
         for (c, d), cg in g._terms.items():
             coeff = cf * cg
-            if b == 0:
-                key = (a + c, d)
-                total = out.get(key, 0) + coeff
-                if total == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = exact(total)
-                continue
             for (k, m), v in _x_power_times_y_power(b, c):
                 key = (a + k, m + d)
-                total = out.get(key, 0) + coeff * v
-                if total == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = exact(total)
-    return NormalPoly(out)
+                out[key] = out.get(key, 0) + coeff * v
+    return NormalPoly._of(_nonzero(out))
+
+
+def _power(p: NormalPoly, e: int) -> NormalPoly:
+    """p^e for e >= 1 by repeated squaring: O(log e) calls of ``multiply``."""
+    if e == 1:
+        return p
+    half = _power(multiply(p, p), e // 2)
+    return multiply(half, p) if e % 2 else half
 
 
 # -- ambiguities and confluence ----------------------------------------------
@@ -660,8 +606,7 @@ def complete(rs: RewriteSystem, max_degree: int) -> RewriteSystem:
             h = check.left_nf - check.right_nf
             lead_word = max(h._terms, key=lambda w: deglex_key(w, ranks))
             lc = h._terms[lead_word]
-            tail = NcPoly({w: exact(Fraction(-c, 1) / lc)
-                           for w, c in h._terms.items() if w != lead_word})
+            tail = NcPoly({w: Fraction(-c) / lc for w, c in h._terms.items() if w != lead_word})
             new_rule = (lead_word, tail)
             break
         if new_rule is None:
@@ -748,9 +693,7 @@ class JordanAutomorphism:
 
     def x_image(self) -> NcPoly:
         terms = {X: self.alpha}
-        for i, c in enumerate(self.p.coeffs):
-            if c != 0:
-                terms[Y * i] = c
+        terms.update((Y * i, c) for i, c in enumerate(self.p.coeffs))
         return NcPoly(terms)
 
     def y_image(self) -> NcPoly:

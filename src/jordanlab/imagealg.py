@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import IrrationalEigenvaluesError
+from .errors import IrrationalEigenvaluesError, OutOfRangeError
 from .freealg import NormalPoly
 from .matrices import (
     QMatrix,
@@ -221,6 +221,13 @@ def ideal_codim(a: ImageAlgebra, gens) -> int:
     return a.dim - span.rank
 
 
+def _normal_monomials(max_degree: int) -> "list[tuple[int, int]]":
+    """(k, m) of every y^k x^m with k + m <= max_degree, by (degree, number of y's)."""
+    if max_degree < 0:
+        raise OutOfRangeError(f"max_degree must be >= 0, got {max_degree}")
+    return [(k, d - k) for d in range(max_degree + 1) for k in range(d + 1)]
+
+
 def discover_relations(rep: RepPair, max_degree: int) -> "list[NormalPoly]":
     """Canonical basis of the degree-bounded relations of the image algebra.
 
@@ -228,20 +235,20 @@ def discover_relations(rep: RepPair, max_degree: int) -> "list[NormalPoly]":
     n x n matrices, echelonized over the monomial list ordered by (degree,
     number of y's).
     """
-    monomials = [(k, d - k) for d in range(max_degree + 1) for k in range(d + 1)]
+    monomials = _normal_monomials(max_degree)
     columns = [evaluate(NormalPoly.monomial(k, m), rep).entries for k, m in monomials]
     n2 = rep.n * rep.n
     eval_matrix = QMatrix(n2, len(monomials),
                           tuple(columns[c][r] for r in range(n2)
                                 for c in range(len(monomials))))
     kernel = nullspace_basis(eval_matrix)
-    return [NormalPoly({monomials[i]: v for i, v in enumerate(vec) if v != 0})
+    return [NormalPoly({monomials[i]: v for i, v in enumerate(vec)})
             for vec in kernel]
 
 
 def relation_coefficient_vector(poly: NormalPoly, max_degree: int) -> "tuple[Scalar, ...]":
     """Coefficients of a normal polynomial over the discover_relations basis order."""
-    monomials = [(k, d - k) for d in range(max_degree + 1) for k in range(d + 1)]
+    monomials = _normal_monomials(max_degree)
     index = {km: i for i, km in enumerate(monomials)}
     vec: list[Scalar] = [0] * len(monomials)
     for (k, m), c in poly.items():

@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 from .errors import (
     NotFullBlockJordanCoordinatesError,
+    OutOfRangeError,
     RelationViolationError,
     RepeatedBlockSizesError,
     SizeMismatchError,
@@ -163,14 +164,12 @@ class Violation:
 
 def verify_rep(x: QMatrix, y: QMatrix):
     """RepPair when the relation holds exactly, else a Violation."""
-    if not (x.is_square and y.is_square) or x.rows != y.rows:
-        raise SizeMismatchError(
-            f"X and Y must be square of equal size, got "
-            f"{x.rows}x{x.cols} and {y.rows}x{y.cols}")
-    residual = _relation_residual(x, y)
-    if residual is None:
+    try:
         return RepPair(x, y)
-    return Violation(residual)
+    except RelationViolationError as exc:
+        if exc.residual is None:
+            raise
+        return Violation(exc.residual)
 
 
 @lru_cache(maxsize=None)
@@ -393,7 +392,10 @@ def faithful_witness(f: NcPoly, max_n: "int | None" = None):
     max_n defaults to max(1, 2*deg(f)), below that bound, so under the
     default WitnessResult.NOT_FOUND_BELOW_MAX does not mean that f lies in
     the ideal: ``jordanlab faithful x`` prints not-found-below-max.
+    Raises OutOfRangeError for max_n < 1.
     """
+    if max_n is not None and max_n < 1:
+        raise OutOfRangeError(f"max_n must be >= 1, got {max_n}")
     nf = normal_form(f)
     if nf.is_zero():
         return WitnessResult.IN_IDEAL

@@ -205,6 +205,20 @@ def test_hilbert_negative_degree_is_out_of_range(capture):
     assert err.startswith("error: OutOfRangeError: ")
 
 
+@pytest.mark.parametrize("argv", [("faithful", "x^2", "--max-n", "0"),
+                                  ("faithful", "x^2", "--max-n", "-2"),
+                                  ("image", "relations", "REP", "--max-degree", "-1")])
+def test_out_of_range_limit_is_an_error(capture, tmp_path, argv):
+    code, out, _ = capture("rep", "build", "--partition", "2")
+    path = tmp_path / "eps2.json"
+    path.write_text(out)
+    code, out, err = capture(*[str(path) if a == "REP" else a for a in argv])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: OutOfRangeError: ")
+    assert err.count("\n") == 1
+
+
 MALFORMED_REP_FILES = {
     "top_level_array": "[1, 2]",
     "integer_entries": json.dumps({"n": 1, "X": [[0]], "Y": [[0]]}),

@@ -193,6 +193,90 @@ def test_multiply_associative():
         assert multiply(multiply(f, g), h) == multiply(f, multiply(g, h))
 
 
+def test_long_x_run_takes_logarithmically_many_products(monkeypatch):
+    from jordanlab import freealg
+
+    calls = 0
+    product = freealg.multiply
+
+    def counting(f, g):
+        nonlocal calls
+        calls += 1
+        return product(f, g)
+
+    monkeypatch.setattr(freealg, "multiply", counting)
+    nf = normal_form(parse_poly("x^4096*y"))
+    assert calls <= 30
+    # x^n y = sum_k alpha(k, n) y^k x^(n-k+1)
+    assert len(nf.support()) == 4097
+    for k in (1, 2, 3, 4097):
+        assert nf.coefficient(k, 4097 - k) == alpha_coeff(k, 4096)
+
+
+# -- the shared term core -------------------------------------------------------------
+
+
+def normalized(p):
+    """p, after asserting that no coefficient is stored as 0 and that each
+    is an int exactly when it is integral."""
+    for _, c in p.items():
+        assert c != 0
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+    return p
+
+
+def same(p, q):
+    assert p == q and hash(p) == hash(q)
+
+
+def test_term_core_stores_normalized_coefficients():
+    rng = random.Random(21)
+    phi = JordanAutomorphism(Fraction(-3, 2), UniPoly([Fraction(1, 2), 0, 2]))
+    for _ in range(40):
+        f, g, h = rand_ncpoly(rng), rand_ncpoly(rng), rand_ncpoly(rng)
+        # construction: Fraction inputs, integral ones among them, and
+        # pair lists whose terms cancel
+        same(normalized(NcPoly({w: Fraction(c) for w, c in f.items()})), f)
+        pairs = f.items() + [(w, -c) for w, c in g.items()] + g.items()
+        same(normalized(NcPoly(pairs + [("yx", Fraction(4, 2)), ("yx", -2)])), f)
+        assert NcPoly([("", Fraction(4, 2)), ("y", 0)]).items() == [("", 2)]
+        assert type(NcPoly({"x": Fraction(4, 2)}).coefficient("x")) is int
+        # linear operations
+        same(normalized(f + g) - g, f)
+        same(normalized(f - g), f + (-g))
+        same(normalized(-f), f.scale(-1))
+        assert normalized(f - f).is_zero() and normalized(f.scale(0)).is_zero()
+        same(normalized(f.scale(Fraction(2, 3))).scale(Fraction(3, 2)), f)
+        # products and maps
+        same(normalized(f * (g + h)), f * g + f * h)
+        nf, ng = normalized(normal_form(f)), normalized(normal_form(g))
+        same(normalized(multiply(nf, ng)), normal_form(f * g))
+        same(normalized(multiply(nf, ng - ng)), NormalPoly.zero())
+        nh = NormalPoly(nf.items() + [(km, -c) for km, c in ng.items()] + ng.items())
+        same(normalized(nh), nf)
+        same(normalized(nf + ng) - ng, nf)
+        same(normalized(nf.scale(Fraction(4, 3))).scale(Fraction(3, 4)), nf)
+        assert normalized(nf.scale(0)).is_zero()
+        same(normalized(apply_automorphism(phi, f + g)),
+             apply_automorphism(phi, f) + apply_automorphism(phi, g))
+
+
+def test_term_core_compares_within_one_class():
+    assert NcPoly({"": 1}) != NormalPoly({(0, 0): 1})
+    assert NormalPoly({(0, 0): 1}) != NcPoly({"": 1})
+    assert NcPoly.zero() != NormalPoly.zero()
+    assert NcPoly.one() == NcPoly({"": Fraction(2, 2)})
+    assert NormalPoly([((0, 1), 1), ((0, 1), -1)]) == NormalPoly.zero()
+
+
+def test_term_core_rejects_floats():
+    for make in (lambda: NcPoly({"x": 0.5}), lambda: NcPoly([("x", 0.0)]),
+                 lambda: NormalPoly({(0, 1): 1.0}), lambda: NcPoly.one().scale(0.5),
+                 lambda: NormalPoly.one().scale(2.0)):
+        with pytest.raises(TypeError):
+            make()
+
+
 # -- overlaps and confluence -----------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ import pytest
 from jordanlab import (
     IrrationalEigenvaluesError,
     NormalPoly,
+    OutOfRangeError,
     QMatrix,
     RepPair,
     SpanBuilder,
@@ -333,6 +334,13 @@ def test_relations_degree_zero_empty():
     for _ in range(5):
         rep = rand_rep(rng, rng.randint(1, 4))
         assert discover_relations(rep, 0) == []
+
+
+def test_relations_reject_negative_degree():
+    with pytest.raises(OutOfRangeError):
+        discover_relations(epsilon_rep(2), -1)
+    with pytest.raises(OutOfRangeError):
+        relation_coefficient_vector(NormalPoly.zero(), -1)
 
 
 def test_relations_never_contain_defining_relation():

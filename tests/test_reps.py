@@ -11,6 +11,7 @@ from jordanlab import (
     CanonicalParams,
     NormalPoly,
     NotFullBlockJordanCoordinatesError,
+    OutOfRangeError,
     Partition,
     QMatrix,
     RelationViolationError,
@@ -131,6 +132,28 @@ def test_verify_fiber_shift_by_identity():
 def test_verify_size_mismatch():
     with pytest.raises(SizeMismatchError):
         verify_rep(QMatrix.identity(2), QMatrix.identity(3))
+
+
+def test_verify_checks_the_relation_once(monkeypatch):
+    from jordanlab import reps
+
+    calls = 0
+    residual = reps._relation_residual
+
+    def counting(x, y):
+        nonlocal calls
+        calls += 1
+        return residual(x, y)
+
+    monkeypatch.setattr(reps, "_relation_residual", counting)
+    assert isinstance(verify_rep(x_zero(4), jordan_block(4)), RepPair)
+    assert calls == 1
+
+
+def test_verify_size_mismatch_message():
+    with pytest.raises(SizeMismatchError) as info:
+        verify_rep(QMatrix.identity(2), QMatrix.from_rows([[0, 1, 0]]))
+    assert str(info.value) == "X and Y must be square of equal size, got 2x2 and 1x3"
 
 
 def test_rep_pair_construction_rejects_bad_pair():
@@ -536,3 +559,10 @@ def test_faithful_random_bound():
         witness = faithful_witness(poly.embed(), max(1, 2 * d))
         assert isinstance(witness, int)
         assert witness <= max(1, 2 * d)
+
+
+def test_faithful_rejects_max_n_below_one():
+    for max_n in (0, -1):
+        for f in ("x^2", "x*y - y*x - y^2"):
+            with pytest.raises(OutOfRangeError):
+                faithful_witness(parse_poly(f), max_n)
