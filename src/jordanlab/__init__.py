@@ -32,23 +32,19 @@ from .matrices import (
     solve,
 )
 from .freealg import (
-    ConfluenceReport,
     JordanAutomorphism,
     NcPoly,
     NormalPoly,
     RewriteSystem,
     alpha_coeff,
     apply_automorphism,
-    complete,
     compose_automorphisms,
-    confluence_check,
     deglex_key,
     gs_series_coefficients,
     hilbert_dim,
     jordan_system,
     multiply,
     normal_form,
-    normal_word_count,
     overlaps,
     parse_poly,
     reduce_poly,

@@ -15,7 +15,6 @@ import sys
 
 from .errors import InputFormatError, JordanLabError, OutOfRangeError
 from .freealg import (
-    confluence_check,
     hilbert_dim,
     jordan_system,
     normal_form,
@@ -148,17 +147,22 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_gb_check(args) -> int:
-    rs = jordan_system()
-    ambiguities = overlaps(rs)
-    report = confluence_check(rs, max_degree=8)
+    """List the ambiguities of xy -> yx + y^2 and report confluence.
+
+    ``overlaps`` lists overlaps and inclusions alike; the one leading word
+    xy has neither, and a terminating system without ambiguities is
+    confluent by Bergman's diamond lemma (Adv. Math. 29, 1978, Thm 1.2).
+    """
+    ambiguities = overlaps(jordan_system())
+    confluent = not ambiguities
     if args.json:
         _emit({
             "overlaps": [[w, i, j] for w, i, j in ambiguities],
-            "confluent": report.confluent,
+            "confluent": confluent,
         })
     else:
         print(f"overlaps: {len(ambiguities)}")
-        print(f"confluent: {'pass' if report.confluent else 'fail'}")
+        print(f"confluent: {'pass' if confluent else 'fail'}")
     return 0
 
 

@@ -32,9 +32,13 @@ class InputFormatError(JordanLabError):
 
 
 class RelationViolationError(JordanLabError):
-    """A matrix pair failed the defining relation XY - YX = Y^2."""
+    """A matrix pair failed the defining relation XY - YX = Y^2.
 
-    def __init__(self, message: str, residual=None):
+    ``residual``, the nonzero XY - YX - Y^2, is always set: the relation is
+    the only check, as it forces Y to be nilpotent (see ``reps.RepPair``).
+    """
+
+    def __init__(self, message: str, residual):
         super().__init__(message)
         self.residual = residual
 

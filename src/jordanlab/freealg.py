@@ -7,10 +7,10 @@ normalizes it once in ``_nonzero``, which drops zero terms and stores
 integral coefficients as int.  Normal forms on the basis y^k x^m come
 from the Ore-extension product ``multiply``: the algebra is
 k[y][x; y^2 d/dy] (see ``normal_form``).  The generic rewriting engine
-(deglex with x > y, the single rule xy -> yx + y^2) remains for
-``confluence_check``, ``complete()``, the toy systems and as the test
-oracle: tests/test_freealg.py::test_multiply_matches_engine checks
-``multiply`` and ``normal_form`` against ``reduce_poly``.
+(deglex with x > y, the single rule xy -> yx + y^2) remains for the
+overlap list of ``gb-check`` and as the test oracle:
+tests/test_freealg.py::test_multiply_matches_engine checks ``multiply``
+and ``normal_form`` against ``reduce_poly``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from math import comb, factorial
+from math import factorial
 
 from .errors import OutOfRangeError, PolyParseError
 from .polynomials import UniPoly
@@ -453,9 +453,9 @@ def normal_form(f: NcPoly) -> NormalPoly:
     ``multiply`` is the product in that basis, and the quotient map is the
     algebra map from the free algebra sending x and y to the basis elements
     (0, 1) and (1, 0).  Each word is folded run by run through ``multiply``:
-    polynomial work in the word length, where ``reduce_poly`` (kept for
-    ``confluence_check``, ``complete`` and as the test oracle) doubles its
-    work with each extra x.  Raises ValueError for a letter outside {x, y}.
+    polynomial work in the word length, where ``reduce_poly`` (kept as the
+    test oracle) doubles its work with each extra x.  Raises ValueError for
+    a letter outside {x, y}.
     """
     return _algebra_map(f, {X: NormalPoly.monomial(0, 1), Y: NormalPoly.monomial(1, 0)})
 
@@ -478,14 +478,16 @@ def _x_power_times_y_power(b: int, c: int):
     In the Ore extension x^b p = sum_j C(b, j) delta^j(p) x^(b-j) (Leibniz),
     and delta^j(y^c) = c(c+1)...(c+j-1) y^(c+j), so
     x^b y^c = sum_j C(b, j) c(c+1)...(c+j-1) y^(c+j) x^(b-j).
+    Each coefficient is the previous one times (b-j)(c+j)/(j+1); the
+    division is exact because C(b, j)(b-j) = C(b, j+1)(j+1).
     """
     if c == 0:
         return (((0, b), 1),)
     out = []
-    rising = 1
+    coeff = 1
     for j in range(b + 1):
-        out.append(((c + j, b - j), comb(b, j) * rising))
-        rising *= c + j
+        out.append(((c + j, b - j), coeff))
+        coeff = coeff * (b - j) * (c + j) // (j + 1)
     return tuple(out)
 
 
@@ -515,7 +517,7 @@ def _power(p: NormalPoly, e: int) -> NormalPoly:
     return multiply(half, p) if e % 2 else half
 
 
-# -- ambiguities and confluence ----------------------------------------------
+# -- ambiguities --------------------------------------------------------------
 
 
 def _ambiguities(rs: RewriteSystem):
@@ -552,109 +554,18 @@ def overlaps(rs: RewriteSystem) -> "list[tuple[str, int, int]]":
     return [(w, i, j) for w, i, _, j, _ in _ambiguities(rs)]
 
 
-def _apply_rule_at(word: str, rs: RewriteSystem, ridx: int, pos: int) -> NcPoly:
-    lead, tail = rs.rules[ridx]
-    prefix, suffix = word[:pos], word[pos + len(lead):]
-    return NcPoly({prefix + tword + suffix: c for tword, c in tail._terms.items()})
-
-
-@dataclass(frozen=True)
-class OverlapCheck:
-    word: str
-    rule_left: int
-    rule_right: int
-    left_nf: NcPoly
-    right_nf: NcPoly
-
-    @property
-    def resolved(self) -> bool:
-        return self.left_nf == self.right_nf
-
-
-@dataclass(frozen=True)
-class ConfluenceReport:
-    confluent: bool
-    checks: tuple
-
-    def __bool__(self) -> bool:
-        return self.confluent
-
-
-def confluence_check(rs: RewriteSystem, max_degree: int) -> ConfluenceReport:
-    """Resolve every ambiguity of degree <= max_degree both ways and compare."""
-    checks = []
-    for word, i, pos_i, j, pos_j in _ambiguities(rs):
-        if len(word) > max_degree:
-            continue
-        left = reduce_poly(_apply_rule_at(word, rs, i, pos_i), rs)
-        right = reduce_poly(_apply_rule_at(word, rs, j, pos_j), rs)
-        checks.append(OverlapCheck(word, i, j, left, right))
-    return ConfluenceReport(all(c.resolved for c in checks), tuple(checks))
-
-
-def complete(rs: RewriteSystem, max_degree: int) -> RewriteSystem:
-    """Bounded-degree completion: add oriented unresolved overlaps as rules."""
-    ranks = _ranks(rs.alphabet)
-    rules = list(rs.rules)
-    while True:
-        current = RewriteSystem(rs.alphabet, tuple(rules))
-        report = confluence_check(current, max_degree)
-        new_rule = None
-        for check in report.checks:
-            if check.resolved:
-                continue
-            h = check.left_nf - check.right_nf
-            lead_word = max(h._terms, key=lambda w: deglex_key(w, ranks))
-            lc = h._terms[lead_word]
-            tail = NcPoly({w: Fraction(-c) / lc for w, c in h._terms.items() if w != lead_word})
-            new_rule = (lead_word, tail)
-            break
-        if new_rule is None:
-            return current
-        rules.append(new_rule)
-
-
 # -- graded counting -----------------------------------------------------------
 
 
-def normal_word_count(rs: RewriteSystem, degree: int) -> int:
-    """Number of words of the given degree avoiding every leading monomial."""
-    leads = [lead for lead, _ in rs.rules]
-    prefixes = {""}
-    for lead in leads:
-        for t in range(1, len(lead)):
-            prefixes.add(lead[:t])
-    states = sorted(prefixes)
-
-    def step(state: str, ch: str) -> "str | None":
-        t = state + ch
-        if any(t.endswith(lead) for lead in leads):
-            return None
-        for start in range(len(t)):
-            if t[start:] in prefixes:
-                return t[start:]
-        return ""
-
-    counts = {s: 0 for s in states}
-    counts[""] = 1
-    for _ in range(degree):
-        nxt = {s: 0 for s in states}
-        for s, c in counts.items():
-            if c == 0:
-                continue
-            for ch in rs.alphabet:
-                s2 = step(s, ch)
-                if s2 is not None:
-                    nxt[s2] += c
-        counts = nxt
-    return sum(counts.values())
-
-
 def hilbert_dim(d: int) -> int:
-    """Number of normal monomials y^k x^m of total degree d (equals d + 1)."""
+    """Number of normal monomials y^k x^m of total degree d, which is d + 1.
+
+    {y^k x^m} is a basis of the algebra (see ``normal_form``), and its
+    elements of degree d are y^k x^(d-k) for k = 0..d.
+    """
     if d < 0:
         raise OutOfRangeError("degree must be nonnegative")
-    return normal_word_count(jordan_system(), d)
+    return d + 1
 
 
 def gs_series_coefficients(gens: int, rels: int, up_to: int) -> "list[int]":

@@ -126,13 +126,20 @@ def radical_basis(a: ImageAlgebra) -> "list[QMatrix]":
     S(X) = prod of (X - lambda*I) over the distinct eigenvalues: modulo that
     ideal the algebra is k[x]/(S), a product of fields.  Requires the
     spectrum of X to be rational.
+
+    The radical has dimension dim A - r for the r distinct eigenvalues, so
+    the result is not re-checked.  Proof: XY = Y(X + Y), so X preserves
+    ker Y, and likewise every ker Y^k; refining that flag by a triangular
+    form of X gives an A-stable full flag whose 1-dimensional quotients
+    carry the characters X -> lambda_i, Y -> 0, every lambda_i occurring.
+    These kill Y and S(X), and by Lagrange interpolation in X they map
+    A/(Y, S(X)) onto Q^r; that quotient is spanned by 1, X, ..., X^(r-1),
+    so its dimension is exactly r.
     """
     spectrum = rational_spectrum(a.rep.X)
     s = UniPoly.from_roots([lam for lam, _ in spectrum])
     span = _ideal_closure(a, [poly_at_matrix(s, a.rep.X), a.rep.Y])
     n = a.rep.n
-    if span.rank != a.dim - len(spectrum):
-        raise AssertionError("radical dimension disagrees with dim A - #eigenvalues")
     return [QMatrix(n, n, vec) for vec in span.basis_vectors()]
 
 
@@ -143,30 +150,22 @@ def idempotents(a: ImageAlgebra) -> "list[QMatrix]":
     are exactly idempotent, pairwise orthogonal and sum to the identity, and
     reduce to the classical system (X - lambda_1)...(hat).../p(lambda_i)
     modulo the radical.
+
+    These identities hold by construction, so they are not re-checked.
+    Proof: char = prod p_j with p_j = (t - lambda_j)^(m_j) pairwise coprime,
+    so the monic gcd of q_i = char/p_i and p_i is 1 and u*q_i + v*p_i = 1.
+    Then E_i = u*q_i mod char satisfies E_i = delta_ij (mod p_j) for every
+    j, so char divides E_i^2 - E_i, sum_i E_i - 1 and E_i*E_j (i != j), and
+    Cayley-Hamilton turns each of these into an identity at X.
     """
     spectrum = rational_spectrum(a.rep.X)
     char = char_poly(a.rep.X)
     out = []
-    n = a.rep.n
-    ident = QMatrix.identity(n)
-    total = QMatrix.zeros(n)
     for lam, mult in spectrum:
         p_i = UniPoly.from_roots([lam] * mult)
         q_i = char // p_i
-        g, u, _ = poly_ext_gcd(q_i, p_i)
-        if g != UniPoly.one():
-            raise AssertionError("eigenvalue factors are not coprime")
-        e = poly_at_matrix((u * q_i) % char, a.rep.X)
-        if e @ e != e:
-            raise AssertionError("projection is not idempotent")
-        out.append(e)
-        total = total + e
-    if total != ident:
-        raise AssertionError("idempotents do not sum to the identity")
-    for i, ei in enumerate(out):
-        for j, ej in enumerate(out):
-            if i != j and not (ei @ ej).is_zero():
-                raise AssertionError("idempotents are not orthogonal")
+        _, u, _ = poly_ext_gcd(q_i, p_i)
+        out.append(poly_at_matrix((u * q_i) % char, a.rep.X))
     return out
 
 

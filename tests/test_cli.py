@@ -44,10 +44,22 @@ def test_hilbert(capture):
     assert out == "0: 1\n1: 2\n2: 3\n3: 4\n"
 
 
+def test_hilbert_json(capture):
+    code, out, _ = capture("hilbert", "--max-degree", "30", "--json")
+    assert code == 0
+    assert json.loads(out) == {"dims": list(range(1, 32))}
+
+
 def test_gb_check(capture):
     code, out, _ = capture("gb-check")
     assert code == 0
     assert out == "overlaps: 0\nconfluent: pass\n"
+
+
+def test_gb_check_json(capture):
+    code, out, _ = capture("gb-check", "--json")
+    assert code == 0
+    assert json.loads(out) == {"overlaps": [], "confluent": True}
 
 
 def test_rep_build_verify_round_trip(capture, tmp_path):

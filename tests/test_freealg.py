@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -18,9 +18,7 @@ from jordanlab import (
     UniPoly,
     alpha_coeff,
     apply_automorphism,
-    complete,
     compose_automorphisms,
-    confluence_check,
     gs_series_coefficients,
     hilbert_dim,
     jordan_system,
@@ -30,6 +28,7 @@ from jordanlab import (
     parse_poly,
     reduce_poly,
 )
+from rewriting_oracle import complete, confluence_check, normal_word_count
 
 
 def rand_rational(rng):
@@ -175,6 +174,24 @@ def test_normal_form_matches_engine_on_long_words():
 def test_normal_form_rejects_foreign_letter():
     with pytest.raises(ValueError):
         normal_form(NcPoly.monomial("xzy"))
+
+
+def test_x_power_times_y_power_matches_closed_form():
+    from jordanlab.freealg import _x_power_times_y_power
+
+    def closed_form(b, c):
+        if c == 0:
+            return (((0, b), 1),)
+        out = []
+        rising = 1
+        for j in range(b + 1):
+            out.append(((c + j, b - j), comb(b, j) * rising))
+            rising *= c + j
+        return tuple(out)
+
+    cases = [(b, c) for b in range(61) for c in range(13)] + [(4096, 1), (1000, 37)]
+    for b, c in cases:
+        assert _x_power_times_y_power(b, c) == closed_form(b, c)
 
 
 def test_power_cache_is_bounded():
@@ -333,6 +350,12 @@ def test_hilbert_examples():
     assert hilbert_dim(0) == 1
     assert hilbert_dim(1) == 2
     assert hilbert_dim(5) == 6
+
+
+def test_hilbert_matches_normal_word_count():
+    rs = jordan_system()
+    for d in range(31):
+        assert hilbert_dim(d) == normal_word_count(rs, d)
 
 
 def test_gs_examples():

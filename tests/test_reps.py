@@ -46,6 +46,7 @@ from jordanlab import (
 )
 from jordanlab.sampling import (
     rand_fiber_point,
+    rand_nonzero_rational,
     rand_normal_poly,
     rand_rational,
     rand_rep,
@@ -159,6 +160,30 @@ def test_verify_size_mismatch_message():
 def test_rep_pair_construction_rejects_bad_pair():
     with pytest.raises(RelationViolationError):
         RepPair(QMatrix.diagonal([1, 2]), jordan_block(2))
+
+
+def test_relation_alone_rejects_non_nilpotent_y():
+    rng = random.Random(41)
+    for n in range(1, 6):
+        # L unit lower triangular, U upper triangular with nonzero diagonal:
+        # L @ U is invertible, so it has no zero eigenvalue at all.
+        lower = QMatrix.from_rows([[1 if i == j else rand_rational(rng) if j < i else 0
+                                    for j in range(n)] for i in range(n)])
+        upper = QMatrix.from_rows([[rand_nonzero_rational(rng) if i == j
+                                    else rand_rational(rng) if j > i else 0
+                                    for j in range(n)] for i in range(n)])
+        ys = [QMatrix.identity(n), QMatrix.diagonal(range(1, n + 1)), lower @ upper]
+        for y in ys:
+            x = QMatrix.from_rows([[rand_rational(rng) for _ in range(n)]
+                                   for _ in range(n)])
+            expected = x @ y - y @ x - y @ y
+            result = verify_rep(x, y)
+            assert isinstance(result, Violation)
+            assert result.residual == expected
+            with pytest.raises(RelationViolationError) as info:
+                RepPair(x, y)
+            assert info.value.residual is not None
+            assert info.value.residual == expected
 
 
 def test_epsilon_small():
