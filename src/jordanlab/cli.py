@@ -173,10 +173,12 @@ def _cmd_rep_build(args) -> int:
         if len(partition.parts) != 1:
             raise OutOfRangeError("--canonical requires a single-part partition")
         lam_text, _, mu_text = args.canonical.partition(",")
-        if not mu_text:
-            raise OutOfRangeError("--canonical expects LAMBDA,MU")
-        rep = canonical_pair(parse_scalar(lam_text), parse_scalar(mu_text),
-                             partition.n)
+        try:
+            lam, mu = parse_scalar(lam_text), parse_scalar(mu_text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise OutOfRangeError(
+                f"--canonical expects rationals LAMBDA,MU, got {args.canonical!r}") from exc
+        rep = canonical_pair(lam, mu, partition.n)
     elif args.seed is not None:
         rep = RepPair(rand_fiber_point(random.Random(args.seed), partition), y)
     else:

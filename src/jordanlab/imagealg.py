@@ -1,9 +1,10 @@
 """Analysis of the image algebra A generated by a verified pair (X, Y).
 
-The span of all words in X and Y (including the identity) is closed by a
-worklist; radical, idempotents and quiver data are then exact linear algebra
-inside that span.  Everything here requires nothing beyond rational
-eigenvalues of X, and refuses (typed error) when the spectrum is irrational.
+One worklist closes the span of all words in X and Y (including the
+identity) and every two-sided ideal.  The eigenprojections of X are central
+in A (proof in ``idempotents``), so the quiver is diagonal.  Everything here
+needs one rational spectrum of X per call, and refuses (typed error) when the
+spectrum is irrational.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 
 from .errors import IrrationalEigenvaluesError, OutOfRangeError
 from .freealg import NormalPoly
@@ -34,6 +36,9 @@ class ImageAlgebra:
     Stores the span's integral reduced-echelon rows (gcd-reduced, positive
     pivots) and their pivot columns: an immutable, hashable snapshot from
     which the dimension is read directly and the basis is built on demand.
+
+    ``closure_certified`` is True by construction: the worklist drains only
+    once every spanning element's products by X and Y lie in the span.
     """
 
     rep: RepPair
@@ -53,35 +58,28 @@ class ImageAlgebra:
         return tuple(QMatrix(n, n, vec) for vec in span.basis_vectors())
 
 
+def _closure(n: int, seeds, products=lambda m: ()) -> SpanBuilder:
+    """Span of the n x n seeds closed under ``products``: candidates come one
+    at a time from the seeds, then from the products queued for each element
+    the span accepts, each scaled to coprime integers (the span is unchanged)."""
+    span = SpanBuilder(n * n)
+    pending = deque([seeds])
+    while pending:
+        for m in pending.popleft():
+            m = int_normalized(m)
+            if span.add(m.entries):
+                pending.append(products(m))
+    return span
+
+
 def image_algebra(rep: RepPair) -> ImageAlgebra:
     """Span closure of all words in X, Y from the identity seed.
 
     Right multiplication by the two generators suffices to reach every word.
-    The fixpoint certificate: once the worklist drains, every spanning
-    element has had both its right-products reduced to zero against the
-    span, i.e. one more full round cannot change the rank.
     """
-    n = rep.n
-    span = SpanBuilder(n * n)
-    ident = QMatrix.identity(n)
-    span.add(ident.entries)
-    # Scaling any spanning element by a nonzero rational leaves the span
-    # unchanged, so the worklist carries coprime-integer representatives.
-    gens = (int_normalized(rep.X), int_normalized(rep.Y))
-    queue = deque([ident])
-    accepted = 1
-    processed = 0
-    while queue:
-        m = queue.popleft()
-        processed += 1
-        for gen in gens:
-            prod = int_normalized(m @ gen)
-            if span.add(prod.entries):
-                queue.append(prod)
-                accepted += 1
-    certified = processed == accepted and span.rank == accepted
-    return ImageAlgebra(rep, tuple(map(tuple, span.rows)), tuple(span.pivots),
-                        certified)
+    x, y = int_normalized(rep.X), int_normalized(rep.Y)
+    span = _closure(rep.n, [QMatrix.identity(rep.n)], lambda m: (m @ x, m @ y))
+    return ImageAlgebra(rep, tuple(map(tuple, span.rows)), tuple(span.pivots), True)
 
 
 def dim_bound(n: int) -> int:
@@ -102,21 +100,14 @@ def rational_spectrum(x: QMatrix) -> "list[tuple[Scalar, int]]":
 
 def _ideal_closure(a: ImageAlgebra, seeds) -> SpanBuilder:
     """Two-sided ideal span closure of the seeds under left/right X, Y."""
-    n = a.rep.n
-    span = SpanBuilder(n * n)
-    queue = deque()
-    for s in seeds:
-        s = int_normalized(s)
-        if span.add(s.entries):
-            queue.append(s)
     x, y = int_normalized(a.rep.X), int_normalized(a.rep.Y)
-    while queue:
-        m = queue.popleft()
-        for prod in (x @ m, m @ x, y @ m, m @ y):
-            prod = int_normalized(prod)
-            if span.add(prod.entries):
-                queue.append(prod)
-    return span
+    return _closure(a.rep.n, seeds, lambda m: (x @ m, m @ x, y @ m, m @ y))
+
+
+def _radical_span(a: ImageAlgebra, spectrum) -> SpanBuilder:
+    """The ideal generated by Y and S(X), S = prod of (t - lambda)."""
+    s = UniPoly.from_roots([lam for lam, _ in spectrum])
+    return _ideal_closure(a, [poly_at_matrix(s, a.rep.X), a.rep.Y])
 
 
 def radical_basis(a: ImageAlgebra) -> "list[QMatrix]":
@@ -136,11 +127,22 @@ def radical_basis(a: ImageAlgebra) -> "list[QMatrix]":
     A/(Y, S(X)) onto Q^r; that quotient is spanned by 1, X, ..., X^(r-1),
     so its dimension is exactly r.
     """
-    spectrum = rational_spectrum(a.rep.X)
-    s = UniPoly.from_roots([lam for lam, _ in spectrum])
-    span = _ideal_closure(a, [poly_at_matrix(s, a.rep.X), a.rep.Y])
     n = a.rep.n
+    span = _radical_span(a, rational_spectrum(a.rep.X))
     return [QMatrix(n, n, vec) for vec in span.basis_vectors()]
+
+
+def _eigenprojections(x: QMatrix, spectrum) -> "list[QMatrix]":
+    """E_i(X), E_i = u*q_i mod char (see idempotents); char(X) is the product
+    of the p_i = (t - lambda_i)^(m_i) of the rational spectrum."""
+    powers = [UniPoly.from_roots([lam] * mult) for lam, mult in spectrum]
+    char = prod(powers, start=UniPoly.one())
+    out = []
+    for p_i in powers:
+        q_i = char // p_i
+        _, u, _ = poly_ext_gcd(q_i, p_i)
+        out.append(poly_at_matrix((u * q_i) % char, x))
+    return out
 
 
 def idempotents(a: ImageAlgebra) -> "list[QMatrix]":
@@ -157,16 +159,20 @@ def idempotents(a: ImageAlgebra) -> "list[QMatrix]":
     Then E_i = u*q_i mod char satisfies E_i = delta_ij (mod p_j) for every
     j, so char divides E_i^2 - E_i, sum_i E_i - 1 and E_i*E_j (i != j), and
     Cayley-Hamilton turns each of these into an identity at X.
+
+    Theorem: each e_i commutes with Y too, so it is central in A.  Proof:
+    [X, Y^k] = k*Y^(k+1), so F_k = Y^k V is stable under X and every e_i.
+    Say T has shift s if T F_k lies in F_(k+s) for all k.  The e's commute
+    with X and sum to 1, so projecting XY - YX = Y^2 gives
+    X Z_ml - Z_ml X = sum_v Z_mv Z_vl for Z_ml = e_m Y e_l.  For m != l the
+    Sylvester map T -> XT - TX is invertible on the maps e_m T e_l (X has
+    the one eigenvalue lambda_m on e_m V, lambda_l on e_l V) and keeps each
+    shift s, so it is onto the maps of shift s.  Every Z has shift 1; if
+    every Z_ml with m != l has shift s, each Z_mv Z_vl has such a factor,
+    so the sum and hence Z_ml have shift s + 1.  Y is nilpotent, F_n = 0,
+    so Z_ml = 0 for m != l: Y = sum_m e_m Y e_m commutes with every e_i.
     """
-    spectrum = rational_spectrum(a.rep.X)
-    char = char_poly(a.rep.X)
-    out = []
-    for lam, mult in spectrum:
-        p_i = UniPoly.from_roots([lam] * mult)
-        q_i = char // p_i
-        _, u, _ = poly_ext_gcd(q_i, p_i)
-        out.append(poly_at_matrix((u * q_i) % char, a.rep.X))
-    return out
+    return _eigenprojections(a.rep.X, rational_spectrum(a.rep.X))
 
 
 @dataclass(frozen=True)
@@ -189,27 +195,24 @@ class QuiverData:
 
 
 def quiver(a: ImageAlgebra) -> QuiverData:
-    """Exact quiver of the (basic) image algebra."""
+    """Exact quiver of the (basic) image algebra.
+
+    The e_i are central (see ``idempotents``), so e_i J e_j = J e_i e_j is 0
+    for i != j and J e_i for i = j, and J e_i meets J^2 in J^2 e_i = J (J e_i):
+    dim e_i (J/J^2) e_j is 0 off the diagonal and dim J e_i - dim J^2 e_i on it.
+    """
     spectrum = rational_spectrum(a.rep.X)
-    vertices = [lam for lam, _ in spectrum]
-    rad = radical_basis(a)
-    es = idempotents(a)
     n = a.rep.n
-    rad_sq = SpanBuilder(n * n)
-    for b1 in rad:
-        for b2 in rad:
-            rad_sq.add((b1 @ b2).entries)
-    arrows = []
-    for ei in es:
-        row = []
-        for ej in es:
-            # add() never mutates a row in place, so copying the lists is safe.
-            sb = SpanBuilder(n * n, list(rad_sq.rows), list(rad_sq.pivots))
-            for b in rad:
-                sb.add((ei @ b @ ej).entries)
-            row.append(sb.rank - rad_sq.rank)
-        arrows.append(tuple(row))
-    return QuiverData(tuple(vertices), tuple(arrows))
+    rad = [QMatrix(n, n, row) for row in _radical_span(a, spectrum).rows]
+    loops = []
+    for e in _eigenprojections(a.rep.X, spectrum):
+        e = int_normalized(e)
+        je = _closure(n, (b @ e for b in rad))
+        j2e = _closure(n, (b @ QMatrix(n, n, c) for c in je.rows for b in rad))
+        loops.append(je.rank - j2e.rank)
+    arrows = tuple(tuple(loop if i == j else 0 for j in range(len(loops)))
+                   for i, loop in enumerate(loops))
+    return QuiverData(tuple(lam for lam, _ in spectrum), arrows)
 
 
 def ideal_codim(a: ImageAlgebra, gens) -> int:

@@ -118,47 +118,29 @@ class Decomposition:
 def decompose(rep: RepPair) -> Decomposition:
     """Split into submodules on the generalized eigenspaces of X.
 
-    Each eigenspace ker (X - lambda I)^mult is Y-invariant, so every summand
-    is itself a verified pair; requires the spectrum of X to be rational.
+    The eigenspace ker (X - lambda I)^mult has dimension mult (Jordan form)
+    and is the image of the eigenprojection for lambda, which commutes with
+    Y (proof in ``imagealg.idempotents``).  So every eigenspace is
+    Y-invariant, both conjugated matrices are block-diagonal, and every
+    summand is itself a verified pair; requires the spectrum of X to be
+    rational.
     """
     spectrum = rational_spectrum(rep.X)
     n = rep.n
-    ident = QMatrix.identity(n)
     columns = []
-    sizes = []
     for lam, mult in spectrum:
-        power = poly_at_matrix(UniPoly.from_roots([lam] * mult), rep.X)
-        kernel = nullspace_basis(power)
-        if len(kernel) != mult:
-            raise AssertionError("generalized eigenspace has unexpected dimension")
-        columns.extend(kernel)
-        sizes.append(mult)
+        columns += nullspace_basis(poly_at_matrix(UniPoly.from_roots([lam] * mult), rep.X))
     c = QMatrix(n, n, tuple(columns[j][i] for i in range(n) for j in range(n)))
     c_inv = inverse(c)
     xb = c_inv @ rep.X @ c
     yb = c_inv @ rep.Y @ c
-    offsets = [0]
-    for s in sizes:
-        offsets.append(offsets[-1] + s)
-    for m in (xb, yb):
-        for bi in range(len(sizes)):
-            for bj in range(len(sizes)):
-                if bi == bj:
-                    continue
-                for i in range(offsets[bi], offsets[bi + 1]):
-                    for j in range(offsets[bj], offsets[bj + 1]):
-                        if m[i, j] != 0:
-                            raise AssertionError(
-                                "eigenspace splitting left an off-diagonal block")
     summands = []
-    for b in range(len(sizes)):
-        lo, hi = offsets[b], offsets[b + 1]
-        size = hi - lo
-        xs = QMatrix(size, size, tuple(xb[i, j] for i in range(lo, hi)
-                                       for j in range(lo, hi)))
-        ys = QMatrix(size, size, tuple(yb[i, j] for i in range(lo, hi)
-                                       for j in range(lo, hi)))
-        summands.append(RepPair(xs, ys))
+    lo = 0
+    for _, size in spectrum:
+        block = [(i, j) for i in range(lo, lo + size) for j in range(lo, lo + size)]
+        summands.append(RepPair(QMatrix(size, size, tuple(xb[ij] for ij in block)),
+                                QMatrix(size, size, tuple(yb[ij] for ij in block))))
+        lo += size
     return Decomposition(tuple(summands),
                          tuple(lam for lam, _ in spectrum), c)
 

@@ -1,33 +1,70 @@
-"""The public API of the package, pinned so that any change to it is explicit."""
+"""The public API of the package, pinned so that any change to it is explicit,
+and the library names the benchmark's tracer wraps."""
 
 from __future__ import annotations
 
+import ast
+import importlib
+from pathlib import Path
+
 import jordanlab
+from jordanlab.freealg import RewriteSystem
+from jordanlab.reps import fiber_basis
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 PUBLIC_NAMES = [
     "CanonicalParams", "Decomposition", "FiberBasis", "ImageAlgebra",
-    "IrrationalEigenvaluesError", "JordanAutomorphism", "JordanLabError", "NcPoly",
-    "NonSquareError", "NormalPoly", "NotFullBlockJordanCoordinatesError",
-    "OutOfRangeError", "Partition", "PolyParseError", "QMatrix", "QuiverData",
-    "RelationViolationError", "RepPair", "RepeatedBlockSizesError", "RewriteSystem",
-    "Scalar", "SingularMatrixError", "SizeMismatchError", "SpanBuilder", "StratumInfo",
-    "TameLabel", "UniPoly", "Violation", "WitnessResult", "alpha_coeff",
-    "apply_automorphism", "block_diag", "canonical_pair", "census", "char_poly",
-    "compose_automorphisms", "conjugate", "decompose", "deglex_key", "dim_bound",
-    "discover_relations", "eigenvalues_distinct_blocks", "epsilon_rep", "errors",
-    "evaluate", "exact", "extract_params", "faithful_witness", "fiber_basis", "freealg",
-    "full_block_canonicalize", "gs_series_coefficients", "hilbert_dim", "ideal_codim",
-    "idempotents", "image_algebra", "imagealg", "inverse", "is_b_toeplitz",
-    "is_nilpotent", "jacobian_rank", "jordan_block", "jordan_matrix", "jordan_system",
-    "matrices", "matrix_from_json", "matrix_to_json", "multiply", "nilpotency_index",
-    "normal_form", "nullspace_basis", "overlaps", "parse_poly", "parse_scalar",
-    "partitions", "poly_at_matrix", "poly_ext_gcd", "poly_gcd", "polynomials", "quiver",
-    "radical_basis", "rank", "rational_roots", "rational_spectrum", "reduce_poly",
-    "relation_coefficient_vector", "reps", "scalar_str", "scalars",
-    "single_eigenvalue_test", "solve", "squarefree_part", "strata",
-    "sylvester_operator", "verify_rep", "x_zero",
+    "InputFormatError", "IrrationalEigenvaluesError", "JordanAutomorphism",
+    "JordanLabError", "NcPoly", "NonSquareError", "NormalPoly",
+    "NotFullBlockJordanCoordinatesError", "OutOfRangeError", "Partition",
+    "PolyParseError", "QMatrix", "QuiverData", "RelationViolationError", "RepPair",
+    "RepeatedBlockSizesError", "RewriteSystem", "Scalar", "SingularMatrixError",
+    "SizeMismatchError", "SpanBuilder", "StratumInfo", "TameLabel", "UniPoly",
+    "Violation", "WitnessResult", "alpha_coeff", "apply_automorphism", "block_diag",
+    "canonical_pair", "census", "char_poly", "compose_automorphisms", "conjugate",
+    "decompose", "deglex_key", "dim_bound", "discover_relations",
+    "eigenvalues_distinct_blocks", "epsilon_rep", "evaluate", "exact", "extract_params",
+    "faithful_witness", "fiber_basis", "full_block_canonicalize",
+    "gs_series_coefficients", "hilbert_dim", "ideal_codim", "idempotents",
+    "image_algebra", "inverse", "is_b_toeplitz", "is_nilpotent", "jacobian_rank",
+    "jordan_block", "jordan_matrix", "jordan_system", "matrix_from_json",
+    "matrix_to_json", "multiply", "nilpotency_index", "normal_form", "nullspace_basis",
+    "overlaps", "parse_poly", "parse_scalar", "partitions", "poly_at_matrix",
+    "poly_ext_gcd", "poly_gcd", "quiver", "radical_basis", "rank", "rational_roots",
+    "rational_spectrum", "reduce_poly", "relation_coefficient_vector", "scalar_str",
+    "single_eigenvalue_test", "solve", "squarefree_part", "sylvester_operator",
+    "verify_rep", "x_zero",
 ]
 
 
 def test_public_names_are_pinned():
     assert sorted(jordanlab.__all__) == PUBLIC_NAMES
+    assert all(hasattr(jordanlab, name) for name in PUBLIC_NAMES)
+
+
+def traced_spans() -> dict:
+    """The SPANS table of perfbench/tracing.py, read from its source text."""
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "SPANS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py defines no SPANS table")
+
+
+def test_traced_spans_resolve():
+    """A rename or privatization of a traced function fails here, not in the
+    benchmark: each span names a module function or a method defined in its
+    class, and the tracer's two extra hooks find what they wrap."""
+    spans = traced_spans()
+    assert spans
+    for metric, (modname, attr) in spans.items():
+        module = importlib.import_module("jordanlab." + modname)
+        if "." in attr:
+            cls_name, method = attr.split(".")
+            assert method in vars(getattr(module, cls_name)), metric
+        else:
+            assert callable(getattr(module, attr, None)), metric
+    assert "leftmost_match" in vars(RewriteSystem)
+    assert callable(fiber_basis.cache_info)

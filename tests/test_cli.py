@@ -219,7 +219,10 @@ def test_hilbert_negative_degree_is_out_of_range(capture):
 
 @pytest.mark.parametrize("argv", [("faithful", "x^2", "--max-n", "0"),
                                   ("faithful", "x^2", "--max-n", "-2"),
-                                  ("image", "relations", "REP", "--max-degree", "-1")])
+                                  ("image", "relations", "REP", "--max-degree", "-1"),
+                                  ("rep", "build", "--partition", "3", "--canonical", "1/0,2"),
+                                  ("rep", "build", "--partition", "3", "--canonical", "a,2"),
+                                  ("rep", "build", "--partition", "3", "--canonical", ",2")])
 def test_out_of_range_limit_is_an_error(capture, tmp_path, argv):
     code, out, _ = capture("rep", "build", "--partition", "2")
     path = tmp_path / "eps2.json"

@@ -13,6 +13,7 @@ from jordanlab import (
     QMatrix,
     RepPair,
     SpanBuilder,
+    block_diag,
     conjugate,
     dim_bound,
     discover_relations,
@@ -21,12 +22,14 @@ from jordanlab import (
     ideal_codim,
     idempotents,
     image_algebra,
+    jordan_block,
     nilpotency_index,
     normal_form,
     parse_poly,
     quiver,
     radical_basis,
     relation_coefficient_vector,
+    x_zero,
 )
 from jordanlab.sampling import rand_rep, rand_unimodular
 
@@ -265,6 +268,65 @@ def test_quiver_conjugation_invariant():
         q2 = quiver(image_algebra(conjugate(rep, c, c_inv)))
         assert q1.vertices == q2.vertices
         assert q1.arrows == q2.arrows
+
+
+def reference_arrows(a) -> "list[list[int]]":
+    """Oracle: dim e_i (J/J^2) e_j as rank(J^2 + e_i J e_j) - rank(J^2), over
+    the Fraction radical basis and the idempotents, for every pair i, j.
+
+    It assumes nothing about which e_i J e_j vanish."""
+    n = a.rep.n
+    rad = radical_basis(a)
+    es = idempotents(a)
+    rad_sq = SpanBuilder(n * n)
+    for b1 in rad:
+        for b2 in rad:
+            rad_sq.add((b1 @ b2).entries)
+    arrows = []
+    for ei in es:
+        row = []
+        for ej in es:
+            span = SpanBuilder(n * n, list(rad_sq.rows), list(rad_sq.pivots))
+            for b in rad:
+                span.add((ei @ b @ ej).entries)
+            row.append(span.rank - rad_sq.rank)
+        arrows.append(row)
+    return arrows
+
+
+def block_assembly(rng: random.Random) -> RepPair:
+    """2-3 blocks x_zero(k) + lambda I, Y = J_k, distinct lambda, conjugated."""
+    count = rng.randint(2, 3)
+    sizes = [rng.randint(1, 3) for _ in range(count)]
+    lams = rng.sample(range(-6, 7), count)
+    blocks = [RepPair(x_zero(k) + QMatrix.identity(k).scale(lam), jordan_block(k))
+              for k, lam in zip(sizes, lams)]
+    assembled = RepPair(block_diag([b.X for b in blocks]), block_diag([b.Y for b in blocks]))
+    c, c_inv = rand_unimodular(rng, assembled.n)
+    return conjugate(assembled, c, c_inv)
+
+
+def test_quiver_matches_reference_and_idempotents_are_central():
+    rng = random.Random(38)
+    reps = [block_assembly(rng) for _ in range(20)]
+    while len(reps) < 100:
+        rep = rand_rep(rng, rng.randint(1, 5))
+        try:
+            idempotents(image_algebra(rep))
+        except IrrationalEigenvaluesError:
+            continue
+        reps.append(rep)
+    several = 0
+    for rep in reps:
+        a = image_algebra(rep)
+        q = quiver(a)
+        assert [list(row) for row in q.arrows] == reference_arrows(a)
+        es = idempotents(a)
+        several += len(es) > 1
+        for e in es:
+            assert e @ rep.X == rep.X @ e
+            assert e @ rep.Y == rep.Y @ e
+    assert several >= 20
 
 
 def test_quiver_json():
