@@ -13,7 +13,7 @@ import os
 import random
 import sys
 
-from .errors import InputFormatError, JordanLabError, OutOfRangeError
+from .errors import InputFormatError, JordanLabError, OutOfRangeError, RelationViolationError
 from .freealg import (
     hilbert_dim,
     jordan_system,
@@ -23,18 +23,16 @@ from .freealg import (
     parse_poly,
 )
 from .imagealg import discover_relations, ideal_codim, image_algebra, quiver
-from .matrices import QMatrix, block_diag, matrix_to_json
+from .matrices import QMatrix, block_diag, matrix_to_json, parse_matrix
 from .reps import (
     Partition,
     RepPair,
-    Violation,
     WitnessResult,
     canonical_pair,
     evaluate,
     extract_params,
     faithful_witness,
     jordan_matrix,
-    verify_rep,
     x_zero,
 )
 from .sampling import rand_fiber_point, rand_rational
@@ -45,29 +43,12 @@ from .strata import census, decompose, jacobian_rank
 def rep_to_json(rep: RepPair, partition: "Partition | None" = None) -> dict:
     out = {
         "n": rep.n,
-        "X": [[scalar_str(rep.X[i, j]) for j in range(rep.n)] for i in range(rep.n)],
-        "Y": [[scalar_str(rep.Y[i, j]) for j in range(rep.n)] for i in range(rep.n)],
+        "X": matrix_to_json(rep.X)["entries"],
+        "Y": matrix_to_json(rep.Y)["entries"],
     }
     if partition is not None:
         out["partition"] = list(partition.parts)
     return out
-
-
-def _matrix_from_lists(data, n: int, key: str) -> QMatrix:
-    if (not isinstance(data, list) or len(data) != n
-            or any(not isinstance(row, list) or len(row) != n for row in data)):
-        raise InputFormatError(f"{key!r} must be a list of {n} lists of {n} entries")
-    entries = []
-    for row in data:
-        for v in row:
-            if not isinstance(v, str):
-                raise InputFormatError(
-                    f"entries of {key!r} must be rational strings, got {json.dumps(v)}")
-            try:
-                entries.append(parse_scalar(v))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InputFormatError(f"bad entry {v!r} in {key!r}") from exc
-    return QMatrix(n, n, tuple(entries))
 
 
 def load_matrix_pair(path: str) -> "tuple[QMatrix, QMatrix]":
@@ -86,16 +67,23 @@ def load_matrix_pair(path: str) -> "tuple[QMatrix, QMatrix]":
     n = data["n"]
     if type(n) is not int:
         raise InputFormatError(f'"n" must be an integer, got {json.dumps(n)}')
-    return _matrix_from_lists(data["X"], n, "X"), _matrix_from_lists(data["Y"], n, "Y")
+    return parse_matrix(data["X"], n, n, "X"), parse_matrix(data["Y"], n, n, "Y")
 
 
 def load_rep(path: str) -> RepPair:
-    x, y = load_matrix_pair(path)
-    return RepPair(x, y)
+    return RepPair(*load_matrix_pair(path))
 
 
-def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2))
+def _output(args, payload, *lines) -> None:
+    """Print ``payload`` as indented JSON under --json, else each of ``lines``.
+
+    The one reader of ``args.json``; with no lines, text mode prints nothing.
+    """
+    if args.json:
+        print(json.dumps(payload, indent=2))
+    else:
+        for line in lines:
+            print(line)
 
 
 def _parse_partition(text: str) -> Partition:
@@ -106,47 +94,33 @@ def _parse_partition(text: str) -> Partition:
 
 
 def _effective_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
-    env = os.environ.get("JORDAN_LAB_SEED")
-    return int(env) if env else 0
+    return int(os.environ.get("JORDAN_LAB_SEED") or 0)
 
 
-# -- handlers ----------------------------------------------------------------
+# -- handlers: each writes through _output once; errors propagate to run ------
 
 
-def _cmd_nf(args) -> int:
+def _cmd_nf(args) -> None:
     result = normal_form(parse_poly(args.poly))
-    if args.json:
-        _emit({"normal_form": str(result)})
-    else:
-        print(result)
-    return 0
+    _output(args, {"normal_form": str(result)}, result)
 
 
-def _cmd_mul(args) -> int:
+def _cmd_mul(args) -> None:
     product = multiply(normal_form(parse_poly(args.left)),
                        normal_form(parse_poly(args.right)))
-    if args.json:
-        _emit({"product": str(product)})
-    else:
-        print(product)
-    return 0
+    _output(args, {"product": str(product)}, product)
 
 
-def _cmd_hilbert(args) -> int:
+def _cmd_hilbert(args) -> None:
     if args.max_degree < 0:
         raise OutOfRangeError(f"--max-degree must be >= 0, got {args.max_degree}")
     dims = [hilbert_dim(d) for d in range(args.max_degree + 1)]
-    if args.json:
-        _emit({"dims": dims})
-    else:
-        for d, v in enumerate(dims):
-            print(f"{d}: {v}")
-    return 0
+    _output(args, {"dims": dims}, *(f"{d}: {v}" for d, v in enumerate(dims)))
 
 
-def _cmd_gb_check(args) -> int:
+def _cmd_gb_check(args) -> None:
     """List the ambiguities of xy -> yx + y^2 and report confluence.
 
     ``overlaps`` lists overlaps and inclusions alike; the one leading word
@@ -155,18 +129,11 @@ def _cmd_gb_check(args) -> int:
     """
     ambiguities = overlaps(jordan_system())
     confluent = not ambiguities
-    if args.json:
-        _emit({
-            "overlaps": [[w, i, j] for w, i, j in ambiguities],
-            "confluent": confluent,
-        })
-    else:
-        print(f"overlaps: {len(ambiguities)}")
-        print(f"confluent: {'pass' if confluent else 'fail'}")
-    return 0
+    _output(args, {"overlaps": [[w, i, j] for w, i, j in ambiguities], "confluent": confluent},
+            f"overlaps: {len(ambiguities)}", f"confluent: {'pass' if confluent else 'fail'}")
 
 
-def _cmd_rep_build(args) -> int:
+def _cmd_rep_build(args) -> None:
     partition = _parse_partition(args.partition)
     y = jordan_matrix(partition)
     if args.canonical is not None:
@@ -183,131 +150,89 @@ def _cmd_rep_build(args) -> int:
         rep = RepPair(rand_fiber_point(random.Random(args.seed), partition), y)
     else:
         rep = RepPair(block_diag([x_zero(k) for k in partition.parts]), y)
-    _emit(rep_to_json(rep, partition))
-    return 0
+    payload = rep_to_json(rep, partition)
+    _output(args, payload, json.dumps(payload, indent=2))
 
 
-def _cmd_rep_verify(args) -> int:
-    x, y = load_matrix_pair(args.file)
-    result = verify_rep(x, y)
-    if isinstance(result, Violation):
-        if args.json:
-            _emit({"ok": False, "residual": matrix_to_json(result.residual)["entries"]})
-        else:
-            print("violation: XY - YX - Y^2 =")
-            print(result.residual)
-        print("error: RelationViolation: XY - YX != Y^2", file=sys.stderr)
-        return 1
-    if args.json:
-        _emit({"ok": True, "n": result.n})
-    else:
-        print("ok")
-    return 0
+def _cmd_rep_verify(args) -> None:
+    try:
+        rep = load_rep(args.file)
+    except RelationViolationError as exc:
+        _output(args, {"ok": False, "residual": matrix_to_json(exc.residual)["entries"]},
+                "violation: XY - YX - Y^2 =", exc.residual)
+        raise
+    _output(args, {"ok": True, "n": rep.n}, "ok")
 
 
-def _cmd_rep_eval(args) -> int:
-    rep = load_rep(args.file)
-    value = evaluate(parse_poly(args.poly), rep)
-    if args.json:
-        _emit(matrix_to_json(value))
-    else:
-        print(value)
-    return 0
+def _cmd_rep_eval(args) -> None:
+    value = evaluate(parse_poly(args.poly), load_rep(args.file))
+    _output(args, matrix_to_json(value), value)
 
 
-def _cmd_image_dim(args) -> int:
-    print(image_algebra(load_rep(args.file)).dim)
-    return 0
+def _cmd_image_dim(args) -> None:
+    dim = image_algebra(load_rep(args.file)).dim
+    _output(args, dim, dim)
 
 
-def _cmd_image_relations(args) -> int:
-    relations = discover_relations(load_rep(args.file), args.max_degree)
-    if args.json:
-        _emit({"relations": [str(r) for r in relations]})
-    else:
-        for r in relations:
-            print(r)
-    return 0
+def _cmd_image_relations(args) -> None:
+    relations = [str(r) for r in discover_relations(load_rep(args.file), args.max_degree)]
+    _output(args, {"relations": relations}, *relations)
 
 
-def _cmd_image_quiver(args) -> int:
+def _cmd_image_quiver(args) -> None:
     data = quiver(image_algebra(load_rep(args.file)))
-    if args.json:
-        _emit(data.to_json())
-    else:
-        print("vertices: " + " ".join(scalar_str(v) for v in data.vertices))
-        for row in data.arrows:
-            print(" ".join(str(v) for v in row))
-    return 0
+    _output(args, data.to_json(),
+            "vertices: " + " ".join(scalar_str(v) for v in data.vertices),
+            *(" ".join(str(v) for v in row) for row in data.arrows))
 
 
-def _cmd_image_quotient_codim(args) -> int:
+def _cmd_image_quotient_codim(args) -> None:
     algebra = image_algebra(load_rep(args.file))
-    gens = [parse_poly(g) for g in args.gens]
-    print(ideal_codim(algebra, gens))
-    return 0
+    codim = ideal_codim(algebra, [parse_poly(g) for g in args.gens])
+    _output(args, codim, codim)
 
 
-def _cmd_strata_census(args) -> int:
+def _cmd_strata_census(args) -> None:
     rows = census(args.n)
-    if args.json:
-        _emit([row.to_json() for row in rows])
-    else:
-        for row in rows:
-            print(f"partition={row.partition} fiber={row.fiber_dim} "
-                  f"base={row.base_dim} stratum={row.stratum_dim} "
-                  f"bound={row.image_dim_bound} tame={row.tame.value}")
-    return 0
+    _output(args, [row.to_json() for row in rows],
+            *(f"partition={row.partition} fiber={row.fiber_dim} "
+              f"base={row.base_dim} stratum={row.stratum_dim} "
+              f"bound={row.image_dim_bound} tame={row.tame.value}" for row in rows))
 
 
-def _cmd_faithful(args) -> int:
+def _cmd_faithful(args) -> None:
     result = faithful_witness(parse_poly(args.poly), args.max_n)
     if isinstance(result, WitnessResult):
-        if args.json:
-            _emit({"witness": None, "result": result.value})
-        else:
-            print(result.value)
+        _output(args, {"witness": None, "result": result.value}, result.value)
     else:
-        if args.json:
-            _emit({"witness": result, "result": "witness"})
-        else:
-            print(result)
-    return 0
+        _output(args, {"witness": result, "result": "witness"}, result)
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> None:
     result = decompose(load_rep(args.file))
-    if args.json:
-        _emit({
-            "summands": [rep_to_json(s) for s in result.summands],
-            "eigenvalues": [scalar_str(v) for v in result.eigenvalues],
-            "change_of_basis": [[scalar_str(result.change_of_basis[i, j])
-                                 for j in range(result.change_of_basis.cols)]
-                                for i in range(result.change_of_basis.rows)],
-        })
-    else:
-        print(f"summands: {len(result)}")
-        for lam, s in zip(result.eigenvalues, result.summands):
-            print(f"  n={s.n} eigenvalue={scalar_str(lam)}")
-    return 0
+    payload = {
+        "summands": [rep_to_json(s) for s in result.summands],
+        "eigenvalues": [scalar_str(v) for v in result.eigenvalues],
+        "change_of_basis": matrix_to_json(result.change_of_basis)["entries"],
+    }
+    _output(args, payload, f"summands: {len(result)}",
+            *(f"  n={s.n} eigenvalue={scalar_str(lam)}"
+              for lam, s in zip(result.eigenvalues, result.summands)))
 
 
-def _cmd_orbit_jacobian_rank(args) -> int:
+def _cmd_orbit_jacobian_rank(args) -> None:
     rng = random.Random(_effective_seed(args))
     n = args.n
     c_coeffs = [rand_rational(rng) for _ in range(max(0, n - 1))]
     x_coeffs = [rand_rational(rng) for _ in range(max(0, n - 1))]
-    print(jacobian_rank(n, c_coeffs, x_coeffs))
-    return 0
+    rank = jacobian_rank(n, c_coeffs, x_coeffs)
+    _output(args, rank, rank)
 
 
-def _cmd_canonical_extract(args) -> int:
+def _cmd_canonical_extract(args) -> None:
     params = extract_params(load_rep(args.file))
-    if args.json:
-        _emit({"lambda": scalar_str(params.lam), "mu": scalar_str(params.mu)})
-    else:
-        print(f"lambda={scalar_str(params.lam)} mu={scalar_str(params.mu)}")
-    return 0
+    lam, mu = scalar_str(params.lam), scalar_str(params.mu)
+    _output(args, {"lambda": lam, "mu": mu}, f"lambda={lam} mu={mu}")
 
 
 # -- parser ------------------------------------------------------------------
@@ -423,13 +348,11 @@ def run(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
-    except JordanLabError as exc:
+        args.func(args)
+    except (JordanLabError, OSError, ValueError, KeyError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    return 0
 
 
 def main() -> None:

@@ -11,11 +11,12 @@ sympy.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .errors import NonSquareError, SingularMatrixError, SizeMismatchError
+from .errors import InputFormatError, NonSquareError, SingularMatrixError, SizeMismatchError
 from .polynomials import UniPoly
 from .scalars import Scalar, exact, parse_scalar, primitive_integral, scalar_str
 
@@ -151,11 +152,6 @@ class QMatrix:
             k >>= 1
         return result
 
-    def transpose(self) -> "QMatrix":
-        return QMatrix(self.cols, self.rows,
-                       tuple(self.entries[j * self.cols + i]
-                             for i in range(self.cols) for j in range(self.rows)))
-
     def _same_shape(self, other: "QMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise SizeMismatchError(
@@ -196,11 +192,30 @@ def matrix_to_json(m: QMatrix) -> dict:
 
 
 def matrix_from_json(data: dict) -> QMatrix:
-    rows, cols = int(data["rows"]), int(data["cols"])
-    entries = data["entries"]
-    if len(entries) != rows or any(len(r) != cols for r in entries):
-        raise ValueError("entries shape does not match rows/cols")
-    return QMatrix(rows, cols, tuple(parse_scalar(v) for r in entries for v in r))
+    """Inverse of ``matrix_to_json``; InputFormatError on a bad shape or type."""
+    if not isinstance(data, dict) or any(type(data.get(k)) is not int for k in ("rows", "cols")):
+        raise InputFormatError('a matrix must be an object with integer "rows" and "cols"')
+    return parse_matrix(data.get("entries"), data["rows"], data["cols"], "entries")
+
+
+def parse_matrix(data, rows: int, cols: int, key: str) -> QMatrix:
+    """The matrix held by ``data``, a JSON list of ``rows`` lists of ``cols``
+    rational strings (grammar of ``parse_scalar``); InputFormatError naming
+    ``key`` otherwise.  This is the one reader of matrix text."""
+    if (not isinstance(data, list) or len(data) != rows
+            or any(not isinstance(row, list) or len(row) != cols for row in data)):
+        raise InputFormatError(f"{key!r} must be a list of {rows} lists of {cols} entries")
+    entries = []
+    for row in data:
+        for v in row:
+            if not isinstance(v, str):
+                raise InputFormatError(
+                    f"entries of {key!r} must be rational strings, got {json.dumps(v)}")
+            try:
+                entries.append(parse_scalar(v))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise InputFormatError(f"bad entry {v!r} in {key!r}") from exc
+    return QMatrix(rows, cols, tuple(entries))
 
 
 # -- elimination kernel ----------------------------------------------------

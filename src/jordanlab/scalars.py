@@ -9,6 +9,7 @@ Floats are rejected everywhere -- there are no tolerances in this package.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -23,6 +24,8 @@ def exact(value: int | Fraction | str) -> Scalar:
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, float):
         raise TypeError("floats are not exact; use int, Fraction or 'p/q' text")
+    if isinstance(value, str):
+        return parse_scalar(value)
     f = Fraction(value)
     return f.numerator if f.denominator == 1 else f
 
@@ -32,8 +35,19 @@ def scalar_str(value: Scalar) -> str:
     return str(value)
 
 
+_RATIONAL = re.compile(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
 def parse_scalar(text: str) -> Scalar:
-    return exact(Fraction(text.strip()))
+    """The rational 'p' or 'p/q': an optional sign, ASCII digits and an optional
+    '/digits', with whitespace around them.  Anything else is a ValueError (a
+    zero denominator a ZeroDivisionError): the 9 bytes '1e1000000' would be a
+    3.3-million-bit integer, so no decimal point or exponent is read."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a rational 'p' or 'p/q': {text!r}")
+    num, den = match.groups()
+    return int(num) if den is None else exact(Fraction(int(num), int(den)))
 
 
 def primitive_integral(values) -> "list[int]":

@@ -62,6 +62,150 @@ def test_gb_check_json(capture):
     assert json.loads(out) == {"overlaps": [], "confluent": True}
 
 
+# Rep files for the golden runs; a name in an argv below stands for its path.
+GOLDEN_REP_FILES = {
+    "SEEDED": {"n": 3, "X": [["9", "-1", "1/2"], ["0", "9", "0"], ["0", "-9/4", "-1/2"]],
+               "Y": [["0", "1", "0"], ["0", "0", "0"], ["0", "0", "0"]]},
+    "CANON": {"n": 3, "X": [["1/2", "-1/3", "0"], ["0", "1/2", "-4/3"], ["0", "0", "1/2"]],
+              "Y": [["0", "1", "0"], ["0", "0", "1"], ["0", "0", "0"]]},
+    "ONE": {"n": 1, "X": [["5"]], "Y": [["0"]]},
+    "ZERO": {"n": 0, "X": [], "Y": []},
+    "BAD": {"n": 2, "X": [["1", "0"], ["0", "2"]], "Y": [["0", "1"], ["0", "0"]]},
+}
+
+# (argv, exit code, stdout) for every subcommand in text and JSON mode.  A
+# str is the exact stdout; a dict or list stands for its json.dumps(...,
+# indent=2) text plus a newline, which pins key order and layout as well.
+GOLDEN = [
+    (("nf", "x^2*y"), 0, "y*x^2 + 2*y^2*x + 2*y^3\n"),
+    (("nf", "x^2*y", "--json"), 0, {"normal_form": "y*x^2 + 2*y^2*x + 2*y^3"}),
+    (("mul", "y*x", "x*y"), 0, "y^2*x^2 + 2*y^3*x + 2*y^4\n"),
+    (("mul", "y*x", "x*y", "--json"), 0, {"product": "y^2*x^2 + 2*y^3*x + 2*y^4"}),
+    (("hilbert", "--max-degree", "3"), 0, "0: 1\n1: 2\n2: 3\n3: 4\n"),
+    (("hilbert", "--max-degree", "3", "--json"), 0, {"dims": [1, 2, 3, 4]}),
+    (("gb-check",), 0, "overlaps: 0\nconfluent: pass\n"),
+    (("gb-check", "--json"), 0, {"overlaps": [], "confluent": True}),
+    (("rep", "build", "--partition", "2"),
+     0,
+     {"n": 2, "X": [["0", "0"], ["0", "0"]], "Y": [["0", "1"], ["0", "0"]], "partition": [2]}),
+    (("rep", "build", "--partition", "2", "--json"),
+     0,
+     {"n": 2, "X": [["0", "0"], ["0", "0"]], "Y": [["0", "1"], ["0", "0"]], "partition": [2]}),
+    (("rep", "build", "--partition", "3", "--canonical", "1/2,-1/3"),
+     0,
+     {"n": 3,
+      "X": [["1/2", "-1/3", "0"], ["0", "1/2", "-4/3"], ["0", "0", "1/2"]],
+      "Y": [["0", "1", "0"], ["0", "0", "1"], ["0", "0", "0"]],
+      "partition": [3]}),
+    (("rep", "build", "--partition", "3", "--canonical", "1/2,-1/3", "--json"),
+     0,
+     {"n": 3,
+      "X": [["1/2", "-1/3", "0"], ["0", "1/2", "-4/3"], ["0", "0", "1/2"]],
+      "Y": [["0", "1", "0"], ["0", "0", "1"], ["0", "0", "0"]],
+      "partition": [3]}),
+    (("rep", "build", "--partition", "2,1", "--seed", "3"),
+     0,
+     {"n": 3,
+      "X": [["9", "-1", "1/2"], ["0", "9", "0"], ["0", "-9/4", "-1/2"]],
+      "Y": [["0", "1", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+      "partition": [2, 1]}),
+    (("rep", "build", "--partition", "2,1", "--seed", "3", "--json"),
+     0,
+     {"n": 3,
+      "X": [["9", "-1", "1/2"], ["0", "9", "0"], ["0", "-9/4", "-1/2"]],
+      "Y": [["0", "1", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+      "partition": [2, 1]}),
+    (("rep", "verify", "SEEDED"), 0, "ok\n"),
+    (("rep", "verify", "SEEDED", "--json"), 0, {"ok": True, "n": 3}),
+    (("rep", "verify", "BAD"), 1, "violation: XY - YX - Y^2 =\n0 -1\n0  0\n"),
+    (("rep", "verify", "BAD", "--json"),
+     1,
+     {"ok": False, "residual": [["0", "-1"], ["0", "0"]]}),
+    (("rep", "eval", "SEEDED", "x*y"), 0, "0 9 0\n0 0 0\n0 0 0\n"),
+    (("rep", "eval", "SEEDED", "x*y", "--json"),
+     0,
+     {"rows": 3, "cols": 3, "entries": [["0", "9", "0"], ["0", "0", "0"], ["0", "0", "0"]]}),
+    (("rep", "eval", "ZERO", "x"), 0, "\n"),
+    (("rep", "eval", "ZERO", "x", "--json"), 0, {"rows": 0, "cols": 0, "entries": []}),
+    (("image", "dim", "SEEDED"), 0, "3\n"),
+    (("image", "dim", "SEEDED", "--json"), 0, "3\n"),
+    (("image", "relations", "SEEDED", "--max-degree", "2"),
+     0,
+     "x^2 - 17/2*x + 85/8*y - 9/2\ny*x - 9*y\ny^2\n"),
+    (("image", "relations", "SEEDED", "--max-degree", "2", "--json"),
+     0,
+     {"relations": ["x^2 - 17/2*x + 85/8*y - 9/2", "y*x - 9*y", "y^2"]}),
+    (("image", "relations", "ONE", "--max-degree", "0"), 0, ""),
+    (("image", "relations", "ONE", "--max-degree", "0", "--json"), 0, {"relations": []}),
+    (("image", "quiver", "SEEDED"), 0, "vertices: -1/2 9\n0 0\n0 1\n"),
+    (("image", "quiver", "SEEDED", "--json"),
+     0,
+     {"vertices": ["-1/2", "9"], "arrows": [[0, 0], [0, 1]]}),
+    (("image", "quiver", "ZERO"), 0, "vertices: \n"),
+    (("image", "quiver", "ZERO", "--json"), 0, {"vertices": [], "arrows": []}),
+    (("image", "quotient-codim", "CANON", "--gens", "y^2"), 0, "3\n"),
+    (("image", "quotient-codim", "CANON", "--gens", "y^2", "--json"), 0, "3\n"),
+    (("strata", "census", "--n", "3"),
+     0,
+     "partition=3 fiber=3 base=6 stratum=9 bound=4 tame=tame\n"
+     "partition=2,1 fiber=5 base=4 stratum=9 bound=4 tame=unknown\n"
+     "partition=1,1,1 fiber=9 base=0 stratum=9 bound=4 tame=unknown\n"),
+    (("strata", "census", "--n", "3", "--json"),
+     0,
+     [{"partition": [3],
+       "fiber_dim": 3,
+       "base_dim": 6,
+       "stratum_dim": 9,
+       "image_dim_bound": 4,
+       "tame": "tame"},
+      {"partition": [2, 1],
+       "fiber_dim": 5,
+       "base_dim": 4,
+       "stratum_dim": 9,
+       "image_dim_bound": 4,
+       "tame": "unknown"},
+      {"partition": [1, 1, 1],
+       "fiber_dim": 9,
+       "base_dim": 0,
+       "stratum_dim": 9,
+       "image_dim_bound": 4,
+       "tame": "unknown"}]),
+    (("faithful", "y"), 0, "2\n"),
+    (("faithful", "y", "--json"), 0, {"witness": 2, "result": "witness"}),
+    (("faithful", "x"), 0, "not-found-below-max\n"),
+    (("faithful", "x", "--json"), 0, {"witness": None, "result": "not-found-below-max"}),
+    (("faithful", "x*y - y*x - y^2"), 0, "in-ideal\n"),
+    (("faithful", "x*y - y*x - y^2", "--json"), 0, {"witness": None, "result": "in-ideal"}),
+    (("decompose", "SEEDED"), 0, "summands: 2\n  n=1 eigenvalue=-1/2\n  n=2 eigenvalue=9\n"),
+    (("decompose", "SEEDED", "--json"),
+     0,
+     {"summands": [{"n": 1, "X": [["-1/2"]], "Y": [["0"]]},
+                   {"n": 2,
+                    "X": [["9", "85/18"], ["0", "9"]],
+                    "Y": [["0", "-38/9"], ["0", "0"]]}],
+      "eigenvalues": ["-1/2", "9"],
+      "change_of_basis": [["-1/19", "1", "0"], ["0", "0", "-38/9"], ["1", "0", "1"]]}),
+    (("orbit", "jacobian-rank", "--n", "4"), 0, "2\n"),
+    (("orbit", "jacobian-rank", "--n", "4", "--json"), 0, "2\n"),
+    (("canonical", "extract", "CANON"), 0, "lambda=1/2 mu=-1/3\n"),
+    (("canonical", "extract", "CANON", "--json"), 0, {"lambda": "1/2", "mu": "-1/3"}),
+]
+
+
+@pytest.mark.parametrize("argv, code, expected", GOLDEN,
+                         ids=["_".join(argv) for argv, _, _ in GOLDEN])
+def test_golden_stdout(capture, tmp_path, argv, code, expected):
+    for name, rep in GOLDEN_REP_FILES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(rep))
+    got_code, out, err = capture(
+        *[str(tmp_path / f"{a}.json") if a in GOLDEN_REP_FILES else a for a in argv])
+    if not isinstance(expected, str):
+        expected = json.dumps(expected, indent=2) + "\n"
+    assert (got_code, out) == (code, expected)
+    if code == 0:
+        assert err == ""
+
+
 def test_rep_build_verify_round_trip(capture, tmp_path):
     code, out, _ = capture("rep", "build", "--partition", "3,2")
     assert code == 0
@@ -103,7 +247,11 @@ def test_rep_verify_violation(capture, tmp_path):
     code, out, err = capture("rep", "verify", str(path), "--json")
     assert code == 1
     assert json.loads(out) == {"ok": False, "residual": [["0", "-1"], ["0", "0"]]}
-    assert "RelationViolation" in err
+    assert err == "error: RelationViolationError: XY - YX != Y^2\n"
+    code, out, err = capture("rep", "verify", str(path))
+    assert code == 1
+    assert out == "violation: XY - YX - Y^2 =\n0 -1\n0  0\n"
+    assert err == "error: RelationViolationError: XY - YX != Y^2\n"
 
 
 def test_rep_eval(capture, tmp_path):
@@ -222,7 +370,8 @@ def test_hilbert_negative_degree_is_out_of_range(capture):
                                   ("image", "relations", "REP", "--max-degree", "-1"),
                                   ("rep", "build", "--partition", "3", "--canonical", "1/0,2"),
                                   ("rep", "build", "--partition", "3", "--canonical", "a,2"),
-                                  ("rep", "build", "--partition", "3", "--canonical", ",2")])
+                                  ("rep", "build", "--partition", "3", "--canonical", ",2"),
+                                  ("rep", "build", "--partition", "3", "--canonical", "1e400,0")])
 def test_out_of_range_limit_is_an_error(capture, tmp_path, argv):
     code, out, _ = capture("rep", "build", "--partition", "2")
     path = tmp_path / "eps2.json"
@@ -243,6 +392,7 @@ MALFORMED_REP_FILES = {
     "string_n": json.dumps({"n": "1", "X": [["0"]], "Y": [["0"]]}),
     "wrong_shape": json.dumps({"n": 2, "X": [["0"]], "Y": [["0"]]}),
     "bad_rational": json.dumps({"n": 1, "X": [["1/0"]], "Y": [["0"]]}),
+    "exponent_entry": json.dumps({"n": 1, "X": [["1e400"]], "Y": [["0"]]}),
     "not_json": "{",
 }
 

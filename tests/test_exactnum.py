@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from jordanlab import (
+    InputFormatError,
     NonSquareError,
     QMatrix,
     SingularMatrixError,
@@ -22,6 +23,7 @@ from jordanlab import (
     matrix_to_json,
     nilpotency_index,
     nullspace_basis,
+    parse_scalar,
     poly_at_matrix,
     poly_ext_gcd,
     rank,
@@ -350,6 +352,36 @@ def test_matrix_json_round_trip():
     data = json.loads(json.dumps(matrix_to_json(m)))
     assert matrix_from_json(data) == m
     assert data["entries"][0][1] == "1/2"
+
+
+@pytest.mark.parametrize("data", [
+    [["0"]],
+    {"rows": "1", "cols": 1, "entries": [["0"]]},
+    {"rows": 1, "cols": 1},
+    {"rows": 1, "cols": 2, "entries": [["0"]]},
+    {"rows": 1, "cols": 1, "entries": [[0]]},
+    {"rows": 1, "cols": 1, "entries": [["1e400"]]},
+])
+def test_matrix_from_json_rejects_bad_shape_or_type(data):
+    with pytest.raises(InputFormatError):
+        matrix_from_json(data)
+
+
+@pytest.mark.parametrize("text, value", [("3", 3), ("-2/4", Fraction(-1, 2)), (" 7 ", 7),
+                                         ("+1/3", Fraction(1, 3))])
+def test_parse_scalar_reads_rational_text(text, value):
+    assert parse_scalar(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e1000000", "1.5", "0x10", "1_0", "", "1/-2", "1 / 2"])
+def test_parse_scalar_rejects_other_text(text):
+    with pytest.raises(ValueError):
+        parse_scalar(text)
+
+
+def test_parse_scalar_zero_denominator():
+    with pytest.raises(ZeroDivisionError):
+        parse_scalar("1/0")
 
 
 def test_entries_normalized_to_int():
