@@ -117,10 +117,6 @@ class NcPoly(_Terms):
         return cls({"": 1})
 
     @classmethod
-    def variable(cls, name: str) -> "NcPoly":
-        return cls({name: 1})
-
-    @classmethod
     def monomial(cls, word: str, coeff=1) -> "NcPoly":
         return cls({word: coeff})
 

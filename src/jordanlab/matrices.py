@@ -138,20 +138,6 @@ class QMatrix:
                             out[obase + j] += av * bv
         return QMatrix(n, m, tuple(out))
 
-    def __pow__(self, k: int) -> "QMatrix":
-        if not self.is_square:
-            raise NonSquareError("power of a non-square matrix")
-        if k < 0:
-            raise ValueError("negative matrix power; use inverse()")
-        result = QMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base if k > 1 else base
-            k >>= 1
-        return result
-
     def _same_shape(self, other: "QMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise SizeMismatchError(

@@ -36,14 +36,6 @@ class UniPoly:
         return cls((1,))
 
     @classmethod
-    def constant(cls, c) -> "UniPoly":
-        return cls((c,))
-
-    @classmethod
-    def variable(cls) -> "UniPoly":
-        return cls((0, 1))
-
-    @classmethod
     def from_roots(cls, roots) -> "UniPoly":
         """Monic product of (t - r) over the given roots (with repetition)."""
         p = cls.one()
@@ -111,18 +103,6 @@ class UniPoly:
         return UniPoly(tuple(a * c for a in self.coeffs))
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "UniPoly":
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        result = UniPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def __call__(self, value: Scalar) -> Scalar:
         acc: Scalar = 0

@@ -15,6 +15,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import (
@@ -28,10 +29,8 @@ from .freealg import NcPoly, NormalPoly, X as XSYM, normal_form
 from .matrices import (
     QMatrix,
     block_diag,
-    char_poly,
     common_denominator,
     inverse,
-    nullspace_basis,
     poly_at_matrix,
 )
 from .polynomials import UniPoly
@@ -195,6 +194,14 @@ class CanonicalParams:
     mu: Scalar
 
 
+def _require_full_block(rep: RepPair, caller: str) -> QMatrix:
+    """J_n when Y is exactly the full Jordan block J_n (n >= 1), else raise."""
+    if rep.n < 1 or rep.Y != jordan_block(rep.n):
+        raise NotFullBlockJordanCoordinatesError(
+            f"{caller} requires Y to be exactly the full Jordan block")
+    return jordan_block(rep.n)
+
+
 def extract_params(rep: RepPair) -> CanonicalParams:
     """Read (lambda, mu) off the first row of X in full-block coordinates.
 
@@ -202,11 +209,8 @@ def extract_params(rep: RepPair) -> CanonicalParams:
     {I + a_1 J + ... + a_(n-1) J^(n-1)}.  For n = 1 the offset mu is
     reported as 0 (there is no superdiagonal).
     """
-    n = rep.n
-    if rep.Y != jordan_block(n):
-        raise NotFullBlockJordanCoordinatesError(
-            "extract_params requires Y to be exactly the full Jordan block")
-    mu = rep.X[0, 1] if n >= 2 else 0
+    _require_full_block(rep, "extract_params")
+    mu = rep.X[0, 1] if rep.n >= 2 else 0
     return CanonicalParams(lam=rep.X[0, 0], mu=mu)
 
 
@@ -217,37 +221,14 @@ def full_block_canonicalize(rep: RepPair):
     in J_n whose coefficients sit in the first row.  Returns (lam, p,
     residue); the residue is the zero matrix on success.
     """
+    j = _require_full_block(rep, "full_block_canonicalize")
     n = rep.n
-    j = jordan_block(n)
-    if rep.Y != j:
-        raise NotFullBlockJordanCoordinatesError(
-            "full_block_canonicalize requires Y to be exactly the full Jordan block")
     t = rep.X - x_zero(n)
     lam = t[0, 0]
     p = UniPoly([0] + [t[0, k] for k in range(1, n)])
     reconstructed = QMatrix.identity(n).scale(lam) + poly_at_matrix(p, j) + x_zero(n)
     residue = rep.X - reconstructed
     return lam, p, residue
-
-
-def sylvester_operator(y: QMatrix) -> QMatrix:
-    """Matrix of X |-> X@y - y@X on row-major vectorized n x n matrices."""
-    n = y.rows
-    size = n * n
-    rows = []
-    for i in range(n):
-        for jcol in range(n):
-            row = [0] * size
-            for b in range(n):
-                v = y[b, jcol]
-                if v != 0:
-                    row[i * n + b] += v
-            for a in range(n):
-                v = y[i, a]
-                if v != 0:
-                    row[a * n + jcol] -= v
-            rows.append(row)
-    return QMatrix(size, size, tuple(v for row in rows for v in row))
 
 
 class FiberBasis(NamedTuple):
@@ -259,43 +240,58 @@ class FiberBasis(NamedTuple):
 def fiber_basis(p: Partition) -> FiberBasis:
     """All solutions X of X@Y - Y@X = Y@Y for Y = jordan_matrix(p).
 
-    The solution set is particular + span(basis); the basis is the canonical
-    nullspace of the vectorized Sylvester operator, i.e. a basis of the
-    centralizer of the Jordan matrix.  The particular solution is
-    block_diag(x_zero(k) for each part k): it is block-diagonal like Y, so
-    the relation holds block by block, where it is the x_zero identity.
+    The solution set is particular + span(basis).  The particular solution
+    is block_diag(x_zero(k) for each part k): it is block-diagonal like Y,
+    so the relation holds block by block, where it is the x_zero identity.
+    The relation is affine in X with linear part X |-> X@Y - Y@X, so the
+    other solutions differ from it by the centralizer of Y, whose basis is
+    written down, not solved for (Gantmacher, The Theory of Matrices I,
+    Ch. VIII, Sec. 2).
+
+    Spanning.  Cut C into blocks C_ab (n_a x n_b) along the parts; C@Y =
+    Y@C holds iff C_ab J_(n_b) = J_(n_a) C_ab for every block.  Entry (r, c)
+    of the left side is C_ab[r, c-1] (0 for c = 0), of the right side
+    C_ab[r+1, c] (0 for r = n_a - 1).  So C_ab is constant along each
+    diagonal d = c - r, the first column vanishes below row 0 and the last
+    row left of column n_b - 1.  A diagonal meets that first column iff
+    d < 0 and that last row iff d < n_b - n_a, and those equations only
+    relate cells of one diagonal; so C_ab commutes iff it is constant on
+    the diagonals d in [max(0, n_b - n_a), n_b) and zero elsewhere.  The
+    0/1 matrix of each such diagonal has ones at (start_a + r, start_b +
+    r + d) for r < n_b - d (which is <= n_a); these have disjoint supports,
+    so they are a basis, of size sum over (a, b) of min(n_a, n_b).
+
+    Order.  The basis is sorted by the last (row-major) cell of each
+    support, and that is exactly the canonical kernel basis that
+    nullspace_basis returns for the row-major Sylvester operator of Y.
+    Column j of an operator is free (not a pivot) iff some kernel vector
+    has its last nonzero entry at j, and the canonical vector of a free
+    column j is the unique kernel vector with 1 at j and 0 at the other
+    free columns; nullspace_basis lists them by increasing j.  Every
+    diagonal of a block (a, b) ends in the last column of block b, at a
+    row of block a that its d fixes, so the last cells are distinct, and a
+    kernel basis with distinct last cells has those cells as its free
+    columns (a combination of basis vectors has its last nonzero entry at
+    the largest last cell among the vectors it uses).  The supports are
+    disjoint, so each diagonal is 1 at its own last cell and 0 at every
+    other free column: it is the canonical vector of its last cell.
     """
-    y = jordan_matrix(p)
-    n = y.rows
+    n = p.n
+    starts = list(accumulate(p.parts, initial=0))
+    supports = []
+    for start_a, n_a in zip(starts, p.parts):
+        for start_b, n_b in zip(starts, p.parts):
+            for d in range(max(0, n_b - n_a), n_b):
+                supports.append([(start_a + r) * n + start_b + r + d
+                                 for r in range(n_b - d)])
+    basis = []
+    for cells in sorted(supports, key=lambda cells: cells[-1]):
+        entries = [0] * (n * n)
+        for cell in cells:
+            entries[cell] = 1
+        basis.append(QMatrix(n, n, tuple(entries)))
     particular = block_diag([x_zero(k) for k in p.parts])
-    kernel = nullspace_basis(sylvester_operator(y))
-    basis = [QMatrix(n, n, vec) for vec in kernel]
     return FiberBasis(particular, basis)
-
-
-def is_b_toeplitz(m: QMatrix, p: Partition) -> bool:
-    """Structural check: every block (including diagonal ones) is an upper
-    rectangular Toeplitz matrix supported in its top-right corner."""
-    offsets = [0]
-    for part in p.parts:
-        offsets.append(offsets[-1] + part)
-    if m.rows != offsets[-1] or not m.is_square:
-        return False
-    for bi, ni in enumerate(p.parts):
-        for bj, nj in enumerate(p.parts):
-            r0, c0 = offsets[bi], offsets[bj]
-            min_d = max(0, nj - ni)
-            for r in range(ni):
-                for c in range(nj):
-                    v = m[r0 + r, c0 + c]
-                    d = c - r
-                    if d < min_d:
-                        if v != 0:
-                            return False
-                    elif r + 1 < ni and c + 1 < nj:
-                        if v != m[r0 + r + 1, c0 + c + 1]:
-                            return False
-    return True
 
 
 def conjugate(rep: RepPair, c: QMatrix, c_inv: "QMatrix | None" = None) -> RepPair:
@@ -346,8 +342,21 @@ def _power_table(m: QMatrix, up_to: int, ident: QMatrix) -> "list[QMatrix]":
 def eigenvalues_distinct_blocks(rep: RepPair, p: Partition, diag_values) -> "list[Scalar]":
     """Eigenvalues of X read off the block diagonals, with multiplicities.
 
-    Only valid when the Jordan blocks of Y have pairwise different sizes;
-    the read-off is verified against the characteristic polynomial of X.
+    Only valid when the Jordan blocks of Y have pairwise different sizes.
+    Once Y = jordan_matrix(p) and every diagonal entry of block a is the
+    claimed value lam_a, char(X) is the product of (t - lam_a)^(n_a), so
+    the characteristic polynomial is not computed.  Proof: [X, Y^k] =
+    k*Y^(k+1), so X maps ker Y^k into itself for every k, and char(X) is
+    the product of the characteristic polynomials of the maps X induces on
+    the quotients ker Y^k / ker Y^(k-1).  Y maps each basis vector of a
+    block to the one before it, so that quotient has the basis e(a, k-1),
+    the k-th basis vector of each block a with n_a >= k, and the induced
+    matrix has entry X[start_a + k-1, start_b + k-1] at (a, b).  For a != b
+    that is on the d = 0 diagonal of block X_ab.  The particular solution
+    of fiber_basis(p) is zero there and X minus it commutes with Y, so by
+    the fiber_basis theorem the entry vanishes unless n_b <= n_a.  With
+    distinct sizes stored in decreasing order the induced matrix is upper
+    triangular, and its diagonal is lam_a for every block a with n_a >= k.
     """
     parts = p.parts
     if len(set(parts)) != len(parts):
@@ -366,12 +375,7 @@ def eigenvalues_distinct_blocks(rep: RepPair, p: Partition, diag_values) -> "lis
                 raise ValueError(
                     f"X does not carry the claimed value {lam} on block diagonal")
         offset += size
-    expected = UniPoly.from_roots([lam for size, lam in zip(parts, values)
-                                   for _ in range(size)])
-    if char_poly(rep.X) != expected:
-        raise ValueError("block-diagonal values do not match the spectrum of X")
-    out = [lam for size, lam in zip(parts, values) for _ in range(size)]
-    return sorted(out)
+    return sorted(lam for size, lam in zip(parts, values) for _ in range(size))
 
 
 class WitnessResult(enum.Enum):

@@ -27,14 +27,13 @@ PUBLIC_NAMES = [
     "eigenvalues_distinct_blocks", "epsilon_rep", "evaluate", "exact", "extract_params",
     "faithful_witness", "fiber_basis", "full_block_canonicalize",
     "gs_series_coefficients", "hilbert_dim", "ideal_codim", "idempotents",
-    "image_algebra", "inverse", "is_b_toeplitz", "is_nilpotent", "jacobian_rank",
+    "image_algebra", "inverse", "is_nilpotent", "jacobian_rank",
     "jordan_block", "jordan_matrix", "jordan_system", "matrix_from_json",
     "matrix_to_json", "multiply", "nilpotency_index", "normal_form", "nullspace_basis",
     "overlaps", "parse_poly", "parse_scalar", "partitions", "poly_at_matrix",
     "poly_ext_gcd", "poly_gcd", "quiver", "radical_basis", "rank", "rational_roots",
     "rational_spectrum", "reduce_poly", "relation_coefficient_vector", "scalar_str",
-    "single_eigenvalue_test", "solve", "squarefree_part", "sylvester_operator",
-    "verify_rep", "x_zero",
+    "single_eigenvalue_test", "solve", "squarefree_part", "verify_rep", "x_zero",
 ]
 
 
@@ -68,3 +67,4 @@ def test_traced_spans_resolve():
             assert callable(getattr(module, attr, None)), metric
     assert "leftmost_match" in vars(RewriteSystem)
     assert callable(fiber_basis.cache_info)
+    assert callable(fiber_basis.cache_clear)

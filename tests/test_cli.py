@@ -345,6 +345,16 @@ def test_canonical_extract(capture, tmp_path):
     assert json.loads(out) == {"lambda": "3", "mu": "1/2"}
 
 
+def test_canonical_extract_empty_rep_is_not_full_block(capture, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"n": 0, "X": [], "Y": []}))
+    code, out, err = capture("canonical", "extract", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: NotFullBlockJordanCoordinatesError: ")
+    assert err.count("\n") == 1
+
+
 def test_usage_error_exit_code(capture):
     code, _, err = capture("rep", "build")  # missing required --partition
     assert code == 2

@@ -32,11 +32,11 @@ from jordanlab import (
     faithful_witness,
     fiber_basis,
     full_block_canonicalize,
-    is_b_toeplitz,
     is_nilpotent,
     jordan_block,
     jordan_matrix,
     nilpotency_index,
+    nullspace_basis,
     parse_poly,
     poly_at_matrix,
     rational_roots,
@@ -53,6 +53,7 @@ from jordanlab.sampling import (
     rand_stabilizer_element,
     rand_unimodular,
 )
+from centralizer_oracle import is_b_toeplitz, sylvester_operator
 
 
 def paper_fiber_dim(p: Partition) -> int:
@@ -348,6 +349,17 @@ def test_fiber_basis_is_b_toeplitz():
                 assert is_b_toeplitz(b, p)
 
 
+def test_fiber_basis_is_sylvester_nullspace():
+    # entries and order: the closed form is the canonical kernel basis
+    from jordanlab import partitions
+
+    for n in range(1, 11):
+        for p in partitions(n):
+            y = jordan_matrix(p)
+            kernel = nullspace_basis(sylvester_operator(y))
+            assert fiber_basis(p).basis == [QMatrix(n, n, v) for v in kernel]
+
+
 def test_fiber_basis_spans_centralizer():
     # every basis element commutes with Y (homogeneous part of the fiber)
     from jordanlab import partitions
@@ -546,6 +558,24 @@ def test_eigenvalues_full_block():
         x = x_zero(n) + QMatrix.identity(n).scale(lam)
         rep = RepPair(x, jordan_matrix(p))
         assert eigenvalues_distinct_blocks(rep, p, [lam]) == [lam] * n
+
+
+def test_eigenvalues_distinct_blocks_match_char_poly():
+    # oracle for the retired char_poly check: the read-off is the spectrum
+    from jordanlab import partitions
+
+    rng = random.Random(31)
+    for n in range(1, 9):
+        for p in partitions(n):
+            if len(set(p.parts)) != len(p.parts):
+                continue
+            x = rand_fiber_point(rng, p)
+            starts = [sum(p.parts[:a]) for a in range(len(p))]
+            diag = [x[s, s] for s in starts]
+            rep = RepPair(x, jordan_matrix(p))
+            roots = rational_roots(char_poly(x))
+            expanded = [lam for lam, mult in roots for _ in range(mult)]
+            assert eigenvalues_distinct_blocks(rep, p, diag) == expanded
 
 
 def test_eigenvalues_repeated_sizes_refused():
