@@ -1,10 +1,12 @@
 """Analysis of the image algebra A generated by a verified pair (X, Y).
 
 One worklist closes the span of all words in X and Y (including the
-identity) and every two-sided ideal.  The eigenprojections of X are central
-in A (proof in ``idempotents``), so the quiver is diagonal.  Everything here
-needs one rational spectrum of X per call, and refuses (typed error) when the
-spectrum is irrational.
+identity) and every two-sided ideal.  It runs on flat integer vectors
+(row-major n x n entries) and integer products; a ``QMatrix`` is
+built only for what a public function returns.  The eigenprojections of X
+are central in A (proof in ``idempotents``), so the quiver is diagonal.
+Everything here needs one rational spectrum of X per call, and refuses
+(typed error) when the spectrum is irrational.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ from .matrices import (
     QMatrix,
     SpanBuilder,
     char_poly,
-    int_normalized,
+    flat_matmul,
     nullspace_basis,
     poly_at_matrix,
 )
 from .polynomials import UniPoly, poly_ext_gcd, rational_roots
 from .reps import RepPair, evaluate
-from .scalars import Scalar, scalar_str
+from .scalars import Scalar, primitive_integral, scalar_str
 
 
 @dataclass(frozen=True)
@@ -58,17 +60,26 @@ class ImageAlgebra:
         return tuple(QMatrix(n, n, vec) for vec in span.basis_vectors())
 
 
-def _closure(n: int, seeds, products=lambda m: ()) -> SpanBuilder:
-    """Span of the n x n seeds closed under ``products``: candidates come one
-    at a time from the seeds, then from the products queued for each element
-    the span accepts, each scaled to coprime integers (the span is unchanged)."""
+def _closure(n: int, seeds, products=lambda v: ()) -> SpanBuilder:
+    """Span of the n x n seeds closed under ``products``.
+
+    Seeds and candidates are row-major integer entry sequences.  Candidates
+    come one at a time from the seeds, then from the products queued for
+    each candidate the span accepts.  ``SpanBuilder.add`` stores the
+    primitive multiple of each, which spans the same line, so the span is
+    unchanged; the products are taken of the candidate as it came, since a
+    product of a nonzero multiple is the same multiple of the product.  The
+    callers multiply by the primitive integer multiples of X and Y (closing
+    under products by a nonzero multiple of a matrix is closing under
+    products by the matrix), so every product is integral and the worklist
+    holds no fractions.
+    """
     span = SpanBuilder(n * n)
     pending = deque([seeds])
     while pending:
-        for m in pending.popleft():
-            m = int_normalized(m)
-            if span.add(m.entries):
-                pending.append(products(m))
+        for vec in pending.popleft():
+            if span.add(vec):
+                pending.append(products(vec))
     return span
 
 
@@ -77,8 +88,10 @@ def image_algebra(rep: RepPair) -> ImageAlgebra:
 
     Right multiplication by the two generators suffices to reach every word.
     """
-    x, y = int_normalized(rep.X), int_normalized(rep.Y)
-    span = _closure(rep.n, [QMatrix.identity(rep.n)], lambda m: (m @ x, m @ y))
+    n = rep.n
+    x, y = primitive_integral(rep.X.entries), primitive_integral(rep.Y.entries)
+    span = _closure(n, [QMatrix.identity(n).entries],
+                    lambda v: (flat_matmul(v, x, n, n, n), flat_matmul(v, y, n, n, n)))
     return ImageAlgebra(rep, tuple(map(tuple, span.rows)), tuple(span.pivots), True)
 
 
@@ -99,15 +112,19 @@ def rational_spectrum(x: QMatrix) -> "list[tuple[Scalar, int]]":
 
 
 def _ideal_closure(a: ImageAlgebra, seeds) -> SpanBuilder:
-    """Two-sided ideal span closure of the seeds under left/right X, Y."""
-    x, y = int_normalized(a.rep.X), int_normalized(a.rep.Y)
-    return _closure(a.rep.n, seeds, lambda m: (x @ m, m @ x, y @ m, m @ y))
+    """Two-sided ideal span closure of the seeds (rational entry sequences,
+    scaled here to integers) under left/right X, Y."""
+    n = a.rep.n
+    x, y = primitive_integral(a.rep.X.entries), primitive_integral(a.rep.Y.entries)
+    return _closure(n, map(primitive_integral, seeds),
+                    lambda v: (flat_matmul(x, v, n, n, n), flat_matmul(v, x, n, n, n),
+                               flat_matmul(y, v, n, n, n), flat_matmul(v, y, n, n, n)))
 
 
 def _radical_span(a: ImageAlgebra, spectrum) -> SpanBuilder:
     """The ideal generated by Y and S(X), S = prod of (t - lambda)."""
     s = UniPoly.from_roots([lam for lam, _ in spectrum])
-    return _ideal_closure(a, [poly_at_matrix(s, a.rep.X), a.rep.Y])
+    return _ideal_closure(a, [poly_at_matrix(s, a.rep.X).entries, a.rep.Y.entries])
 
 
 def radical_basis(a: ImageAlgebra) -> "list[QMatrix]":
@@ -203,12 +220,12 @@ def quiver(a: ImageAlgebra) -> QuiverData:
     """
     spectrum = rational_spectrum(a.rep.X)
     n = a.rep.n
-    rad = [QMatrix(n, n, row) for row in _radical_span(a, spectrum).rows]
+    rad = _radical_span(a, spectrum).rows
     loops = []
     for e in _eigenprojections(a.rep.X, spectrum):
-        e = int_normalized(e)
-        je = _closure(n, (b @ e for b in rad))
-        j2e = _closure(n, (b @ QMatrix(n, n, c) for c in je.rows for b in rad))
+        e = primitive_integral(e.entries)
+        je = _closure(n, (flat_matmul(b, e, n, n, n) for b in rad))
+        j2e = _closure(n, (flat_matmul(b, c, n, n, n) for c in je.rows for b in rad))
         loops.append(je.rank - j2e.rank)
     arrows = tuple(tuple(loop if i == j else 0 for j in range(len(loops)))
                    for i, loop in enumerate(loops))
@@ -218,7 +235,7 @@ def quiver(a: ImageAlgebra) -> QuiverData:
 def ideal_codim(a: ImageAlgebra, gens) -> int:
     """Codimension in A of the two-sided ideal generated by the given
     polynomials evaluated at (X, Y); genuine two-sided closure."""
-    images = [evaluate(g, a.rep) for g in gens]
+    images = [evaluate(g, a.rep).entries for g in gens]
     span = _ideal_closure(a, images)
     return a.dim - span.rank
 

@@ -1,6 +1,13 @@
 """Dense exact-rational matrices and the elimination kernel.
 
-All arithmetic is exact.  There is one elimination routine, ``SpanBuilder``:
+All arithmetic is exact, and the hot loops run on plain integers.  A
+product clears each operand's denominators once (``scalars.cleared``),
+multiplies the integer entries in one flat kernel (``flat_matmul``) and
+divides each output entry once; ``poly_at_matrix`` runs Horner's rule on
+integers in the same way.  So no ``Fraction`` arithmetic happens inside a
+product, and a ``QMatrix`` is built only for the result.
+
+There is one elimination routine, ``SpanBuilder``:
 a fraction-free integral reduced row-echelon form kept with primitive rows
 and positive pivots.  ``rank``, ``nullspace_basis``, ``solve`` and
 ``inverse`` are views of the echelon form of a matrix's rows; since that
@@ -12,13 +19,22 @@ sympy.
 from __future__ import annotations
 
 import json
+from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
 from .errors import InputFormatError, NonSquareError, SingularMatrixError, SizeMismatchError
 from .polynomials import UniPoly
-from .scalars import Scalar, exact, parse_scalar, primitive_integral, scalar_str
+from .scalars import (
+    Scalar,
+    cleared,
+    content_free,
+    exact,
+    parse_scalar,
+    primitive_integral,
+    scalar_str,
+)
 
 
 @dataclass(frozen=True)
@@ -112,31 +128,16 @@ class QMatrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
+        """Fraction-free product: with self = A/da and other = B/db for
+        integer A, B (``cleared``), self @ other = (A @ B)/(da*db) entry by
+        entry, so the integer product is divided once per entry."""
         if self.cols != other.rows:
             raise SizeMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        n, k, m = self.rows, self.cols, other.cols
-        a, b = self.entries, other.entries
-        out = [0] * (n * m)
-        for i in range(n):
-            abase = i * k
-            obase = i * m
-            for t in range(k):
-                av = a[abase + t]
-                if av == 0:
-                    continue
-                bbase = t * m
-                if av == 1:
-                    for j in range(m):
-                        bv = b[bbase + j]
-                        if bv != 0:
-                            out[obase + j] += bv
-                else:
-                    for j in range(m):
-                        bv = b[bbase + j]
-                        if bv != 0:
-                            out[obase + j] += av * bv
-        return QMatrix(n, m, tuple(out))
+        a, da = cleared(self.entries)
+        b, db = cleared(other.entries)
+        out = flat_matmul(a, b, self.rows, self.cols, other.cols)
+        return QMatrix(self.rows, other.cols, _divided(out, da * db))
 
     def _same_shape(self, other: "QMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -150,6 +151,38 @@ class QMatrix:
         widths = [max((len(cells[i][j]) for i in range(self.rows)), default=0)
                   for j in range(self.cols)]
         return "\n".join(" ".join(c.rjust(w) for c, w in zip(r, widths)) for r in cells)
+
+
+def flat_matmul(a, b, n: int, k: int, m: int) -> list:
+    """The row-major n x m product of the row-major n x k and k x m entry
+    sequences a and b; meant for integers, where it is exact and fast."""
+    out = [0] * (n * m)
+    for i in range(n):
+        abase = i * k
+        obase = i * m
+        for t in range(k):
+            av = a[abase + t]
+            if av == 0:
+                continue
+            bbase = t * m
+            if av == 1:
+                for j in range(m):
+                    bv = b[bbase + j]
+                    if bv != 0:
+                        out[obase + j] += bv
+            else:
+                for j in range(m):
+                    bv = b[bbase + j]
+                    if bv != 0:
+                        out[obase + j] += av * bv
+    return out
+
+
+def _divided(values: "list[int]", d: int) -> tuple:
+    """The exact scalars v/d; a Fraction is built only when d does not divide v."""
+    if d == 1:
+        return tuple(values)
+    return tuple(v // d if v % d == 0 else Fraction(v, d) for v in values)
 
 
 def block_diag(blocks) -> QMatrix:
@@ -261,30 +294,45 @@ class SpanBuilder:
         return len(self.rows)
 
     def _reduce(self, vec: "list[int]") -> "list[int]":
+        """The integer vector vec reduced to zero at every pivot, made primitive.
+
+        Every step pv*vec - f*row keeps vec integral, so the gcd alone makes
+        it primitive.  A step with pv = 1 does not scale vec, so its gcd is
+        left to the end; the other steps take it at once, which stops the
+        factors pv from piling up."""
         for row, p in zip(self.rows, self.pivots):
             f = vec[p]
-            if f != 0:
+            if f:
                 pv = row[p]
-                vec = primitive_integral([pv * a - f * b for a, b in zip(vec, row)])
-        return vec
+                if pv == 1:
+                    vec = [a - f * b for a, b in zip(vec, row)]
+                else:
+                    vec = content_free([pv * a - f * b for a, b in zip(vec, row)])
+        return content_free(vec)
 
     def contains(self, vec) -> bool:
-        return not any(self._reduce(primitive_integral(vec)))
+        return not any(self._reduce(cleared(vec)[0]))
 
     def add(self, vec) -> bool:
-        """Insert a vector; True if it enlarged the span."""
-        work = self._reduce(primitive_integral(vec))
-        pivot = next((j for j, v in enumerate(work) if v != 0), None)
-        if pivot is None:
+        """Insert a rational vector; True if it enlarged the span.
+
+        A nonzero multiple of vec spans the same line, so its denominators
+        are cleared first (``cleared`` copies vec, so the span never holds
+        the caller's list).
+        """
+        work = self._reduce(cleared(vec)[0])
+        lead = next(filter(None, work), 0)
+        if not lead:
             return False
-        if work[pivot] < 0:
+        pivot = work.index(lead)  # every entry before the first nonzero is 0
+        if lead < 0:
             work = [-v for v in work]
-        pv = work[pivot]
+            lead = -lead
         for idx, row in enumerate(self.rows):
             f = row[pivot]
-            if f != 0:
-                self.rows[idx] = primitive_integral([pv * a - f * b for a, b in zip(row, work)])
-        at = next((k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
+            if f:
+                self.rows[idx] = content_free([lead * a - f * b for a, b in zip(row, work)])
+        at = bisect(self.pivots, pivot)
         self.rows.insert(at, work)
         self.pivots.insert(at, pivot)
         return True
@@ -301,22 +349,22 @@ class SpanBuilder:
         return out
 
 
-def _echelon(m: QMatrix) -> SpanBuilder:
-    """The integral RREF of the row space of m."""
-    span = SpanBuilder(m.cols)
-    for i in range(m.rows):
-        span.add(m.row(i))
+def _echelon(rows, length: int) -> SpanBuilder:
+    """The integral RREF of the span of the given rows, each of that length."""
+    span = SpanBuilder(length)
+    for row in rows:
+        span.add(row)
     return span
 
 
 def rank(m: QMatrix) -> int:
     """Rank over the rationals."""
-    return _echelon(m).rank
+    return _echelon(map(m.row, range(m.rows)), m.cols).rank
 
 
 def nullspace_basis(m: QMatrix) -> "list[tuple[Scalar, ...]]":
     """Canonical (reduced-echelon) basis of the right kernel."""
-    span = _echelon(m)
+    span = _echelon(map(m.row, range(m.rows)), m.cols)
     pivot_cols = set(span.pivots)
     basis = []
     for free in range(m.cols):
@@ -338,8 +386,7 @@ def solve(m: QMatrix, rhs) -> "tuple[Scalar, ...] | None":
     if len(b) != m.rows:
         raise SizeMismatchError("right-hand side length does not match rows")
     n = m.cols
-    span = _echelon(QMatrix(m.rows, n + 1,
-                            tuple(v for i in range(m.rows) for v in (*m.row(i), b[i]))))
+    span = _echelon(([*m.row(i), b[i]] for i in range(m.rows)), n + 1)
     if span.pivots and span.pivots[-1] == n:
         return None  # inconsistent system
     vec: list[Scalar] = [0] * n
@@ -355,11 +402,18 @@ def inverse(m: QMatrix) -> QMatrix:
     if not m.is_square:
         raise NonSquareError("inverse of a non-square matrix")
     n = m.rows
-    span = _echelon(QMatrix(n, 2 * n, tuple(
-        v for i in range(n) for v in (*m.row(i), *(int(j == i) for j in range(n))))))
+    a, d = cleared(m.entries)
+    rows = []
+    for i in range(n):
+        row = a[i * n:(i + 1) * n] + [0] * n
+        row[n + i] = d
+        rows.append(row)
+    # Row i is d times row i of [m | I], an integer row with the same span.
+    span = _echelon(rows, 2 * n)
     if span.pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return QMatrix(n, n, tuple(v for row in span.basis_vectors() for v in row[n:]))
+    return QMatrix(n, n, tuple(v for i, row in enumerate(span.rows)
+                               for v in _divided(row[n:], row[i])))
 
 
 def char_poly(m: QMatrix) -> UniPoly:
@@ -391,14 +445,32 @@ def char_poly(m: QMatrix) -> UniPoly:
 
 
 def poly_at_matrix(p: UniPoly, m: QMatrix) -> QMatrix:
-    """Evaluate a univariate polynomial at a square matrix (Horner)."""
+    """Evaluate a univariate polynomial at a square matrix, by Horner's rule
+    on integers.
+
+    Write p = P/c and m = M/e with P and M integral (``cleared``), and let
+    D = deg p.  Then c*e^D*p(m) = sum_k P_k e^D (M/e)^k = Q(M) for the
+    integer polynomial Q with coefficients Q_k = P_k*e^(D-k).  So Horner's
+    rule for Q at M runs on integers only, and p(m) = Q(M)/(c*e^D) needs
+    one division per entry.
+    """
     if not m.is_square:
         raise NonSquareError("polynomial of a non-square matrix")
-    result = QMatrix.zeros(m.rows)
-    ident = QMatrix.identity(m.rows)
-    for c in reversed(p.coeffs):
-        result = result @ m + ident.scale(c)
-    return result
+    n = m.rows
+    if p.is_zero():
+        return QMatrix.zeros(n)
+    coeffs, c = cleared(p.coeffs)
+    mat, e = cleared(m.entries)
+    deg = p.degree
+    out = [0] * (n * n)
+    for k in range(deg, -1, -1):
+        if k < deg:
+            out = flat_matmul(out, mat, n, n, n)
+        q = coeffs[k] * e ** (deg - k)
+        if q:
+            for i in range(0, n * n, n + 1):
+                out[i] += q
+    return QMatrix(n, n, _divided(out, c * e ** deg))
 
 
 def nilpotency_index(m: QMatrix) -> "int | None":
@@ -408,10 +480,7 @@ def nilpotency_index(m: QMatrix) -> "int | None":
     n = m.rows
     if n == 0:
         return 1
-    # Nilpotency and its index are invariant under nonzero scaling, so work
-    # on the denominator-cleared copy where products are integer arithmetic.
-    d = common_denominator([m])
-    power = m = m.scale(d) if d != 1 else m
+    power = m
     for idx in range(1, n + 1):
         if power.is_zero():
             return idx
@@ -426,8 +495,7 @@ def is_nilpotent(m: QMatrix) -> bool:
     n = m.rows
     if n == 0:
         return True
-    d = common_denominator([m])
-    p = m.scale(d) if d != 1 else m
+    p = m
     e = 1
     while True:
         if p.is_zero():

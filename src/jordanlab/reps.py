@@ -26,13 +26,7 @@ from .errors import (
     SizeMismatchError,
 )
 from .freealg import NcPoly, NormalPoly, X as XSYM, normal_form
-from .matrices import (
-    QMatrix,
-    block_diag,
-    common_denominator,
-    inverse,
-    poly_at_matrix,
-)
+from .matrices import QMatrix, block_diag, common_denominator, inverse
 from .polynomials import UniPoly
 from .scalars import Scalar, exact
 
@@ -214,21 +208,21 @@ def extract_params(rep: RepPair) -> CanonicalParams:
     return CanonicalParams(lam=rep.X[0, 0], mu=mu)
 
 
-def full_block_canonicalize(rep: RepPair):
-    """Decompose X as lam*I + p(J) + x_zero(n) with p(0) = 0.
+def full_block_canonicalize(rep: RepPair) -> "tuple[Scalar, UniPoly]":
+    """(lam, p) with X = lam*I + p(J_n) + x_zero(n) and p(0) = 0.
 
-    X - x_zero(n) commutes with the nonderogatory J_n, hence is a polynomial
-    in J_n whose coefficients sit in the first row.  Returns (lam, p,
-    residue); the residue is the zero matrix on success.
+    The identity holds for every verified pair, so X is not rebuilt to
+    check it.  Proof: X and x_zero(n) both solve T*J - J*T = J^2 (the
+    relation with Y = J_n), so C = X - x_zero(n) commutes with J_n.  By the
+    fiber_basis theorem for the one-part partition (n), the centralizer of
+    J_n is spanned by the 0/1 diagonals d = 0..n-1 of one n x n block, that
+    is by I, J_n, ..., J_n^(n-1): C = sum_k c_k J_n^k is a polynomial in
+    J_n, constant along each diagonal.  Its first row reads c_k = C[0, k],
+    so lam = C[0, 0] and p = sum_(k>=1) C[0, k] t^k.
     """
-    j = _require_full_block(rep, "full_block_canonicalize")
-    n = rep.n
-    t = rep.X - x_zero(n)
-    lam = t[0, 0]
-    p = UniPoly([0] + [t[0, k] for k in range(1, n)])
-    reconstructed = QMatrix.identity(n).scale(lam) + poly_at_matrix(p, j) + x_zero(n)
-    residue = rep.X - reconstructed
-    return lam, p, residue
+    _require_full_block(rep, "full_block_canonicalize")
+    t = rep.X - x_zero(rep.n)
+    return t[0, 0], UniPoly([0] + [t[0, k] for k in range(1, rep.n)])
 
 
 class FiberBasis(NamedTuple):
@@ -295,17 +289,16 @@ def fiber_basis(p: Partition) -> FiberBasis:
 
 
 def conjugate(rep: RepPair, c: QMatrix, c_inv: "QMatrix | None" = None) -> RepPair:
-    """The conjugated pair (c X c^-1, c Y c^-1), re-verified."""
+    """The conjugated pair (c X c^-1, c Y c^-1), re-verified.
+
+    The products are taken as they stand: each ``@`` clears its operands'
+    denominators and multiplies integers itself, and its exact result does
+    not depend on how the operands were scaled, so clearing a common
+    denominator here first would only repeat that work.
+    """
     if c_inv is None:
         c_inv = inverse(c)
-    d = common_denominator([rep.X, rep.Y, c, c_inv])
-    if d == 1:
-        return RepPair(c @ rep.X @ c_inv, c @ rep.Y @ c_inv)
-    # Conjugate the cleared pair in integer arithmetic, undo the scale after.
-    cs, cis = c.scale(d), c_inv.scale(d)
-    undo = Fraction(1, d * d * d)
-    return RepPair((cs @ rep.X.scale(d) @ cis).scale(undo),
-                   (cs @ rep.Y.scale(d) @ cis).scale(undo))
+    return RepPair(c @ rep.X @ c_inv, c @ rep.Y @ c_inv)
 
 
 def evaluate(f, rep: RepPair) -> QMatrix:

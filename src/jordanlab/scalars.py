@@ -50,19 +50,36 @@ def parse_scalar(text: str) -> Scalar:
     return int(num) if den is None else exact(Fraction(int(num), int(den)))
 
 
-def primitive_integral(values) -> "list[int]":
-    """The positive multiple of a rational vector with coprime integer entries.
+def cleared(values) -> "tuple[list[int], int]":
+    """Integers P and the least d >= 1 with values = P / d, entrywise.
 
-    Multiplies by the lcm of the denominators, then divides by the gcd of
-    the entries; the zero vector stays zero.  This is the one place where
-    the package clears denominators.
+    d is the lcm of the denominators; an all-integer input comes back as a
+    list of the same integers with d = 1.  Matrix products, Horner's rule,
+    the span kernel and ``primitive_integral`` clear their input here.
     """
     vec = list(values)
     dens = [v.denominator for v in vec if type(v) is not int]
-    if dens:
-        d = lcm(*dens)
-        vec = [int(v * d) for v in vec]
+    if not dens:
+        return vec, 1
+    d = lcm(*dens)
+    return [v * d if type(v) is int else v.numerator * (d // v.denominator)
+            for v in vec], d
+
+
+def primitive_integral(values) -> "list[int]":
+    """The positive multiple of a rational vector with coprime integer entries.
+
+    Clears the denominators (``cleared``), then divides by the gcd of the
+    entries; the zero vector stays zero.
+    """
+    return content_free(cleared(values)[0])
+
+
+def content_free(vec: "list[int]") -> "list[int]":
+    """An integer vector divided by the gcd of its entries (its content).
+
+    The gcd-only half of ``primitive_integral``, for vectors already known
+    to be integral; the zero vector stays zero.
+    """
     g = gcd(*vec)
-    if g > 1:
-        vec = [v // g for v in vec]
-    return vec
+    return [v // g for v in vec] if g > 1 else vec

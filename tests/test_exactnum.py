@@ -32,7 +32,7 @@ from jordanlab import (
     squarefree_part,
 )
 from jordanlab.reps import jordan_block
-from jordanlab.scalars import primitive_integral
+from jordanlab.scalars import cleared, content_free, primitive_integral
 
 
 def rand_rational(rng):
@@ -183,6 +183,74 @@ def test_nilpotency_index_is_least():
             assert not poly_at_matrix(UniPoly((0,) * (idx - 1) + (1,)), m).is_zero()
 
 
+# -- fraction-free products against Fraction oracles -------------------------------
+
+
+def naive_product(a: QMatrix, b: QMatrix) -> "list[Fraction]":
+    """Oracle: the Fraction triple loop, row-major."""
+    return [sum((Fraction(a[i, t]) * Fraction(b[t, j]) for t in range(a.cols)), Fraction(0))
+            for i in range(a.rows) for j in range(b.cols)]
+
+
+def operand(rng, rows, cols, kind):
+    """Entries of one kind: small ints, small fractions, or fractions whose
+    numerators and denominators run to 40 bits; about a quarter are 0."""
+    def entry():
+        if rng.random() < 0.25:
+            return 0
+        if kind == "int":
+            return rng.randint(-9, 9)
+        if kind == "mixed":
+            return rand_rational(rng)
+        return Fraction(rng.randint(-2**40, 2**40), rng.randint(1, 2**40))
+
+    return QMatrix(rows, cols, tuple(entry() for _ in range(rows * cols)))
+
+
+def assert_exact_entries(got, want):
+    """Equal values, and an entry is an int exactly when it is integral."""
+    assert list(got) == want
+    for v, w in zip(got, want):
+        assert type(v) is (int if w.denominator == 1 else Fraction)
+
+
+def test_matmul_matches_fraction_triple_loop():
+    rng = random.Random(41)
+    kinds = ("int", "mixed", "large")
+    shapes = [(0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0), (1, 0, 1)]
+    shapes += [(rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)) for _ in range(355)]
+    for idx, (n, k, m) in enumerate(shapes):
+        a = operand(rng, n, k, kinds[idx % 3])
+        b = operand(rng, k, m, kinds[(idx // 3) % 3])
+        got = a @ b
+        assert (got.rows, got.cols) == (n, m)
+        assert_exact_entries(got.entries, naive_product(a, b))
+
+
+def naive_poly_at(p: UniPoly, m: QMatrix) -> "list[Fraction]":
+    """Oracle: Horner's rule in Fraction arithmetic, row-major."""
+    n = m.rows
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    for c in reversed(p.coeffs):
+        acc = [[sum((acc[i][t] * Fraction(m[t, j]) for t in range(n)), Fraction(0))
+                + (Fraction(c) if i == j else 0) for j in range(n)] for i in range(n)]
+    return [v for row in acc for v in row]
+
+
+def test_poly_at_matrix_matches_fraction_horner():
+    rng = random.Random(43)
+    polys = [UniPoly.zero(), UniPoly((5,)), UniPoly((Fraction(-3, 4),)),
+             UniPoly((0, Fraction(1, 2), 0, Fraction(-7, 3))), UniPoly((1, 2, 1))]
+    polys += [UniPoly([rand_rational(rng) for _ in range(rng.randint(1, 6))])
+              for _ in range(40)]
+    for idx, p in enumerate(polys):
+        for n in (0, 1, rng.randint(2, 5)):
+            m = operand(rng, n, n, ("int", "mixed", "large")[idx % 3])
+            got = poly_at_matrix(p, m)
+            assert (got.rows, got.cols) == (n, n)
+            assert_exact_entries(got.entries, naive_poly_at(p, m))
+
+
 # -- solve / inverse -------------------------------------------------------------
 
 
@@ -289,6 +357,15 @@ def test_primitive_integral():
     assert primitive_integral([]) == []
 
 
+def test_cleared_and_content_free():
+    assert cleared([Fraction(1, 2), Fraction(-1, 3), 4]) == ([3, -2, 24], 6)
+    assert cleared([2, -4, 0]) == ([2, -4, 0], 1)
+    assert cleared([]) == ([], 1)
+    assert content_free([6, -9, 0]) == [2, -3, 0]
+    assert content_free([0, 0]) == [0, 0]
+    assert content_free([]) == []
+
+
 def test_span_rows_are_canonical():
     """Same span, any order and scaling: identical primitive rows, positive pivots."""
     rng = random.Random(8)
@@ -313,6 +390,26 @@ def test_span_rows_are_canonical():
                 assert all(row[q] == 0 for q in span.pivots if q != p)
             results.add((tuple(map(tuple, span.rows)), tuple(span.pivots)))
         assert len(results) == 1
+
+
+def test_span_integral_input_is_made_primitive():
+    """Integer rows with a common factor give the same canonical rows as
+    their rational multiples, and the span never holds the caller's list."""
+    rng = random.Random(44)
+    for _ in range(40):
+        length = rng.randint(1, 6)
+        vectors = [[rng.randint(-6, 6) * 2 for _ in range(length)]
+                   for _ in range(rng.randint(1, 6))]
+        integral, rational = SpanBuilder(length), SpanBuilder(length)
+        for vec in vectors:
+            assert integral.add(vec) == rational.add([Fraction(v, 7) for v in vec])
+        assert (integral.rows, integral.pivots) == (rational.rows, rational.pivots)
+        for row in integral.rows:
+            assert type(row) is list and primitive_integral(row) == row
+    span, vec, tup = SpanBuilder(3), [1, 0, 2], (0, 1, 5)
+    assert span.add(vec) and span.add(tup)
+    vec[0] = 9
+    assert span.rows == [[1, 0, 2], [0, 1, 5]]
 
 
 # -- polynomial helpers -----------------------------------------------------------

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import random
+from collections import deque
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -28,9 +31,11 @@ from jordanlab import (
     parse_poly,
     quiver,
     radical_basis,
+    rational_spectrum,
     relation_coefficient_vector,
     x_zero,
 )
+from jordanlab.matrices import int_normalized
 from jordanlab.sampling import rand_rep, rand_unimodular
 
 WILD_GENS = ["y^2", "x^2*y", "x^3", "x*y - y*x"]
@@ -327,6 +332,124 @@ def test_quiver_matches_reference_and_idempotents_are_central():
             assert e @ rep.X == rep.X @ e
             assert e @ rep.Y == rep.Y @ e
     assert several >= 20
+
+
+# -- the integer-vector closure against the QMatrix worklist ----------------------
+
+
+def _primitive(values) -> "list[int]":
+    """Oracle helper: the positive multiple of a rational vector with coprime
+    integer entries, by Fraction arithmetic."""
+    vec = [Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in vec))
+    ints = [int(v * den) for v in vec]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g else ints
+
+
+class ReferenceSpan:
+    """Oracle span, written apart from SpanBuilder: {pivot: row}, each row a
+    primitive integer vector, positive at its pivot and 0 at the others."""
+
+    def __init__(self):
+        self.by_pivot = {}
+
+    def add(self, values) -> bool:
+        vec = _primitive(values)
+        for p, row in self.by_pivot.items():
+            if vec[p]:
+                vec = _primitive([row[p] * a - vec[p] * b for a, b in zip(vec, row)])
+        if not any(vec):
+            return False
+        p = next(j for j, v in enumerate(vec) if v)
+        if vec[p] < 0:
+            vec = [-v for v in vec]
+        for q, row in self.by_pivot.items():
+            if row[p]:
+                self.by_pivot[q] = _primitive([vec[p] * a - row[p] * b for a, b in zip(row, vec)])
+        self.by_pivot[p] = vec
+        return True
+
+    @property
+    def rank(self) -> int:
+        return len(self.by_pivot)
+
+    def rows(self) -> "tuple[tuple, tuple]":
+        pivots = tuple(sorted(self.by_pivot))
+        return tuple(tuple(self.by_pivot[p]) for p in pivots), pivots
+
+    def rref(self) -> "list[tuple]":
+        return [tuple(Fraction(v, row[p]) for v in row) for row, p in zip(*self.rows())]
+
+
+def reference_closure(n: int, seeds, products=lambda m: ()) -> ReferenceSpan:
+    """The QMatrix worklist: every candidate is a QMatrix scaled by
+    int_normalized, and its products are QMatrix products."""
+    span = ReferenceSpan()
+    pending = deque([seeds])
+    while pending:
+        for m in pending.popleft():
+            m = int_normalized(m)
+            if span.add(m.entries):
+                pending.append(products(m))
+    return span
+
+
+def reference_image(rep: RepPair) -> ReferenceSpan:
+    x, y = int_normalized(rep.X), int_normalized(rep.Y)
+    return reference_closure(rep.n, [QMatrix.identity(rep.n)], lambda m: (m @ x, m @ y))
+
+
+def reference_ideal(rep: RepPair, seeds) -> ReferenceSpan:
+    x, y = int_normalized(rep.X), int_normalized(rep.Y)
+    return reference_closure(rep.n, seeds, lambda m: (x @ m, m @ x, y @ m, m @ y))
+
+
+def check_against_reference(rep: RepPair, gens) -> None:
+    """image_algebra rows/pivots, radical_basis, quiver and ideal_codim agree
+    with the QMatrix worklist over the oracle span."""
+    n = rep.n
+    a = image_algebra(rep)
+    ref = reference_image(rep)
+    assert (a.rows, a.pivots) == ref.rows()
+    images = [evaluate(parse_poly(g), rep) for g in gens]
+    assert ideal_codim(a, [parse_poly(g) for g in gens]) == ref.rank - reference_ideal(rep, images).rank
+    try:
+        got_radical = radical_basis(a)
+    except IrrationalEigenvaluesError:
+        return
+    s_of_x = QMatrix.identity(n)
+    for lam, _ in rational_spectrum(rep.X):
+        s_of_x = s_of_x @ (rep.X - QMatrix.identity(n).scale(lam))
+    radical = reference_ideal(rep, [s_of_x, rep.Y])
+    assert [b.entries for b in got_radical] == radical.rref()
+    rad = [QMatrix(n, n, row) for row in radical.rows()[0]]
+    loops = []
+    for e in idempotents(a):
+        je = reference_closure(n, [b @ e for b in rad])
+        j2e = reference_closure(n, [b @ QMatrix(n, n, c) for c in je.rows()[0] for b in rad])
+        loops.append(je.rank - j2e.rank)
+    assert [q[i] for i, q in enumerate(quiver(a).arrows)] == loops
+
+
+def sized_assembly(rng: random.Random, sizes) -> RepPair:
+    """Blocks x_zero(k) + lambda I, Y = J_k, of the given sizes with distinct
+    lambda, conjugated by a unimodular matrix."""
+    lams = rng.sample(range(-6, 7), len(sizes))
+    blocks = [RepPair(x_zero(k) + QMatrix.identity(k).scale(lam), jordan_block(k))
+              for k, lam in zip(sizes, lams)]
+    assembled = RepPair(block_diag([b.X for b in blocks]), block_diag([b.Y for b in blocks]))
+    c, c_inv = rand_unimodular(rng, assembled.n)
+    return conjugate(assembled, c, c_inv)
+
+
+def test_integer_closure_matches_qmatrix_worklist():
+    rng = random.Random(45)
+    reps = [epsilon_rep(n) for n in range(1, 11)]
+    reps += [rand_rep(rng, rng.randint(1, 6)) for _ in range(40)]
+    reps += [sized_assembly(rng, sizes) for sizes in ((1, 2), (2, 1, 1), (4, 3), (3, 3, 2), (4, 4))]
+    for rep in reps:
+        check_against_reference(rep, WILD_GENS)
 
 
 def test_quiver_json():

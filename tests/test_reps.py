@@ -224,6 +224,35 @@ def test_relation_invariant_under_rational_conjugation():
         assert isinstance(again, RepPair)
 
 
+def fraction_product(*mats: QMatrix) -> "list[list[Fraction]]":
+    """Oracle: the product of the matrices by Fraction triple loops."""
+    acc = [[Fraction(v) for v in mats[0].row(i)] for i in range(mats[0].rows)]
+    for m in mats[1:]:
+        acc = [[sum((row[t] * m[t, j] for t in range(m.rows)), Fraction(0))
+                for j in range(m.cols)] for row in acc]
+    return acc
+
+
+def test_conjugate_matches_fraction_products():
+    """conjugate multiplies as the pair stands, with no common denominator
+    cleared first; its entries equal the Fraction products exactly."""
+    from jordanlab import inverse, rank
+
+    rng = random.Random(51)
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        rep = rand_rep(rng, n)
+        while True:
+            c = QMatrix(n, n, tuple(rand_rational(rng) for _ in range(n * n)))
+            if rank(c) == n:
+                break
+        c_inv = inverse(c)
+        again = conjugate(rep, c, c_inv)
+        assert again.X.to_rows() == fraction_product(c, rep.X, c_inv)
+        assert again.Y.to_rows() == fraction_product(c, rep.Y, c_inv)
+        assert conjugate(rep, c) == again
+
+
 def test_constructed_pairs_nilpotency_invariants():
     rng = random.Random(21)
     for _ in range(15):
@@ -502,28 +531,35 @@ def test_extract_constant_on_stabilizer_orbits():
 # -- full-block canonical decomposition ---------------------------------------------
 
 
+def rebuilt(lam, p: UniPoly, n: int) -> QMatrix:
+    """lam*I + p(J_n) + x_zero(n), the X that full_block_canonicalize describes."""
+    return QMatrix.identity(n).scale(lam) + poly_at_matrix(p, jordan_block(n)) + x_zero(n)
+
+
 def test_canonicalize_constructed():
     n = 5
     j = jordan_block(n)
     x = x_zero(n) + QMatrix.identity(n).scale(3) + j.scale(2)
-    lam, p, residue = full_block_canonicalize(RepPair(x, j))
+    lam, p = full_block_canonicalize(RepPair(x, j))
     assert lam == 3
     assert p == UniPoly((0, 2))
-    assert residue.is_zero()
+    assert x == rebuilt(lam, p, n)
 
 
 def test_canonicalize_epsilon():
     for n in range(1, 7):
-        lam, p, residue = full_block_canonicalize(epsilon_rep(n))
-        assert lam == 0 and p.is_zero() and residue.is_zero()
+        lam, p = full_block_canonicalize(epsilon_rep(n))
+        assert lam == 0 and p.is_zero()
+        assert epsilon_rep(n).X == rebuilt(lam, p, n)
 
 
 def test_canonicalize_quadratic():
     j = jordan_block(4)
-    lam, p, residue = full_block_canonicalize(RepPair(x_zero(4) + j @ j, j))
+    x = x_zero(4) + j @ j
+    lam, p = full_block_canonicalize(RepPair(x, j))
     assert lam == 0
     assert p == UniPoly((0, 0, 1))
-    assert residue.is_zero()
+    assert x == rebuilt(lam, p, 4)
 
 
 def test_canonicalize_random_fiber_points():
@@ -532,12 +568,9 @@ def test_canonicalize_random_fiber_points():
         n = rng.randint(1, 8)
         p = Partition((n,))
         x = rand_fiber_point(rng, p)
-        rep = RepPair(x, jordan_block(n))
-        lam, poly, residue = full_block_canonicalize(rep)
-        assert residue.is_zero()
-        reconstructed = QMatrix.identity(n).scale(lam) + \
-            poly_at_matrix(poly, jordan_block(n)) + x_zero(n)
-        assert reconstructed == x
+        lam, poly = full_block_canonicalize(RepPair(x, jordan_block(n)))
+        assert poly.coeffs[:1] in ((), (0,))
+        assert x == rebuilt(lam, poly, n)
 
 
 # -- eigenvalue read-off ---------------------------------------------------------------
