@@ -23,7 +23,7 @@ from .freealg import (
     parse_poly,
 )
 from .imagealg import discover_relations, ideal_codim, image_algebra, quiver
-from .matrices import QMatrix, block_diag, matrix_to_json, parse_matrix
+from .matrices import QMatrix, matrix_to_json, parse_matrix
 from .reps import (
     Partition,
     RepPair,
@@ -32,8 +32,8 @@ from .reps import (
     evaluate,
     extract_params,
     faithful_witness,
+    fiber_basis,
     jordan_matrix,
-    x_zero,
 )
 from .sampling import rand_fiber_point, rand_rational
 from .scalars import parse_scalar, scalar_str
@@ -149,7 +149,7 @@ def _cmd_rep_build(args) -> None:
     elif args.seed is not None:
         rep = RepPair(rand_fiber_point(random.Random(args.seed), partition), y)
     else:
-        rep = RepPair(block_diag([x_zero(k) for k in partition.parts]), y)
+        rep = RepPair(fiber_basis(partition).particular, y)
     payload = rep_to_json(rep, partition)
     _output(args, payload, json.dumps(payload, indent=2))
 

@@ -22,7 +22,6 @@ import json
 from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from .errors import InputFormatError, NonSquareError, SingularMatrixError, SizeMismatchError
 from .polynomials import UniPoly
@@ -240,11 +239,6 @@ def parse_matrix(data, rows: int, cols: int, key: str) -> QMatrix:
 # -- elimination kernel ----------------------------------------------------
 
 
-def common_denominator(matrices) -> int:
-    """Least common denominator of all entries of the given matrices."""
-    return lcm(*(v.denominator for m in matrices for v in m.entries if type(v) is not int))
-
-
 def int_normalized(m: QMatrix) -> QMatrix:
     """The positive multiple of m with coprime integer entries.
 
@@ -419,29 +413,25 @@ def inverse(m: QMatrix) -> QMatrix:
 def char_poly(m: QMatrix) -> UniPoly:
     """Monic characteristic polynomial det(tI - m) via Faddeev-LeVerrier.
 
-    Fractional input is cleared to an integer matrix first; the coefficients
-    of det(tI - m) are recovered from those of det(tI - d*m) by dividing the
-    t^k coefficient by d^(n-k).
+    It runs on the integer A = d*m (``cleared``): M_1 = I, a_(n-k) =
+    -tr(A M_k)/k, M_(k+1) = A M_k + a_(n-k) I give det(tI - A) = sum a_j t^j.
+    Each division is exact: by Newton's identities -tr(A M_k)/k is a_(n-k),
+    (-1)^k times the sum of the k x k principal minors of A, an integer;
+    so M_(k+1) is integral too.  The t^k coefficient of det(tI - m) is
+    a_k/d^(n-k).
     """
     if not m.is_square:
         raise NonSquareError("characteristic polynomial of a non-square matrix")
     n = m.rows
-    d = common_denominator([m])
-    work = m.scale(d) if d != 1 else m
-    coeffs: list[Scalar] = [0] * (n + 1)
-    coeffs[n] = 1
-    am = QMatrix.zeros(n)
-    ident = QMatrix.identity(n)
+    a, d = cleared(m.entries)
+    coeffs = [0] * n + [1]
+    am = [0] * (n * n)
     for k in range(1, n + 1):
-        mk = am + ident.scale(coeffs[n - k + 1])
-        am = work @ mk
-        coeffs[n - k] = exact(Fraction(-am.trace(), k))
-    if d != 1:
-        scale = 1
-        for k in range(n - 1, -1, -1):
-            scale *= d
-            coeffs[k] = exact(Fraction(coeffs[k], scale))
-    return UniPoly(coeffs)
+        for i in range(0, n * n, n + 1):
+            am[i] += coeffs[n - k + 1]
+        am = flat_matmul(a, am, n, n, n)
+        coeffs[n - k] = -sum(am[i] for i in range(0, n * n, n + 1)) // k
+    return UniPoly(Fraction(v, d ** (n - k)) for k, v in enumerate(coeffs))
 
 
 def poly_at_matrix(p: UniPoly, m: QMatrix) -> QMatrix:

@@ -26,9 +26,9 @@ from .errors import (
     SizeMismatchError,
 )
 from .freealg import NcPoly, NormalPoly, X as XSYM, normal_form
-from .matrices import QMatrix, block_diag, common_denominator, inverse
+from .matrices import QMatrix, block_diag, flat_matmul, inverse
 from .polynomials import UniPoly
-from .scalars import Scalar, exact
+from .scalars import Scalar, cleared, exact
 
 
 @dataclass(frozen=True)
@@ -138,17 +138,18 @@ class RepPair:
 def _relation_residual(x: QMatrix, y: QMatrix) -> "QMatrix | None":
     """XY - YX - Y^2, or None when it vanishes.
 
-    Computed on the jointly denominator-cleared pair: the relation is
-    homogeneous quadratic, so it holds for (X, Y) iff it holds for
-    (d*X, d*Y), and the scaled check is pure integer arithmetic.
+    Computed on the jointly denominator-cleared pair (``cleared``): with
+    (X, Y) = (A, B)/d the residual is ((A - B)B - BA)/d^2, so the check is
+    two integer products.
     """
-    d = common_denominator([x, y])
-    xs = x.scale(d) if d != 1 else x
-    ys = y.scale(d) if d != 1 else y
-    residual = xs @ ys - ys @ xs - ys @ ys
-    if residual.is_zero():
+    n = x.rows
+    ab, d = cleared(x.entries + y.entries)
+    a, b = ab[:n * n], ab[n * n:]
+    left = flat_matmul([p - q for p, q in zip(a, b)], b, n, n, n)
+    residual = [p - q for p, q in zip(left, flat_matmul(b, a, n, n, n))]
+    if not any(residual):
         return None
-    return residual.scale(Fraction(1, d * d)) if d != 1 else residual
+    return QMatrix(n, n, tuple(Fraction(v, d * d) for v in residual))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .matrices import QMatrix, inverse
+from .matrices import QMatrix, inverse, poly_at_matrix
+from .polynomials import UniPoly
 from .freealg import NormalPoly
 from .reps import Partition, RepPair, conjugate, fiber_basis, jordan_block, jordan_matrix
 from .scalars import Scalar, exact
@@ -69,16 +70,10 @@ def rand_rep(rng: random.Random, n: int) -> RepPair:
 
 
 def rand_stabilizer_element(rng: random.Random, n: int) -> QMatrix:
-    """Random member of the unipotent stabilizer {I + a_1 J + ... }."""
-    j = jordan_block(n)
-    out = QMatrix.identity(n)
-    power = QMatrix.identity(n)
-    for _ in range(1, n):
-        power = power @ j
-        c = rand_rational(rng)
-        if c != 0:
-            out = out + power.scale(c)
-    return out
+    """Random member I + a_1 J + ... + a_(n-1) J^(n-1) of the unipotent
+    stabilizer of J = J_n, one rand_rational draw per a_k in order."""
+    return poly_at_matrix(UniPoly([1, *(rand_rational(rng) for _ in range(1, n))]),
+                          jordan_block(n))
 
 
 def rand_normal_poly(rng: random.Random, max_degree: int) -> NormalPoly:

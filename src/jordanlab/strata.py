@@ -12,13 +12,14 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from .errors import OutOfRangeError
 from .imagealg import dim_bound, rational_spectrum
-from .matrices import QMatrix, char_poly, inverse, nullspace_basis, poly_at_matrix, rank
+from .matrices import QMatrix, _echelon, char_poly, inverse, nullspace_basis, poly_at_matrix
 from .polynomials import UniPoly
-from .reps import Partition, RepPair, fiber_basis, jordan_block, x_zero
-from .scalars import exact
+from .reps import Partition, RepPair, fiber_basis
+from .scalars import Scalar, exact
 
 
 class TameLabel(enum.Enum):
@@ -149,9 +150,11 @@ def single_eigenvalue_test(rep: RepPair) -> bool:
     """True iff char(X) = (t - lambda)^n for a rational lambda.
 
     False certifies decomposability; True alone does not certify
-    indecomposability.
+    indecomposability.  Defined for n >= 1.
     """
     n = rep.n
+    if n < 1:
+        raise OutOfRangeError("single_eigenvalue_test is defined for n >= 1")
     lam = exact(Fraction(rep.X.trace()) / n)
     return char_poly(rep.X) == UniPoly.from_roots([lam] * n)
 
@@ -159,34 +162,36 @@ def single_eigenvalue_test(rep: RepPair) -> bool:
 def jacobian_rank(n: int, c_coeffs, x_coeffs) -> int:
     """Rank of the differential of the stabilizer orbit map at C.
 
-    C = I + sum c_k J^k ranges over the unipotent stabilizer, X = x_zero(n)
-    + sum x_k J^k over the zero-eigenvalue slice; the differential sends a
-    tangent direction D in {J, ..., J^(n-1)} to C^-1 X D - C^-1 D C^-1 X C.
-    The rank equals n - 2 for every valid input.
+    C = I + sum c_k J^k runs over the unipotent stabilizer of J = J_n and
+    X = x_zero(n) + q(J), q = sum x_k J^k, over the zero-eigenvalue slice;
+    D = J^k (k = 1..n-1) goes to C^-1 X D - C^-1 D C^-1 X C.  The first
+    n - 1 entries of each list are read, missing ones are 0; the rank,
+    computed here, is n - 2.
+
+    Theorem: that image is J^(k+1)(kC - JC')/C^2 mod J^n, whatever X is.
+    Proof: [x_zero, J] = J^2 and q(J) commutes with k[J], so [X, p(J)] =
+    J^2 p'(J); C^-1 is in k[J] (c_0 = 1), so C^-1 X C = X + J^2 C'/C, and D
+    commutes with C, so the image is C^-1 [X, D] - D J^2 C'/C^2 =
+    kJ^(k+1)/C - J^(k+2)C'/C^2.  X drops out, so x_coeffs cannot change the
+    result (a float there still raises TypeError).  p(J) mod J^n is the upper-triangular Toeplitz matrix with
+    entry (r, s) = p_(s-r), fixed linearly by its first row, so the matrix
+    images have the rank of their coefficient rows (``_orbit_differential``).
     """
     if n < 2:
         raise OutOfRangeError("jacobian_rank is defined for n >= 2")
-    j = jordan_block(n)
-    powers = [QMatrix.identity(n)]
-    for _ in range(n - 1):
-        powers.append(powers[-1] @ j)
-    c = QMatrix.identity(n)
-    for k, coeff in enumerate(c_coeffs, start=1):
-        if k >= n:
-            break
-        c = c + powers[k].scale(coeff)
-    x = x_zero(n)
-    for k, coeff in enumerate(x_coeffs, start=1):
-        if k >= n:
-            break
-        x = x + powers[k].scale(coeff)
-    c_inv = inverse(c)
-    left = c_inv @ x            # C^-1 X
-    right = left @ c            # C^-1 X C
-    rows = []
-    for k in range(1, n):
-        delta = powers[k]
-        image = left @ delta - c_inv @ delta @ right
-        rows.append(image.entries)
-    differential = QMatrix(n - 1, n * n, tuple(v for row in rows for v in row))
-    return rank(differential)
+    c = [exact(v) for v in islice(c_coeffs, n - 1)]
+    for v in islice(x_coeffs, n - 1):
+        exact(v)
+    return _echelon(_orbit_differential(n, c + [0] * (n - 1 - len(c))), n).rank
+
+
+def _orbit_differential(n: int, c: list) -> "list[list[Scalar]]":
+    """Row k - 1: the coefficients of J^0..J^(n-1) in the image of J^k at
+    C = 1 + sum c[i-1] J^i.  With A = 1/C (A_0 = 1, A_m = -sum_(i=1..m)
+    c_i A_(m-i)) and A' = -C'/C^2, it is J^(k+1)(kA + JA') = J^2 (J^k A)',
+    whose J^m coefficient is (m - 1) A_(m-1-k)."""
+    inv = [1]
+    for m in range(1, n):
+        inv.append(-sum(c[i - 1] * inv[m - i] for i in range(1, m + 1)))
+    return [[0] * (k + 1) + [(m - 1) * inv[m - 1 - k] for m in range(k + 1, n)]
+            for k in range(1, n)]

@@ -54,6 +54,7 @@ from jordanlab.sampling import (
     rand_unimodular,
 )
 from centralizer_oracle import is_b_toeplitz, sylvester_operator
+from orbit_oracle import polynomial_in_j
 
 
 def paper_fiber_dim(p: Partition) -> int:
@@ -526,6 +527,17 @@ def test_extract_constant_on_stabilizer_orbits():
         c = rand_stabilizer_element(rng, n)
         rep = conjugate(canonical_pair(lam, mu, n), c)
         assert extract_params(rep) == CanonicalParams(lam, mu)
+
+
+def test_rand_stabilizer_element_pinned():
+    # Pinned output: the draws, their order and the entries (int where integral).
+    rng = random.Random(2024)
+    got = [rand_stabilizer_element(rng, n).entries for n in (1, 2, 4, 6)]
+    assert got[:2] == [(1,), (1, 3, 0, 1)]
+    assert got[2] == polynomial_in_j(4, [1, 3, Fraction(-3, 4), Fraction(-1, 2)]).entries
+    assert got[3] == polynomial_in_j(6, [1, 2, 2, 0, 7, Fraction(-3, 4)]).entries
+    assert all(type(v) is int or v.denominator > 1 for m in got for v in m)
+    assert rng.random() == 0.9246706270354604
 
 
 # -- full-block canonical decomposition ---------------------------------------------

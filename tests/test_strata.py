@@ -9,6 +9,7 @@ import pytest
 
 from jordanlab import (
     IrrationalEigenvaluesError,
+    OutOfRangeError,
     Partition,
     QMatrix,
     RepPair,
@@ -27,6 +28,8 @@ from jordanlab import (
     x_zero,
 )
 from jordanlab.sampling import rand_rational, rand_rep, rand_unimodular
+from jordanlab.strata import _orbit_differential
+from orbit_oracle import matrix_differential, polynomial_in_j
 
 PARTITION_COUNTS = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15, 8: 22, 9: 30, 10: 42}
 
@@ -192,6 +195,11 @@ def test_single_eigenvalue_canonical_pair():
             canonical_pair(rand_rational(rng), rand_rational(rng), n))
 
 
+def test_single_eigenvalue_empty_rep_is_out_of_range():
+    with pytest.raises(OutOfRangeError):
+        single_eigenvalue_test(RepPair(QMatrix.zeros(0), QMatrix.zeros(0)))
+
+
 # -- jacobian rank ---------------------------------------------------------------------
 
 
@@ -218,6 +226,43 @@ def test_jacobian_rank_generic():
             c = [rand_rational(rng) for _ in range(n - 1)]
             x = [rand_rational(rng) for _ in range(n - 1)]
             assert jacobian_rank(n, c, x) == n - 2
+
+
+def test_jacobian_rank_input_handling():
+    with pytest.raises(OutOfRangeError):
+        jacobian_rank(1, [], [])
+    # missing coefficients are 0; those beyond the first n - 1 are not read
+    assert jacobian_rank(5, [], []) == 3
+    assert jacobian_rank(3, [1, 2, 0.5], [1, 2, 0.5]) == 1
+    with pytest.raises(TypeError):
+        jacobian_rank(3, [1, 0.5], [1, 2])
+    with pytest.raises(TypeError):
+        jacobian_rank(3, [1, 2], [0.5])  # x is checked although it drops out
+
+
+def orbit_draw(rng: random.Random, n: int) -> list:
+    """n - 1 coefficients; every third draw has denominators up to 97."""
+    if rng.randrange(3):
+        return [rand_rational(rng) for _ in range(n - 1)]
+    return [Fraction(rng.randint(-99, 99), rng.randint(1, 97)) for _ in range(n - 1)]
+
+
+def test_orbit_differential_matches_matrix_oracle():
+    # Each matrix image is the Toeplitz matrix of its series row, so the
+    # rows have the rank of the images.
+    rng = random.Random(45)
+    draws = 0
+    for n in range(2, 11):
+        for _ in range(36):
+            c, x = orbit_draw(rng, n), orbit_draw(rng, n)
+            rows = _orbit_differential(n, c)
+            images = matrix_differential(n, c, x)
+            assert len(rows) == len(images) == n - 1
+            for row, image in zip(rows, images):
+                assert list(image.row(0)) == row
+                assert image == polynomial_in_j(n, row)
+            draws += 1
+    assert draws >= 300
 
 
 def test_char_poly_of_assemblies_consistent():
