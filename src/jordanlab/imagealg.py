@@ -1,12 +1,15 @@
 """Analysis of the image algebra A generated by a verified pair (X, Y).
 
-One worklist closes the span of all words in X and Y (including the
-identity) and every two-sided ideal.  It runs on flat integer vectors
-(row-major n x n entries) and integer products; a ``QMatrix`` is
-built only for what a public function returns.  The eigenprojections of X
-are central in A (proof in ``idempotents``), so the quiver is diagonal.
-Everything here needs one rational spectrum of X per call, and refuses
-(typed error) when the spectrum is irrational.
+Every span here is a right ideal s*A, which one worklist closes under
+right products by X and Y: A itself is I*A, and since Y is normal
+(AY = YA) the radical, its cuts J e_i and J^2 e_i, and every two-sided
+ideal AgA are right ideals of explicit seeds (proof in ``radical_basis``).
+The worklist runs on flat integer vectors (row-major n x n entries) and
+integer products; a ``QMatrix`` is built only for what a public function
+returns.  The eigenprojections of X are central in A (proof in
+``idempotents``), so the quiver is diagonal.  Everything here needs one
+rational spectrum of X per call, and refuses (typed error) when the
+spectrum is irrational.
 """
 
 from __future__ import annotations
@@ -60,38 +63,36 @@ class ImageAlgebra:
         return tuple(QMatrix(n, n, vec) for vec in span.basis_vectors())
 
 
-def _closure(n: int, seeds, products=lambda v: ()) -> SpanBuilder:
-    """Span of the n x n seeds closed under ``products``.
+def _right_ideal(rep: RepPair, seeds) -> SpanBuilder:
+    """The right ideal seeds*A: the seeds' span closed under right products
+    by X and Y.
 
     Seeds and candidates are row-major integer entry sequences.  Candidates
-    come one at a time from the seeds, then from the products queued for
+    come one at a time from the seeds, then from the two products queued for
     each candidate the span accepts.  ``SpanBuilder.add`` stores the
     primitive multiple of each, which spans the same line, so the span is
     unchanged; the products are taken of the candidate as it came, since a
     product of a nonzero multiple is the same multiple of the product.  The
-    callers multiply by the primitive integer multiples of X and Y (closing
+    products are by the primitive integer multiples of X and Y (closing
     under products by a nonzero multiple of a matrix is closing under
     products by the matrix), so every product is integral and the worklist
-    holds no fractions.
+    holds no fractions.  Every word is a product of X's and Y's, so a span
+    closed under both right products is closed under right products by A.
     """
+    n = rep.n
+    x, y = primitive_integral(rep.X.entries), primitive_integral(rep.Y.entries)
     span = SpanBuilder(n * n)
     pending = deque([seeds])
     while pending:
         for vec in pending.popleft():
             if span.add(vec):
-                pending.append(products(vec))
+                pending.append((flat_matmul(vec, x, n, n, n), flat_matmul(vec, y, n, n, n)))
     return span
 
 
 def image_algebra(rep: RepPair) -> ImageAlgebra:
-    """Span closure of all words in X, Y from the identity seed.
-
-    Right multiplication by the two generators suffices to reach every word.
-    """
-    n = rep.n
-    x, y = primitive_integral(rep.X.entries), primitive_integral(rep.Y.entries)
-    span = _closure(n, [QMatrix.identity(n).entries],
-                    lambda v: (flat_matmul(v, x, n, n, n), flat_matmul(v, y, n, n, n)))
+    """A as the right ideal I*A: all words in X, Y from the identity seed."""
+    span = _right_ideal(rep, [QMatrix.identity(rep.n).entries])
     return ImageAlgebra(rep, tuple(map(tuple, span.rows)), tuple(span.pivots), True)
 
 
@@ -111,20 +112,10 @@ def rational_spectrum(x: QMatrix) -> "list[tuple[Scalar, int]]":
     return roots
 
 
-def _ideal_closure(a: ImageAlgebra, seeds) -> SpanBuilder:
-    """Two-sided ideal span closure of the seeds (rational entry sequences,
-    scaled here to integers) under left/right X, Y."""
-    n = a.rep.n
-    x, y = primitive_integral(a.rep.X.entries), primitive_integral(a.rep.Y.entries)
-    return _closure(n, map(primitive_integral, seeds),
-                    lambda v: (flat_matmul(x, v, n, n, n), flat_matmul(v, x, n, n, n),
-                               flat_matmul(y, v, n, n, n), flat_matmul(v, y, n, n, n)))
-
-
-def _radical_span(a: ImageAlgebra, spectrum) -> SpanBuilder:
-    """The ideal generated by Y and S(X), S = prod of (t - lambda)."""
+def _radical_generators(rep: RepPair, spectrum) -> "list[list[int]]":
+    """Y and S(X), S = prod of (t - lambda), as primitive integer vectors."""
     s = UniPoly.from_roots([lam for lam, _ in spectrum])
-    return _ideal_closure(a, [poly_at_matrix(s, a.rep.X).entries, a.rep.Y.entries])
+    return [primitive_integral(m.entries) for m in (rep.Y, poly_at_matrix(s, rep.X))]
 
 
 def radical_basis(a: ImageAlgebra) -> "list[QMatrix]":
@@ -134,6 +125,19 @@ def radical_basis(a: ImageAlgebra) -> "list[QMatrix]":
     S(X) = prod of (X - lambda*I) over the distinct eigenvalues: modulo that
     ideal the algebra is k[x]/(S), a product of fields.  Requires the
     spectrum of X to be rational.
+
+    Theorem: J = YA + S(X)A, so J is the right ideal of {Y, S(X)} and no
+    left product is formed.  Proof:
+    (a) Y is normal, AY = YA.  XY = Y(X + Y) and YX = (X - Y)Y, so by
+        induction on word length every word w has wY in YA and Yw in AY.
+    (b) A S(X) lies in S(X)A + YA.  A word with a letter Y lies in
+        A Y A = YA by (a), so A = k[X] + YA, and k[X] S(X) = S(X) k[X].
+        With (a), A(YA + S(X)A) lies in YA + S(X)A: that right ideal is a
+        two-sided ideal containing Y and S(X), so it is (Y, S(X)) = J.
+    (c) J^2 = YJ + S(X)J, since J J = Y(AJ) + S(X)(AJ) and AJ = J.
+    (d) The e_i are central (see ``idempotents``), so J e_i = Y e_i A +
+        S(X) e_i A, and by (c), with A J e_i = J e_i, J^2 e_i = J (J e_i) is
+        the right ideal of the four products g h e_i with g, h in {Y, S(X)}.
 
     The radical has dimension dim A - r for the r distinct eigenvalues, so
     the result is not re-checked.  Proof: XY = Y(X + Y), so X preserves
@@ -145,7 +149,7 @@ def radical_basis(a: ImageAlgebra) -> "list[QMatrix]":
     so its dimension is exactly r.
     """
     n = a.rep.n
-    span = _radical_span(a, rational_spectrum(a.rep.X))
+    span = _right_ideal(a.rep, _radical_generators(a.rep, rational_spectrum(a.rep.X)))
     return [QMatrix(n, n, vec) for vec in span.basis_vectors()]
 
 
@@ -217,15 +221,18 @@ def quiver(a: ImageAlgebra) -> QuiverData:
     The e_i are central (see ``idempotents``), so e_i J e_j = J e_i e_j is 0
     for i != j and J e_i for i = j, and J e_i meets J^2 in J^2 e_i = J (J e_i):
     dim e_i (J/J^2) e_j is 0 off the diagonal and dim J e_i - dim J^2 e_i on it.
+    Both are right ideals of explicit seeds (``radical_basis``, (d)), so the
+    radical itself is not spanned.
     """
     spectrum = rational_spectrum(a.rep.X)
     n = a.rep.n
-    rad = _radical_span(a, spectrum).rows
+    gens = _radical_generators(a.rep, spectrum)
     loops = []
     for e in _eigenprojections(a.rep.X, spectrum):
         e = primitive_integral(e.entries)
-        je = _closure(n, (flat_matmul(b, e, n, n, n) for b in rad))
-        j2e = _closure(n, (flat_matmul(b, c, n, n, n) for c in je.rows for b in rad))
+        ge = [flat_matmul(g, e, n, n, n) for g in gens]
+        je = _right_ideal(a.rep, ge)
+        j2e = _right_ideal(a.rep, [flat_matmul(g, h, n, n, n) for g in gens for h in ge])
         loops.append(je.rank - j2e.rank)
     arrows = tuple(tuple(loop if i == j else 0 for j in range(len(loops)))
                    for i, loop in enumerate(loops))
@@ -234,9 +241,15 @@ def quiver(a: ImageAlgebra) -> QuiverData:
 
 def ideal_codim(a: ImageAlgebra, gens) -> int:
     """Codimension in A of the two-sided ideal generated by the given
-    polynomials evaluated at (X, Y); genuine two-sided closure."""
-    images = [evaluate(g, a.rep).entries for g in gens]
-    span = _ideal_closure(a, images)
+    polynomials evaluated at (X, Y).
+
+    A g A is the sum of the right ideals (b g)A over the basis rows b of A,
+    so the ideal is the right ideal of those dim A products per generator
+    and the worklist forms no left product (as in ``radical_basis``).
+    """
+    n = a.rep.n
+    images = [primitive_integral(evaluate(g, a.rep).entries) for g in gens]
+    span = _right_ideal(a.rep, [flat_matmul(b, g, n, n, n) for g in images for b in a.rows])
     return a.dim - span.rank
 
 

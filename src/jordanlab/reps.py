@@ -25,7 +25,7 @@ from .errors import (
     RepeatedBlockSizesError,
     SizeMismatchError,
 )
-from .freealg import NcPoly, NormalPoly, X as XSYM, normal_form
+from .freealg import NcPoly, NormalPoly, normal_form
 from .matrices import QMatrix, block_diag, flat_matmul, inverse
 from .polynomials import UniPoly
 from .scalars import Scalar, cleared, exact
@@ -189,24 +189,16 @@ class CanonicalParams:
     mu: Scalar
 
 
-def _require_full_block(rep: RepPair, caller: str) -> QMatrix:
-    """J_n when Y is exactly the full Jordan block J_n (n >= 1), else raise."""
-    if rep.n < 1 or rep.Y != jordan_block(rep.n):
-        raise NotFullBlockJordanCoordinatesError(
-            f"{caller} requires Y to be exactly the full Jordan block")
-    return jordan_block(rep.n)
-
-
 def extract_params(rep: RepPair) -> CanonicalParams:
-    """Read (lambda, mu) off the first row of X in full-block coordinates.
+    """(lambda, mu) = (lam, p[1]) of ``full_block_canonicalize``.
 
     Invariant under conjugation by the unipotent stabilizer
     {I + a_1 J + ... + a_(n-1) J^(n-1)}.  For n = 1 the offset mu is
-    reported as 0 (there is no superdiagonal).
+    reported as 0 (p = 0; there is no superdiagonal).  Row 0 of x_zero(n)
+    is zero, so this is the first row of X, (X[0, 0], X[0, 1]).
     """
-    _require_full_block(rep, "extract_params")
-    mu = rep.X[0, 1] if rep.n >= 2 else 0
-    return CanonicalParams(lam=rep.X[0, 0], mu=mu)
+    lam, p = full_block_canonicalize(rep)
+    return CanonicalParams(lam=lam, mu=p[1])
 
 
 def full_block_canonicalize(rep: RepPair) -> "tuple[Scalar, UniPoly]":
@@ -221,7 +213,9 @@ def full_block_canonicalize(rep: RepPair) -> "tuple[Scalar, UniPoly]":
     J_n, constant along each diagonal.  Its first row reads c_k = C[0, k],
     so lam = C[0, 0] and p = sum_(k>=1) C[0, k] t^k.
     """
-    _require_full_block(rep, "full_block_canonicalize")
+    if rep.n < 1 or rep.Y != jordan_block(rep.n):
+        raise NotFullBlockJordanCoordinatesError(
+            "Y must be exactly the full Jordan block J_n (n >= 1)")
     t = rep.X - x_zero(rep.n)
     return t[0, 0], UniPoly([0] + [t[0, k] for k in range(1, rep.n)])
 
@@ -303,27 +297,29 @@ def conjugate(rep: RepPair, c: QMatrix, c_inv: "QMatrix | None" = None) -> RepPa
 
 
 def evaluate(f, rep: RepPair) -> QMatrix:
-    """Evaluate an NcPoly or NormalPoly at (X, Y); an algebra homomorphism."""
+    """Evaluate an NcPoly or NormalPoly at (X, Y); an algebra homomorphism.
+
+    An NcPoly is evaluated through its normal form, which is exact: the
+    pair is verified, so the map x -> X, y -> Y kills xy - yx - y^2 and
+    factors through R = k<x,y>/(xy - yx - y^2), where f and normal_form(f)
+    are equal.  A letter outside {x, y} raises ValueError (``normal_form``).
+    The normal form sum of c * Y^k X^m is evaluated from power tables of Y
+    and X.
+    """
+    if isinstance(f, NcPoly):
+        f = normal_form(f)
+    if not isinstance(f, NormalPoly):
+        raise TypeError(f"cannot evaluate {type(f).__name__}")
     n = rep.n
     ident = QMatrix.identity(n)
-    if isinstance(f, NormalPoly):
-        max_k = max((k for k, _ in f.support()), default=0)
-        max_m = max((m for _, m in f.support()), default=0)
-        pow_y = _power_table(rep.Y, max_k, ident)
-        pow_x = _power_table(rep.X, max_m, ident)
-        acc = QMatrix.zeros(n)
-        for (k, m), c in f.items():
-            acc = acc + (pow_y[k] @ pow_x[m]).scale(c)
-        return acc
-    if isinstance(f, NcPoly):
-        acc = QMatrix.zeros(n)
-        for word, c in f.items():
-            prod = ident
-            for ch in word:
-                prod = prod @ (rep.X if ch == XSYM else rep.Y)
-            acc = acc + prod.scale(c)
-        return acc
-    raise TypeError(f"cannot evaluate {type(f).__name__}")
+    max_k = max((k for k, _ in f.support()), default=0)
+    max_m = max((m for _, m in f.support()), default=0)
+    pow_y = _power_table(rep.Y, max_k, ident)
+    pow_x = _power_table(rep.X, max_m, ident)
+    acc = QMatrix.zeros(n)
+    for (k, m), c in f.items():
+        acc = acc + (pow_y[k] @ pow_x[m]).scale(c)
+    return acc
 
 
 def _power_table(m: QMatrix, up_to: int, ident: QMatrix) -> "list[QMatrix]":

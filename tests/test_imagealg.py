@@ -35,10 +35,13 @@ from jordanlab import (
     relation_coefficient_vector,
     x_zero,
 )
+from jordanlab.imagealg import _right_ideal
 from jordanlab.matrices import int_normalized
+from jordanlab.scalars import primitive_integral
 from jordanlab.sampling import rand_rep, rand_unimodular
 
 WILD_GENS = ["y^2", "x^2*y", "x^3", "x*y - y*x"]
+ONE_SIDED_GENS = ["x"]  # on epsilon_n (n >= 3) AxA is larger than xA
 
 
 def one_dim_rep(lam) -> RepPair:
@@ -405,23 +408,31 @@ def reference_ideal(rep: RepPair, seeds) -> ReferenceSpan:
     return reference_closure(rep.n, seeds, lambda m: (x @ m, m @ x, y @ m, m @ y))
 
 
+def squarefree_at_x(rep: RepPair) -> QMatrix:
+    """Oracle: S(X), the product of X - lambda*I over the distinct eigenvalues."""
+    s_of_x = QMatrix.identity(rep.n)
+    for lam, _ in rational_spectrum(rep.X):
+        s_of_x = s_of_x @ (rep.X - QMatrix.identity(rep.n).scale(lam))
+    return s_of_x
+
+
 def check_against_reference(rep: RepPair, gens) -> None:
     """image_algebra rows/pivots, radical_basis, quiver and ideal_codim agree
-    with the QMatrix worklist over the oracle span."""
+    with the QMatrix worklist over the oracle span.  ideal_codim is checked
+    for gens and for ONE_SIDED_GENS, whose ideal is not the right ideal gA."""
     n = rep.n
     a = image_algebra(rep)
     ref = reference_image(rep)
     assert (a.rows, a.pivots) == ref.rows()
-    images = [evaluate(parse_poly(g), rep) for g in gens]
-    assert ideal_codim(a, [parse_poly(g) for g in gens]) == ref.rank - reference_ideal(rep, images).rank
+    for some_gens in (gens, ONE_SIDED_GENS):
+        images = [evaluate(parse_poly(g), rep) for g in some_gens]
+        assert (ideal_codim(a, [parse_poly(g) for g in some_gens])
+                == ref.rank - reference_ideal(rep, images).rank)
     try:
         got_radical = radical_basis(a)
     except IrrationalEigenvaluesError:
         return
-    s_of_x = QMatrix.identity(n)
-    for lam, _ in rational_spectrum(rep.X):
-        s_of_x = s_of_x @ (rep.X - QMatrix.identity(n).scale(lam))
-    radical = reference_ideal(rep, [s_of_x, rep.Y])
+    radical = reference_ideal(rep, [squarefree_at_x(rep), rep.Y])
     assert [b.entries for b in got_radical] == radical.rref()
     rad = [QMatrix(n, n, row) for row in radical.rows()[0]]
     loops = []
@@ -443,13 +454,48 @@ def sized_assembly(rng: random.Random, sizes) -> RepPair:
     return conjugate(assembled, c, c_inv)
 
 
-def test_integer_closure_matches_qmatrix_worklist():
+def closure_reps() -> "list[RepPair]":
+    """epsilon_1..10, 40 seeded rand_reps and five conjugated assemblies."""
     rng = random.Random(45)
     reps = [epsilon_rep(n) for n in range(1, 11)]
     reps += [rand_rep(rng, rng.randint(1, 6)) for _ in range(40)]
     reps += [sized_assembly(rng, sizes) for sizes in ((1, 2), (2, 1, 1), (4, 3), (3, 3, 2), (4, 4))]
-    for rep in reps:
+    return reps
+
+
+def test_integer_closure_matches_qmatrix_worklist():
+    for rep in closure_reps():
         check_against_reference(rep, WILD_GENS)
+
+
+def echelon(span: SpanBuilder) -> "tuple[tuple, tuple]":
+    return tuple(map(tuple, span.rows)), tuple(span.pivots)
+
+
+def test_right_ideals_of_y_and_the_radical_generators_are_two_sided():
+    # AY = YA and J = YA + S(X)A: the right ideals equal the two-sided oracle.
+    radicals = 0
+    for rep in closure_reps():
+        y = primitive_integral(rep.Y.entries)
+        assert echelon(_right_ideal(rep, [y])) == reference_ideal(rep, [rep.Y]).rows()
+        try:
+            s_of_x = squarefree_at_x(rep)
+        except IrrationalEigenvaluesError:
+            continue
+        radicals += 1
+        right = _right_ideal(rep, [primitive_integral(s_of_x.entries), y])
+        assert echelon(right) == reference_ideal(rep, [s_of_x, rep.Y]).rows()
+    assert radicals >= 20
+
+
+def test_one_sided_generator_ideal_is_not_its_right_ideal():
+    # x on epsilon_n: the two-sided ideal has codimension 2, xA has codimension n.
+    x = parse_poly("x")
+    for n in range(3, 8):
+        rep = epsilon_rep(n)
+        a = image_algebra(rep)
+        assert ideal_codim(a, [x]) == 2
+        assert a.dim - _right_ideal(rep, [primitive_integral(rep.X.entries)]).rank == n
 
 
 def test_quiver_json():

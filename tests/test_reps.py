@@ -461,6 +461,38 @@ def test_eval_respects_normal_form():
     assert evaluate(rel, epsilon_rep(5)).is_zero()
 
 
+def word_by_word(f, rep: RepPair) -> QMatrix:
+    """Oracle: sum of c * (the product of X's and Y's spelled by the word)."""
+    acc = QMatrix.zeros(rep.n)
+    for word, c in f.items():
+        prod = QMatrix.identity(rep.n)
+        for ch in word:
+            prod = prod @ (rep.X if ch == "x" else rep.Y)
+        acc = acc + prod.scale(c)
+    return acc
+
+
+def test_eval_matches_word_by_word_oracle():
+    from jordanlab import NcPoly
+
+    rng = random.Random(46)
+    empty = RepPair(QMatrix.zeros(0), QMatrix.zeros(0))
+    reps = [empty, epsilon_rep(1), epsilon_rep(5)]
+    reps += [rand_rep(rng, rng.randint(1, 6)) for _ in range(20)]
+    for rep in reps:
+        for _ in range(4):
+            f = NcPoly({"".join(rng.choice("xy") for _ in range(rng.randint(0, 6))):
+                        rand_rational(rng) for _ in range(rng.randint(1, 4))})
+            got = evaluate(f, rep)
+            assert got == word_by_word(f, rep)
+            assert (got.rows, got.cols) == (rep.n, rep.n)
+    for rep in (empty, epsilon_rep(3)):
+        with pytest.raises(ValueError):
+            evaluate(NcPoly({"z": 1}), rep)
+        with pytest.raises(ValueError):
+            evaluate(NcPoly({"xzy": 2, "x": 1}), rep)
+
+
 def test_eval_product_homomorphism():
     rng = random.Random(25)
     from jordanlab import NcPoly, multiply, normal_form
@@ -496,6 +528,8 @@ def test_extract_round_trip():
         n = rng.randint(2, 8)
         lam, mu = rand_rational(rng), rand_rational(rng)
         assert extract_params(canonical_pair(lam, mu, n)) == CanonicalParams(lam, mu)
+    # n = 1 has no superdiagonal, so mu reads 0 whatever was asked for
+    assert extract_params(canonical_pair(Fraction(5, 3), 7, 1)) == CanonicalParams(Fraction(5, 3), 0)
 
 
 def test_extract_epsilon():
