@@ -25,7 +25,7 @@ from math import factorial
 
 from .errors import OutOfRangeError, PolyParseError
 from .polynomials import UniPoly
-from .scalars import Scalar, exact, scalar_str
+from .scalars import Scalar, exact, format_terms
 
 X, Y = "x", "y"
 DEFAULT_ALPHABET = (Y, X)  # ascending: y < x
@@ -146,7 +146,7 @@ class NcPoly(_Terms):
         return self.scale(other)
 
     def __str__(self) -> str:
-        return format_terms(self.items(), word_text)
+        return format_terms((word_text(w), c) for w, c in self.items())
 
 
 class NormalPoly(_Terms):
@@ -186,144 +186,60 @@ class NormalPoly(_Terms):
         return NcPoly({Y * k + X * m: c for (k, m), c in self._terms.items()})
 
     def __str__(self) -> str:
-        return format_terms([(Y * k + X * m, c) for (k, m), c in self.items()], word_text)
+        return format_terms((word_text(Y * k + X * m), c) for (k, m), c in self.items())
 
 
 # -- text form ---------------------------------------------------------------
 
 
 def word_text(word: str) -> str:
-    if not word:
-        return "1"
-    pieces = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        run = j - i
-        pieces.append(word[i] if run == 1 else f"{word[i]}^{run}")
-        i = j
-    return "*".join(pieces)
+    """A word as its runs, e.g. "x^2*y"; the empty word is "1"."""
+    runs = ((letter, sum(1 for _ in run)) for letter, run in groupby(word))
+    return "*".join(letter if e == 1 else f"{letter}^{e}" for letter, e in runs) or "1"
 
 
-def format_terms(terms, to_text) -> str:
-    if not terms:
-        return "0"
-    out = []
-    for word, coeff in terms:
-        body = to_text(word)
-        mag = abs(coeff)
-        if body == "1":
-            piece = scalar_str(mag)
-        elif mag == 1:
-            piece = body
-        else:
-            piece = f"{scalar_str(mag)}*{body}"
-        if not out:
-            out.append(piece if coeff > 0 else "-" + piece)
-        else:
-            out.append((" + " if coeff > 0 else " - ") + piece)
-    return "".join(out)
+# One term of the polynomial grammar (README): an optional sign, then a
+# rational with an optional "* factors" tail, or bare factors.
+_FACTORS = r"[xy](?:\s*\^\s*\d+)?(?:\s*\*\s*[xy](?:\s*\^\s*\d+)?)*"
+_TERM = re.compile(rf"\s*(?:([-+])\s*)?(?:(\d+)(?:\s*/\s*(\d+))?(?:\s*\*\s*({_FACTORS}))?"
+                   rf"|({_FACTORS}))\s*")
+_FACTOR = re.compile(r"([xy])(?:\s*\^\s*(\d+))?")
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z])|([*^+/-]))")
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise PolyParseError(f"number of {len(digits)} digits is too long") from None
 
 
 def parse_poly(text: str) -> NcPoly:
-    """Parse the polynomial grammar, e.g. "x^2*y - 2*y^2*x" or "3/2*x + 1"."""
-    tokens = []
+    """Parse the polynomial grammar, e.g. "x^2*y - 2*y^2*x" or "3/2*x + 1".
+
+    The grammar has no nesting, so it is one term pattern matched from the
+    left, each term after the first starting with its sign.
+    """
+    terms = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise PolyParseError(f"unexpected character {text[pos:].lstrip()[0]!r}")
-            break
-        if m.group(1):
-            tokens.append(("num", m.group(1)))
-        elif m.group(2):
-            tokens.append(("name", m.group(2)))
-        else:
-            tokens.append(("op", m.group(3)))
-        pos = m.end()
-
-    idx = 0
-
-    def peek():
-        return tokens[idx] if idx < len(tokens) else (None, None)
-
-    def take():
-        nonlocal idx
-        tok = peek()
-        idx += 1
-        return tok
-
-    def parse_rational() -> Scalar:
-        kind, val = take()
-        if kind != "num":
-            raise PolyParseError("expected a number")
-        num = int(val)
-        if peek() == ("op", "/"):
-            take()
-            kind, val = take()
-            if kind != "num":
-                raise PolyParseError("expected a denominator")
-            den = int(val)
+    while pos < len(text) or not terms:
+        m = _TERM.match(text, pos)
+        if m is None or (terms and not m[1]):
+            raise PolyParseError(f"expected a {'signed ' if terms else ''}term at position {pos}")
+        sign, num, den, tail, bare = m.groups()
+        coeff = _int(num) if num else 1
+        if den is not None:
+            den = _int(den)
             if den == 0:
                 raise PolyParseError("zero denominator")
-            return exact(Fraction(num, den))
-        return num
-
-    def parse_factor() -> str:
-        kind, val = take()
-        if kind != "name" or val not in (X, Y):
-            raise PolyParseError(f"expected variable x or y, got {val!r}")
-        if peek() == ("op", "^"):
-            take()
-            kind2, val2 = take()
-            if kind2 != "num" or int(val2) < 1:
-                raise PolyParseError("exponent must be a positive integer")
-            return val * int(val2)
-        return val
-
-    def parse_term() -> "tuple[Scalar, str]":
-        coeff: Scalar = 1
+            coeff = exact(Fraction(coeff, den))
         word = ""
-        if peek()[0] == "num":
-            coeff = parse_rational()
-            if peek() == ("op", "*"):
-                take()
-            else:
-                return coeff, ""  # bare rational constant term
-        word += parse_factor()
-        while peek() == ("op", "*"):
-            take()
-            word += parse_factor()
-        return coeff, word
-
-    terms = []
-    sign = 1
-    if peek() == ("op", "-"):
-        take()
-        sign = -1
-    elif peek() == ("op", "+"):
-        take()
-    if peek()[0] is None:
-        raise PolyParseError("empty polynomial")
-    while True:
-        coeff, word = parse_term()
-        terms.append((word, sign * coeff))
-        kind, val = peek()
-        if kind is None:
-            break
-        if (kind, val) == ("op", "+"):
-            sign = 1
-        elif (kind, val) == ("op", "-"):
-            sign = -1
-        else:
-            raise PolyParseError(f"unexpected token {val!r}")
-        take()
+        for letter, e in _FACTOR.findall(tail or bare or ""):
+            e = _int(e) if e else 1
+            if e < 1:
+                raise PolyParseError("exponent must be a positive integer")
+            word += letter * e
+        terms.append((word, -coeff if sign == "-" else coeff))
+        pos = m.end()
     return NcPoly(terms)
 
 

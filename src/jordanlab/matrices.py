@@ -479,18 +479,5 @@ def nilpotency_index(m: QMatrix) -> "int | None":
 
 
 def is_nilpotent(m: QMatrix) -> bool:
-    """Fast nilpotency test: m^(2^ceil(log2 n)) == 0 iff m^n == 0."""
-    if not m.is_square:
-        raise NonSquareError("nilpotency of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return True
-    p = m
-    e = 1
-    while True:
-        if p.is_zero():
-            return True
-        if e >= n:
-            return False
-        p = p @ p
-        e *= 2
+    """Whether some power of m is zero (``nilpotency_index``)."""
+    return nilpotency_index(m) is not None

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Scalar, exact, primitive_integral
+from .scalars import Scalar, exact, format_terms, primitive_integral
 
 
 class UniPoly:
@@ -164,23 +164,8 @@ class UniPoly:
     # -- printing ----------------------------------------------------------
 
     def to_text(self, var: str = "t") -> str:
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                body = str(abs(c))
-            else:
-                mono = var if k == 1 else f"{var}^{k}"
-                body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
-            if not pieces:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append((" + " if c > 0 else " - ") + body)
-        return "".join(pieces)
+        return format_terms((var if k == 1 else f"{var}^{k}" if k else "1", c)
+                            for k, c in reversed(list(enumerate(self.coeffs))) if c)
 
     def __str__(self) -> str:
         return self.to_text()

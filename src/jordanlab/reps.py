@@ -26,7 +26,7 @@ from .errors import (
     SizeMismatchError,
 )
 from .freealg import NcPoly, NormalPoly, normal_form
-from .matrices import QMatrix, block_diag, flat_matmul, inverse
+from .matrices import QMatrix, block_diag, flat_matmul, inverse, poly_at_matrix
 from .polynomials import UniPoly
 from .scalars import Scalar, cleared, exact
 
@@ -303,30 +303,22 @@ def evaluate(f, rep: RepPair) -> QMatrix:
     pair is verified, so the map x -> X, y -> Y kills xy - yx - y^2 and
     factors through R = k<x,y>/(xy - yx - y^2), where f and normal_form(f)
     are equal.  A letter outside {x, y} raises ValueError (``normal_form``).
-    The normal form sum of c * Y^k X^m is evaluated from power tables of Y
-    and X.
+    The normal form sum_k Y^k p_k(X) is evaluated by Horner's rule in Y,
+    acc = Y acc + p_k(X) from the top k down, each p_k(X) by
+    ``poly_at_matrix``.
     """
     if isinstance(f, NcPoly):
         f = normal_form(f)
     if not isinstance(f, NormalPoly):
         raise TypeError(f"cannot evaluate {type(f).__name__}")
-    n = rep.n
-    ident = QMatrix.identity(n)
-    max_k = max((k for k, _ in f.support()), default=0)
-    max_m = max((m for _, m in f.support()), default=0)
-    pow_y = _power_table(rep.Y, max_k, ident)
-    pow_x = _power_table(rep.X, max_m, ident)
-    acc = QMatrix.zeros(n)
+    top = max((k for k, _ in f.support()), default=0)
+    rows = [[0] * (f.degree + 1) for _ in range(top + 1)]  # rows[k]: p_k, lowest first
     for (k, m), c in f.items():
-        acc = acc + (pow_y[k] @ pow_x[m]).scale(c)
+        rows[k][m] = c
+    acc = poly_at_matrix(UniPoly(rows.pop()), rep.X)
+    for row in reversed(rows):
+        acc = rep.Y @ acc + poly_at_matrix(UniPoly(row), rep.X)
     return acc
-
-
-def _power_table(m: QMatrix, up_to: int, ident: QMatrix) -> "list[QMatrix]":
-    powers = [ident]
-    for _ in range(up_to):
-        powers.append(powers[-1] @ m)
-    return powers
 
 
 def eigenvalues_distinct_blocks(rep: RepPair, p: Partition, diag_values) -> "list[Scalar]":

@@ -35,6 +35,25 @@ def scalar_str(value: Scalar) -> str:
     return str(value)
 
 
+def format_terms(terms) -> str:
+    """The signed sum of (monomial text, nonzero coefficient) pairs, in order.
+
+    A term prints as the magnitude of its coefficient times its monomial,
+    leaving out a factor 1 and the monomial "1"; the first term carries a
+    sign only when negative, and the empty sum is "0".  ``NcPoly``,
+    ``NormalPoly`` and ``UniPoly`` all print through here.
+    """
+    out = []
+    for body, coeff in terms:
+        mag = scalar_str(abs(coeff))
+        if out:
+            out.append(" - " if coeff < 0 else " + ")
+        elif coeff < 0:
+            out.append("-")
+        out.append(mag if body == "1" else body if mag == "1" else f"{mag}*{body}")
+    return "".join(out) or "0"
+
+
 _RATIONAL = re.compile(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*")
 
 

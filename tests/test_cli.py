@@ -426,6 +426,14 @@ def test_parse_error_is_domain_error(capture):
     assert "PolyParseError" in err
 
 
+@pytest.mark.parametrize("poly", ["9" * 5000, "x^" + "9" * 5000])
+def test_over_long_number_is_parse_error(capture, poly):
+    code, out, err = capture("nf", poly)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: PolyParseError: ")
+
+
 def test_deterministic_output(capture):
     first = capture("strata", "census", "--n", "5", "--json")
     second = capture("strata", "census", "--n", "5", "--json")

@@ -19,6 +19,7 @@ from jordanlab import (
     block_diag,
     char_poly,
     inverse,
+    is_nilpotent,
     matrix_from_json,
     matrix_to_json,
     nilpotency_index,
@@ -169,6 +170,14 @@ def test_nilpotency_zero_matrix():
 
 def test_nilpotency_identity_not_nilpotent():
     assert nilpotency_index(QMatrix.identity(3)) is None
+
+
+def test_is_nilpotent_edge_cases():
+    assert is_nilpotent(QMatrix.zeros(0))
+    assert is_nilpotent(jordan_block(5))
+    assert not is_nilpotent(jordan_block(5) + QMatrix.diagonal([0, 0, 0, 0, 1]))
+    with pytest.raises(NonSquareError):
+        is_nilpotent(QMatrix.zeros(2, 3))
 
 
 def test_nilpotency_index_is_least():
@@ -439,6 +448,22 @@ def test_rational_roots_irrational():
 
 def test_rational_roots_zero_root():
     assert rational_roots(UniPoly((0, 0, 1))) == [(0, 2)]
+
+
+@pytest.mark.parametrize("coeffs, text", [
+    ((), "0"),
+    ((5,), "5"),
+    ((Fraction(-3, 4),), "-3/4"),
+    ((0, -1), "-t"),
+    ((0, 1), "t"),
+    ((1, 0, -1), "-t^2 + 1"),
+    ((Fraction(1, 2), 0, 0, Fraction(-7, 3)), "-7/3*t^3 + 1/2"),
+    ((-2, 1, 0, 3, 0, -1), "-t^5 + 3*t^3 + t - 2"),
+    ((0, 0, Fraction(5, 2)), "5/2*t^2"),
+])
+def test_unipoly_text_golden(coeffs, text):
+    assert str(UniPoly(coeffs)) == text
+    assert UniPoly(coeffs).to_text("s") == text.replace("t", "s")
 
 
 # -- json -------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Rewriting engine, multiplication calculus, series and automorphisms."""
+"""Rewriting engine, multiplication calculus, series, automorphisms and text."""
 
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ from jordanlab import (
     parse_poly,
     reduce_poly,
 )
+from parse_oracle import parse_poly as oracle_parse_poly
 from rewriting_oracle import complete, confluence_check, normal_word_count
 
 
@@ -468,6 +469,61 @@ def test_print_normal_poly():
 
 
 def test_parse_errors():
-    for bad in ["", "x^0", "z", "2**x", "x +", "1/0"]:
+    # whitespace may not split a number or join two factors
+    for bad in ["", "x^0", "z", "2**x", "x +", "1/0", "1 2", "x y", "2x", "x2", "x^2^3",
+                "x*-y", "+-x", "- -x", "\u0663 \u0663"]:
         with pytest.raises(PolyParseError):
             parse_poly(bad)
+
+
+def test_parse_rejects_over_long_numbers():
+    # the one intended difference from the oracle, which leaks int()'s ValueError
+    for bad in ["9" * 5000, "x^" + "9" * 5000, "1/" + "9" * 5000, "x - " + "9" * 5000 + "*y"]:
+        with pytest.raises(PolyParseError, match="digits is too long"):
+            parse_poly(bad)
+        with pytest.raises(ValueError):
+            oracle_parse_poly(bad)
+
+
+def test_parse_allows_whitespace_between_tokens():
+    assert parse_poly(" - 3 / 2 * x ^ 2 *\ty + y ") == NcPoly({"xxy": Fraction(-3, 2), "y": 1})
+
+
+# Differential test against the recursive-descent parser the term pattern
+# replaced (tests/parse_oracle.py).  Strings are joins of term-like pieces
+# and separators, some of them invalid, and 40% get one random edit over
+# the alphabet; the separators "" and " " make later terms without a sign.
+FUZZ_ALPHABET = "xyzX0123456789\u0663/*^+-. \t"
+FUZZ_TERMS = ("x", "y", "x^2", "y ^ 3", "2*x", "3/2", "0", "1/0", "x^0", "12*y*x",
+              "\u0663*x", "x*y^10", "7 / 4 * y", "x*\ty", "4", "05*y^01", "x*", "2 x", "z",
+              "X", "1.5", "x^")
+FUZZ_SEPS = (" + ", " - ") * 4 + ("+", "-") * 2 + ("\t+ ", "-  ", "*", "", " ", "^2", "/", "--")
+
+
+def fuzz_text(rng) -> str:
+    k = rng.randint(1, 4)
+    seps = rng.choices(FUZZ_SEPS, k=k)
+    text = "".join(s + t for s, t in zip(seps, rng.choices(FUZZ_TERMS, k=k)))
+    if rng.random() < 0.7:
+        text = text[len(seps[0]):]  # most strings start with a term
+    if rng.random() < 0.4:
+        pos = rng.randrange(len(text) + 1)
+        text = text[:pos] + rng.choice(FUZZ_ALPHABET) + text[pos + rng.randint(0, 1):]
+    return text
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except PolyParseError:
+        return PolyParseError
+
+
+def test_parse_matches_recursive_descent_oracle():
+    rng = random.Random(2013)
+    texts = [fuzz_text(rng) for _ in range(50_000)]
+    outcomes = [parse_outcome(parse_poly, text) for text in texts]
+    mismatches = [text for text, got in zip(texts, outcomes)
+                  if got != parse_outcome(oracle_parse_poly, text)]
+    assert mismatches == []
+    assert sum(got is not PolyParseError for got in outcomes) >= len(texts) // 20

@@ -1,5 +1,5 @@
-"""Property tests of the fraction-free products and of the orbit-map series
-(hypothesis, test-only)."""
+"""Property tests of the fraction-free products, the orbit-map series and the
+text and JSON round trips (hypothesis, test-only)."""
 
 from __future__ import annotations
 
@@ -7,9 +7,21 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
+import json  # noqa: E402
+
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from jordanlab import QMatrix, UniPoly, poly_at_matrix  # noqa: E402
+from jordanlab import (  # noqa: E402
+    NcPoly,
+    NormalPoly,
+    QMatrix,
+    UniPoly,
+    matrix_from_json,
+    matrix_to_json,
+    normal_form,
+    parse_poly,
+    poly_at_matrix,
+)
 from jordanlab.strata import _orbit_differential  # noqa: E402
 from orbit_oracle import matrix_differential, polynomial_in_j  # noqa: E402
 
@@ -65,3 +77,33 @@ def test_orbit_series_is_the_matrix_differential(point):
     n, c, x = point
     images = matrix_differential(n, c, x)
     assert images == [polynomial_in_j(n, row) for row in _orbit_differential(n, c)]
+
+
+WORDS = st.text(alphabet="xy", max_size=6)
+NC_POLYS = st.dictionaries(WORDS, SCALARS, max_size=5).map(NcPoly)
+NORMAL_POLYS = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), SCALARS,
+                               max_size=5).map(NormalPoly)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(NC_POLYS)
+def test_ncpoly_text_round_trip(f):
+    assert parse_poly(str(f)) == f
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(NORMAL_POLYS)
+def test_normal_poly_text_round_trip(g):
+    assert normal_form(parse_poly(str(g))) == g
+
+
+@st.composite
+def any_shape(draw):
+    """A matrix of any shape up to 3 x 3, 0 x k and k x 0 included."""
+    return draw(matrices(draw(SIZES), draw(SIZES)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(any_shape())
+def test_matrix_json_round_trip(m):
+    assert matrix_from_json(json.loads(json.dumps(matrix_to_json(m)))) == m
