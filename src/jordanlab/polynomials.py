@@ -3,12 +3,16 @@
 Coefficients are stored lowest degree first with no trailing zeros; the zero
 polynomial is the empty coefficient tuple.  Used for characteristic
 polynomials, the nilpotent-part witness S(x), and the y-polynomials appearing
-in automorphisms and the full-block canonical form.
+in automorphisms and the full-block canonical form.  ``rational_roots`` finds
+a spectrum by an integer Newton descent, in time polynomial in the degree and
+the coefficient bit length.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 from .scalars import Scalar, exact, format_terms, primitive_integral
 
@@ -206,63 +210,65 @@ def squarefree_part(p: UniPoly) -> UniPoly:
     return (p // g).monic()
 
 
-def _divisors(n: int) -> "list[int]":
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def rational_roots(p: UniPoly) -> "list[tuple[Scalar, int]] | None":
     """All rational roots of p with multiplicities, sorted by value.
 
     Returns None when p does not split into linear factors over the
     rationals (some eigenvalue would live in a proper extension field).
+    The cost is polynomial in the degree and the coefficient bit length.
+
+    Method: integer Newton descent from above.  Let f be the primitive
+    integer multiple of p, of degree n with leading coefficient L.  The
+    monic integer polynomial g(t) = L^(n-1) f(t/L) has the roots a_i = L*r_i,
+    so p splits over Q iff g splits into integer roots.  Newton's identity
+    gives sum(a_i^2) = g_(n-1)^2 - 2*g_(n-2), so the start x = isqrt of that
+    sum, plus 1, lies above every |a_i|.
+
+    Proof that a split g is found.  Let g = prod (t - a_i)^m_i and let the
+    integer x lie above its largest root, at distance D.  Then g(x) > 0,
+    g'(x) > 0 and g/g' = 1/sum(m_i/(x - a_i)) lies in [D/n, D], so the step
+    x -= ceil(g(x)/g'(x)) never passes that root and shrinks D to at most
+    (1 - 1/n)*D.  x never rises and every root exceeds -x0 for the start
+    x0, so D < 2*x0 throughout; as (1 - 1/n)^n < 1/2, each distinct root is
+    reached within n*bitlen(2*x0) steps.  There
+    g(x) = 0; the Horner pass that evaluated g(x) left the quotient by
+    t - x (synthetic division), which replaces g, and the descent goes on
+    from the same x, one more pass per multiplicity.  So a split g never
+    meets g(x) < 0 or g'(x) <= 0 and ends within n*(n*bitlen(2*x0) + 2)
+    passes: a negative sum of squares, either sign failure or an exhausted
+    budget proves that g does not split.  Every root returned was divided
+    out with remainder 0, so it is exact.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return []
-    # Roots of the squarefree part, each once; multiplicities recovered after.
-    sf = squarefree_part(p)
-    # Factor out t^k so the constant term of the remaining factor is nonzero.
-    k0 = 0
-    while sf[k0] == 0:
-        k0 += 1
-    roots: list[Scalar] = [0] * (1 if k0 else 0)
-    reduced = UniPoly(sf.coeffs[k0:])
-    if reduced.degree > 0:
-        ics = primitive_integral(reduced.coeffs)
-        lead, const = ics[-1], ics[0]
-        seen = set()
-        for q in _divisors(lead):
-            for pnum in _divisors(const):
-                for sign in (1, -1):
-                    cand = exact(Fraction(sign * pnum, q))
-                    if cand in seen:
-                        continue
-                    seen.add(cand)
-                    if reduced(cand) == 0:
-                        roots.append(cand)
-    if len(roots) < sf.degree:
+    f = primitive_integral(p.coeffs)
+    n, lead = len(f) - 1, f[-1]
+    # g with its highest coefficient first, for Horner's rule.
+    g = [1] + [f[k] * lead ** (n - 1 - k) for k in range(n - 1, -1, -1)]
+    square_sum = g[1] ** 2 - (2 * g[2] if n > 1 else 0)
+    if square_sum < 0:
         return None
-    # Multiplicities by repeated exact division of the original polynomial.
-    result = []
-    rest = p
-    for r in sorted(roots):
-        lin = UniPoly((-r, 1))
-        mult = 0
-        while True:
-            q, rem = rest.divmod(lin)
-            if not rem.is_zero():
-                break
-            rest = q
-            mult += 1
-        result.append((r, mult))
-    return result
+    x = isqrt(square_sum) + 1
+    budget = n * (n * (2 * x).bit_length() + 2)
+    roots = Counter()
+    while len(g) > 1:
+        if budget == 0:
+            return None
+        budget -= 1
+        # One Horner pass: value = g(x), quotient = the quotient of g by
+        # t - x, and slope = that quotient at x, which is g'(x).
+        quotient, value, slope = [], 0, 0
+        for c in g:
+            slope = slope * x + value
+            value = value * x + c
+            quotient.append(value)
+        if value == 0:
+            roots[exact(Fraction(x, lead))] += 1
+            g = quotient[:-1]
+        elif value < 0 or slope <= 0:
+            return None
+        else:
+            x += -value // slope
+    return sorted(roots.items())

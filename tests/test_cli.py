@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
-from jordanlab.cli import run
+from jordanlab import QMatrix, RepPair, block_diag, conjugate
+from jordanlab.cli import rep_to_json, run
+from jordanlab.reps import jordan_block, x_zero
+from jordanlab.sampling import rand_unimodular
 
 
 @pytest.fixture()
@@ -325,6 +330,21 @@ def test_decompose(capture, tmp_path):
     data = json.loads(out)
     assert data["eigenvalues"] == ["1", "2"]
     assert len(data["summands"]) == 2
+
+
+def test_decompose_61_bit_eigenvalues(capture, tmp_path):
+    """Eigenvalues with 61-bit numerators: a rational-root search by
+    divisors of the characteristic polynomial's coefficients never ends."""
+    m = 2 ** 61 - 1
+    blocks = [RepPair(x_zero(k) + QMatrix.identity(k).scale(lam), jordan_block(k))
+              for k, lam in ((3, Fraction(m, 3)), (2, Fraction(-m, 5)))]
+    assembled = RepPair(block_diag([b.X for b in blocks]), block_diag([b.Y for b in blocks]))
+    c, c_inv = rand_unimodular(random.Random(61), assembled.n)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(rep_to_json(conjugate(assembled, c, c_inv))))
+    code, out, _ = capture("decompose", str(path))
+    assert code == 0
+    assert out == f"summands: 2\n  n=2 eigenvalue={-m}/5\n  n=3 eigenvalue={m}/3\n"
 
 
 def test_orbit_jacobian_rank(capture):

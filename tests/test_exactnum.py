@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -33,7 +34,8 @@ from jordanlab import (
     squarefree_part,
 )
 from jordanlab.reps import jordan_block
-from jordanlab.scalars import cleared, content_free, primitive_integral
+from jordanlab.sampling import rand_rep
+from jordanlab.scalars import cleared, content_free, exact, primitive_integral
 
 
 def rand_rational(rng):
@@ -448,6 +450,75 @@ def test_rational_roots_irrational():
 
 def test_rational_roots_zero_root():
     assert rational_roots(UniPoly((0, 0, 1))) == [(0, 2)]
+
+
+def test_rational_roots_stop_where_the_descent_turns():
+    # (t - 5)(t^2 + 1): after the root 5 the descent on t^2 + 1 reaches
+    # x = 0, where g(0) = 1 > 0 but g'(0) = 0.
+    assert rational_roots(UniPoly.from_roots([5]) * UniPoly((1, 0, 1))) is None
+    # -2t^2 + 3t + 9/2 = -(2t^2 - 3t - 9/2): t = (3 +- 3*sqrt(5))/4.
+    assert rational_roots(UniPoly((Fraction(9, 2), 3, -2))) is None
+    # a negative leading coefficient L reverses the order of a_i = L*r_i
+    assert rational_roots(UniPoly.from_roots([Fraction(-7, 3), 4, 4]) * -6) == [
+        (Fraction(-7, 3), 1), (4, 2)]
+
+
+def test_rational_roots_criterion_11_draw_22():
+    """Draw 22 of criterion 11 (n = 8, 37-bit numerators) has no rational
+    root; a divisor search over its coefficients took seconds to show it."""
+    rng = random.Random(0)
+    for _ in range(23):
+        rep = rand_rep(rng, rng.randint(1, 8))
+    assert rep.n == 8
+    assert rational_roots(char_poly(rep.X)) is None
+
+
+def rand_wide_rational(rng, bits):
+    """A nonzero rational with a numerator of up to `bits` bits over a
+    denominator of up to 40 bits."""
+    num = rng.getrandbits(bits) - 2 ** (bits - 1)
+    return Fraction(num or 1, rng.getrandbits(40) + 1)
+
+
+def rand_irreducible_quadratic(rng):
+    """t^2 + b t + c with a discriminant that is not a square."""
+    while True:
+        b, c = rng.randint(-2 ** 30, 2 ** 30), rng.randint(-2 ** 60, 2 ** 60)
+        disc = b * b - 4 * c
+        if disc < 0 or isqrt(disc) ** 2 != disc:
+            return UniPoly((c, b, 1))
+
+
+def test_rational_roots_match_sympy_factor_list():
+    """p splits over Q iff every factor of sympy's factor_list is linear, and
+    then those linear factors give the roots and multiplicities.  Thirds of
+    the draws: +-rational multiples of products of (t - r)^m with roots of
+    60 to 90 bits over 40-bit denominators, the same times an irreducible
+    quadratic, and dense random polynomials."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(14)
+    for i in range(300):
+        kind = i % 3
+        if kind == 2:
+            p = UniPoly([rand_wide_rational(rng, rng.choice([8, 64]))
+                         for _ in range(rng.randint(2, 8))])
+        else:
+            roots = [rand_wide_rational(rng, rng.randint(60, 90)) for _ in range(rng.randint(1, 4))]
+            p = UniPoly.from_roots(r for r in roots for _ in range(rng.randint(1, 3)))
+            p = p * (rng.choice([-1, 1]) * rand_wide_rational(rng, 20))
+            if kind == 1:
+                p = p * rand_irreducible_quadratic(rng)
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+        _, factors = sympy.Poly(coeffs, t, domain="QQ").factor_list()
+        got = rational_roots(p)
+        if all(f.degree() == 1 for f, _ in factors):
+            roots = ((-f.nth(0) / f.nth(1), m) for f, m in factors)
+            assert got == sorted((exact(Fraction(int(r.p), int(r.q))), m) for r, m in roots)
+        else:
+            assert got is None
+        if kind != 2:
+            assert (got is not None) == (kind == 0)
 
 
 @pytest.mark.parametrize("coeffs, text", [

@@ -1,5 +1,6 @@
-"""Property tests of the fraction-free products, the orbit-map series and the
-text and JSON round trips (hypothesis, test-only)."""
+"""Property tests of the fraction-free products, the orbit-map series, the
+text and JSON round trips, the algebra product, conjugation invariance and
+rational roots (hypothesis, test-only)."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import pytest
 pytest.importorskip("hypothesis")
 
 import json  # noqa: E402
+import random  # noqa: E402
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
@@ -15,13 +17,19 @@ from jordanlab import (  # noqa: E402
     NcPoly,
     NormalPoly,
     QMatrix,
+    RepPair,
     UniPoly,
+    conjugate,
+    image_algebra,
     matrix_from_json,
     matrix_to_json,
+    multiply,
     normal_form,
     parse_poly,
     poly_at_matrix,
+    rational_roots,
 )
+from jordanlab.sampling import rand_normal_poly, rand_rep, rand_unimodular  # noqa: E402
 from jordanlab.strata import _orbit_differential  # noqa: E402
 from orbit_oracle import matrix_differential, polynomial_in_j  # noqa: E402
 
@@ -107,3 +115,35 @@ def any_shape(draw):
 @given(any_shape())
 def test_matrix_json_round_trip(m):
     assert matrix_from_json(json.loads(json.dumps(matrix_to_json(m)))) == m
+
+
+SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
+SEEDED_NORMAL_POLYS = SEEDS.map(lambda seed: rand_normal_poly(random.Random(seed), 4))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(SEEDED_NORMAL_POLYS, SEEDED_NORMAL_POLYS, SEEDED_NORMAL_POLYS)
+def test_multiply_is_associative(f, g, h):
+    assert multiply(multiply(f, g), h) == multiply(f, multiply(g, h))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(SEEDS, st.integers(min_value=1, max_value=6))
+def test_image_dim_is_conjugation_invariant(seed, n):
+    rng = random.Random(seed)
+    rep = rand_rep(rng, n)
+    c, c_inv = rand_unimodular(rng, n)
+    conjugated = RepPair(c @ rep.X @ c_inv, c @ rep.Y @ c_inv)  # re-verifies the relation
+    assert conjugate(rep, c, c_inv) == conjugated
+    assert image_algebra(conjugated).dim == image_algebra(rep).dim
+
+
+ROOTS = st.one_of(SCALARS, st.fractions(min_value=-2 ** 64, max_value=2 ** 64,
+                                         max_denominator=2 ** 40))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(ROOTS, max_size=7), SCALARS.filter(bool))
+def test_rational_roots_of_a_product_of_linear_factors(roots, c):
+    expected = sorted((r, roots.count(r)) for r in set(roots))
+    assert rational_roots(UniPoly.from_roots(roots) * c) == expected
