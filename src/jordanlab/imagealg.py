@@ -1,20 +1,20 @@
 """Analysis of the image algebra A generated by a verified pair (X, Y).
 
-Every span here is a right ideal s*A, which one worklist closes under
-right products by X and Y: A itself is I*A, and since Y is normal
-(AY = YA) the radical, its cuts J e_i and J^2 e_i, and every two-sided
-ideal AgA are right ideals of explicit seeds (proof in ``radical_basis``).
-The worklist runs on flat integer vectors (row-major n x n entries) and
-integer products; a ``QMatrix`` is built only for what a public function
-returns.  The eigenprojections of X are central in A (proof in
-``idempotents``), so the quiver is diagonal.  Everything here needs one
-rational spectrum of X per call, and refuses (typed error) when the
-spectrum is irrational.
+Every span here is a right ideal s*A of explicit seeds: A itself is I*A,
+and since Y is normal (AY = YA) the radical, its cuts J e_i and J^2 e_i,
+and every two-sided ideal AgA are right ideals too (proof in
+``radical_basis``).  One closure builds them all, level by level in Y:
+A = k[X] + YA, so s*A is the X-chains of the seeds' products s*Y^j, each
+stopped at its first rejected candidate (proof in ``_right_ideal``).  The
+closure runs on flat integer vectors (row-major n x n entries) and integer
+products; a ``QMatrix`` is built only for what a public function returns.
+The eigenprojections of X are central in A (proof in ``idempotents``), so
+the quiver is diagonal.  Everything here needs one rational spectrum of X
+per call, and refuses (typed error) when the spectrum is irrational.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
@@ -42,8 +42,9 @@ class ImageAlgebra:
     pivots) and their pivot columns: an immutable, hashable snapshot from
     which the dimension is read directly and the basis is built on demand.
 
-    ``closure_certified`` is True by construction: the worklist drains only
-    once every spanning element's products by X and Y lie in the span.
+    ``closure_certified`` is True by construction: the theorem of
+    ``_right_ideal`` proves the span closed under right products by X and
+    Y, so no product of a basis element is tested.
     """
 
     rep: RepPair
@@ -64,29 +65,54 @@ class ImageAlgebra:
 
 
 def _right_ideal(rep: RepPair, seeds) -> SpanBuilder:
-    """The right ideal seeds*A: the seeds' span closed under right products
-    by X and Y.
+    """The right ideal M = seeds*A, closed level by level in Y.
 
-    Seeds and candidates are row-major integer entry sequences.  Candidates
-    come one at a time from the seeds, then from the two products queued for
-    each candidate the span accepts.  ``SpanBuilder.add`` stores the
-    primitive multiple of each, which spans the same line, so the span is
-    unchanged; the products are taken of the candidate as it came, since a
-    product of a nonzero multiple is the same multiple of the product.  The
-    products are by the primitive integer multiples of X and Y (closing
-    under products by a nonzero multiple of a matrix is closing under
-    products by the matrix), so every product is integral and the worklist
-    holds no fractions.  Every word is a product of X's and Y's, so a span
-    closed under both right products is closed under right products by A.
+    Seeds and candidates are row-major integer entry sequences; the seeds
+    need not lie in A.  Level j holds the nonzero products s*Y^j of the
+    seeds s; Y is nilpotent, so there are at most n levels.  From the
+    deepest level to level 0, each candidate v is followed by v*X, v*X^2,
+    ... until the span rejects one.  ``SpanBuilder.add`` stores the
+    primitive multiple of each candidate, which spans the same line; the
+    products are taken of the candidate as it came, and by the primitive
+    integer multiples of X and Y (closing under products by a nonzero
+    multiple of a matrix is closing under products by the matrix), so
+    every product is integral and no fraction is formed.
+
+    Theorem: the span is M.  Proof, with A = k[X] + YA and AY = YA
+    (``radical_basis``, (a) and (b)):
+    (i) The level recursion.  AY^j = Y^jA, so M*Y^j = sum of s_i Y^j A: each
+        M*Y^j is a right ideal, and A = k[X] + YA splits it as
+        M*Y^j = sum of s_i Y^j k[X] + M*Y^(j+1).
+    (ii) The stopping rule.  Let S be X-stable and v*X^m lie in
+        span(v, ..., v*X^(m-1)) + S.  That span plus S is then X-stable,
+        so it holds v*k[X].
+    (iii) By induction from the deepest level, below which M*Y^(j+1) = 0:
+        the span before level j is M*Y^(j+1), which is X-stable; after each
+        of the level's X-chains it is still X-stable and, by (ii), holds
+        that candidate's s_i Y^j k[X].  So by (i) the span after level j is
+        M*Y^j, and after level 0 it is M.  Every vector added lies in M.
+    The span is canonical (``SpanBuilder``), so ``rows`` and ``pivots`` are
+    those of any other closure of the same seeds.  (The span before each
+    chain is X-stable in any order of the chains, so the theorem needs no
+    order; deepest first makes the span before level j equal M*Y^(j+1),
+    which the count below uses.)
+
+    Cost: for the identity seed each level ends with exactly one
+    rejection, so ``image_algebra`` makes dim A + nu calls of
+    ``SpanBuilder.add``, nu the nilpotency index of Y.  Y^j is not in
+    Y^(j+1)A for j < nu: else Y^jA = Y^(j+1)A, and right products by Y,
+    which map Y^iA onto Y^(i+1)A since AY = YA, give Y^jA = Y^nu A = 0.
     """
     n = rep.n
     x, y = primitive_integral(rep.X.entries), primitive_integral(rep.Y.entries)
+    levels = [[vec for vec in seeds if any(vec)]]
+    while levels[-1]:
+        levels.append([w for w in (flat_matmul(v, y, n, n, n) for v in levels[-1]) if any(w)])
     span = SpanBuilder(n * n)
-    pending = deque([seeds])
-    while pending:
-        for vec in pending.popleft():
-            if span.add(vec):
-                pending.append((flat_matmul(vec, x, n, n, n), flat_matmul(vec, y, n, n, n)))
+    for level in reversed(levels):
+        for vec in level:
+            while span.add(vec):
+                vec = flat_matmul(vec, x, n, n, n)
     return span
 
 
@@ -245,7 +271,7 @@ def ideal_codim(a: ImageAlgebra, gens) -> int:
 
     A g A is the sum of the right ideals (b g)A over the basis rows b of A,
     so the ideal is the right ideal of those dim A products per generator
-    and the worklist forms no left product (as in ``radical_basis``).
+    and the closure forms no left product (as in ``radical_basis``).
     """
     n = a.rep.n
     images = [primitive_integral(evaluate(g, a.rep).entries) for g in gens]

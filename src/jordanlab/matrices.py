@@ -243,7 +243,7 @@ def int_normalized(m: QMatrix) -> QMatrix:
     """The positive multiple of m with coprime integer entries.
 
     Span computations may replace any element by a nonzero multiple; doing
-    so keeps the worklist arithmetic integral and small.
+    so keeps span arithmetic integral and small.
     """
     return QMatrix(m.rows, m.cols, tuple(primitive_integral(m.entries)))
 

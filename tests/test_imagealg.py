@@ -488,6 +488,59 @@ def test_right_ideals_of_y_and_the_radical_generators_are_two_sided():
     assert radicals >= 20
 
 
+def seed_mix(rng: random.Random, rep: RepPair) -> "list[QMatrix]":
+    """1-5 seeds: foreign integer matrices, zeros, words in X and Y, and
+    matrices that Y kills (m*Y^(nu-1), so m*Y^nu = 0)."""
+    n = rep.n
+    y_top = QMatrix.identity(n)
+    for _ in range(nilpotency_index(rep.Y) - 1):
+        y_top = y_top @ rep.Y
+    seeds = []
+    for _ in range(rng.randint(1, 5)):
+        foreign = QMatrix(n, n, tuple(rng.randint(-3, 3) for _ in range(n * n)))
+        kind = rng.randrange(4)
+        if kind == 0:
+            seeds.append(foreign)
+        elif kind == 1:
+            seeds.append(QMatrix.zeros(n))
+        elif kind == 2:
+            word = QMatrix.identity(n)
+            for ch in rng.choices("xy", k=rng.randint(0, 4)):
+                word = word @ (rep.X if ch == "x" else rep.Y)
+            seeds.append(word)
+        else:
+            seeds.append(foreign @ y_top)
+    return seeds
+
+
+def test_right_ideal_matches_worklist_on_foreign_and_multiple_seeds():
+    # 200 cases; every 25th has n = 8 or 9, where the oracle is slow.
+    rng = random.Random(46)
+    for case in range(200):
+        rep = rand_rep(rng, 8 + case // 25 % 2 if case % 25 == 0 else rng.randint(1, 7))
+        seeds = seed_mix(rng, rep)
+        x, y = int_normalized(rep.X), int_normalized(rep.Y)
+        got = _right_ideal(rep, [primitive_integral(m.entries) for m in seeds])
+        assert echelon(got) == reference_closure(rep.n, seeds, lambda m: (m @ x, m @ y)).rows()
+
+
+def test_image_algebra_adds_dim_plus_nilpotency_index(monkeypatch):
+    # Each Y-level of the identity seed ends at its one rejected candidate.
+    calls = 0
+    add = SpanBuilder.add
+
+    def counting_add(span, vec):
+        nonlocal calls
+        calls += 1
+        return add(span, vec)
+
+    monkeypatch.setattr(SpanBuilder, "add", counting_add)
+    for rep in closure_reps() + [epsilon_rep(n) for n in (11, 12)]:
+        calls = 0
+        a = image_algebra(rep)
+        assert calls == a.dim + nilpotency_index(rep.Y)
+
+
 def test_one_sided_generator_ideal_is_not_its_right_ideal():
     # x on epsilon_n: the two-sided ideal has codimension 2, xA has codimension n.
     x = parse_poly("x")

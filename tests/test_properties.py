@@ -1,6 +1,6 @@
 """Property tests of the fraction-free products, the orbit-map series, the
-text and JSON round trips, the algebra product, conjugation invariance and
-rational roots (hypothesis, test-only)."""
+text and JSON round trips, the algebra product, conjugation invariance,
+the closure of right ideals and rational roots (hypothesis, test-only)."""
 
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ from jordanlab import (  # noqa: E402
     poly_at_matrix,
     rational_roots,
 )
+from jordanlab.imagealg import _right_ideal  # noqa: E402
 from jordanlab.sampling import rand_normal_poly, rand_rep, rand_unimodular  # noqa: E402
 from jordanlab.strata import _orbit_differential  # noqa: E402
 from orbit_oracle import matrix_differential, polynomial_in_j  # noqa: E402
@@ -136,6 +137,30 @@ def test_image_dim_is_conjugation_invariant(seed, n):
     conjugated = RepPair(c @ rep.X @ c_inv, c @ rep.Y @ c_inv)  # re-verifies the relation
     assert conjugate(rep, c, c_inv) == conjugated
     assert image_algebra(conjugated).dim == image_algebra(rep).dim
+
+
+@st.composite
+def reps_with_seeds(draw):
+    """A rand_rep of size n <= 7 and 1-4 integer seed matrices, not
+    necessarily in its image algebra."""
+    rep = rand_rep(random.Random(draw(SEEDS)), draw(st.integers(min_value=1, max_value=7)))
+    entries = st.lists(st.integers(min_value=-3, max_value=3),
+                       min_size=rep.n ** 2, max_size=rep.n ** 2)
+    return rep, draw(st.lists(entries, min_size=1, max_size=4))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(reps_with_seeds())
+def test_right_ideal_is_closed_under_x_and_y(rep_and_seeds):
+    # The closure does not test every product; this certificate does.
+    rep, seeds = rep_and_seeds
+    span = _right_ideal(rep, seeds)
+    for row in span.rows:
+        r = QMatrix(rep.n, rep.n, tuple(row))
+        assert span.contains((r @ rep.X).entries)
+        assert span.contains((r @ rep.Y).entries)
+    for seed in seeds:
+        assert span.contains(seed)
 
 
 ROOTS = st.one_of(SCALARS, st.fractions(min_value=-2 ** 64, max_value=2 ** 64,
