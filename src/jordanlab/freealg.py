@@ -2,15 +2,16 @@
 
 Monomials are plain strings over the alphabet.  ``NcPoly`` (keyed by word)
 and ``NormalPoly`` (keyed by (k, m) for y^k x^m) share one term-dictionary
-core, ``_Terms``: each operation adds raw sums into a plain dict and
-normalizes it once in ``_nonzero``, which drops zero terms and stores
-integral coefficients as int.  Normal forms on the basis y^k x^m come
-from the Ore-extension product ``multiply``: the algebra is
-k[y][x; y^2 d/dy] (see ``normal_form``).  The generic rewriting engine
-(deglex with x > y, the single rule xy -> yx + y^2) remains for the
-overlap list of ``gb-check`` and as the test oracle:
-tests/test_freealg.py::test_multiply_matches_engine checks ``multiply``
-and ``normal_form`` against ``reduce_poly``.
+core, ``_Terms``, which stores no zero terms and integral coefficients as
+int.  The linear operations add raw sums into a plain dict and normalize
+it once in ``_nonzero``.  Normal forms on the basis y^k x^m come from the
+Ore-extension product ``multiply``: the algebra is k[y][x; y^2 d/dy] (see
+``normal_form``).  ``multiply`` is fraction-free: it multiplies integers
+and divides by one common denominator at the end, leaving the same stored
+form.  The generic rewriting engine (deglex with x > y, the single rule
+xy -> yx + y^2) remains for the overlap list of ``gb-check`` and as the
+test oracle: tests/test_freealg.py::test_multiply_matches_engine checks
+``multiply`` and ``normal_form`` against ``reduce_poly``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import factorial
 
 from .errors import OutOfRangeError, PolyParseError
 from .polynomials import UniPoly
-from .scalars import Scalar, exact, format_terms
+from .scalars import Scalar, cleared, exact, format_terms
 
 X, Y = "x", "y"
 DEFAULT_ALPHABET = (Y, X)  # ascending: y < x
@@ -381,8 +382,9 @@ def alpha_coeff(k: int, n: int) -> Scalar:
 
 # Bounded: a word with an x-run of length D meets about 2D (b, c) pairs, each
 # expansion holding b + 1 integers, so an unbounded cache grows as D^2 with
-# long input words.  4096 is nearly three times the 1400-1450 pairs that one
-# pass of the benchmark's normal_forms workload meets, so it never evicts.
+# long input words.  4096 is nearly three times the 1390-1450 distinct pairs
+# that one pass of the benchmark's normal_forms workload meets (seeds 0-2),
+# so it never evicts.
 @lru_cache(maxsize=4096)
 def _x_power_times_y_power(b: int, c: int):
     """Normal form of x^b y^c as a tuple of ((k, m), coeff).
@@ -406,19 +408,40 @@ def _x_power_times_y_power(b: int, c: int):
 def multiply(f: NormalPoly, g: NormalPoly) -> NormalPoly:
     """Product in the algebra, returned in normal form.
 
-    Expands x^b y^c by the Ore-extension closed form termwise, adds the
-    raw products into one dict and normalizes it once;
-    tests/test_freealg.py::test_multiply_matches_engine checks it against
-    the rewriting engine ``reduce_poly``.
+    Fraction-free.  ``cleared`` writes f = P/d_f and g = Q/d_g with integer
+    coefficients.  The product is bilinear, so fg = PQ/(d_f d_g), and PQ is
+    a sum of integer products through the closed form of x^b y^c
+    (``_x_power_times_y_power``); the terms of g are grouped by their
+    y-degree c, so that form is looked up once per term of f and distinct
+    c.  Each nonzero coefficient v of PQ is divided once by d = d_f d_g:
+    if divmod(v, d) leaves remainder 0 the quotient is v/d exactly, stored
+    as int; otherwise v/d is not integral and Fraction(v, d) is it in
+    lowest terms.  So each coefficient is stored as ``_nonzero`` stores
+    v/d.  tests/multiply_oracle.py keeps the termwise rational product this
+    replaced as the differential oracle, and test_multiply_matches_engine
+    checks against the rewriting engine ``reduce_poly``.
     """
-    out: dict[tuple[int, int], Scalar] = {}
-    for (a, b), cf in f._terms.items():
-        for (c, d), cg in g._terms.items():
-            coeff = cf * cg
-            for (k, m), v in _x_power_times_y_power(b, c):
-                key = (a + k, m + d)
-                out[key] = out.get(key, 0) + coeff * v
-    return NormalPoly._of(_nonzero(out))
+    P, d_f = cleared(f._terms.values())
+    Q, d_g = cleared(g._terms.values())
+    by_c: dict[int, list] = {}
+    for (c, e), q in zip(g._terms, Q):
+        by_c.setdefault(c, []).append((e, q))
+    out: dict[tuple[int, int], int] = {}
+    for (a, b), p in zip(f._terms, P):
+        for c, row in by_c.items():
+            expansion = _x_power_times_y_power(b, c)
+            for e, q in row:
+                pq = p * q
+                for (k, m), v in expansion:
+                    key = (a + k, m + e)
+                    out[key] = out.get(key, 0) + pq * v
+    d = d_f * d_g
+    terms = {}
+    for key, v in out.items():
+        if v:
+            quo, rem = divmod(v, d)
+            terms[key] = Fraction(v, d) if rem else quo
+    return NormalPoly._of(terms)
 
 
 def _power(p: NormalPoly, e: int) -> NormalPoly:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, log10
+
+from .errors import OutOfRangeError
 
 Scalar = int | Fraction
 
@@ -31,8 +33,17 @@ def exact(value: int | Fraction | str) -> Scalar:
 
 
 def scalar_str(value: Scalar) -> str:
-    """Text form 'p' or 'p/q'; round-trips bit-exactly through parse_scalar."""
-    return str(value)
+    """Text form 'p' or 'p/q'; round-trips bit-exactly through parse_scalar.
+
+    A number with more digits than the interpreter converts to text (4300
+    by default, ``sys.get_int_max_str_digits``) is an OutOfRangeError.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        bits = max(abs(value.numerator), value.denominator).bit_length()
+        digits = int(bits * log10(2)) + 1
+        raise OutOfRangeError(f"a number of about {digits} digits is too long to print") from None
 
 
 def format_terms(terms) -> str:

@@ -454,6 +454,18 @@ def test_over_long_number_is_parse_error(capture, poly):
     assert err.startswith("error: PolyParseError: ")
 
 
+@pytest.mark.parametrize("argv", [("nf", "x^3000*y"), ("mul", "x^2000", "y^2")])
+def test_unprintably_long_coefficient_is_out_of_range(capture, argv):
+    # A few bytes of input whose result has a coefficient of more digits
+    # than the interpreter converts to text.
+    assert all(len(a) <= 16 for a in argv)
+    code, out, err = capture(*argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: OutOfRangeError: a number of about ")
+    assert err.count("\n") == 1
+
+
 def test_deterministic_output(capture):
     first = capture("strata", "census", "--n", "5", "--json")
     second = capture("strata", "census", "--n", "5", "--json")

@@ -12,6 +12,7 @@ import pytest
 from jordanlab import (
     InputFormatError,
     NonSquareError,
+    OutOfRangeError,
     QMatrix,
     SingularMatrixError,
     SizeMismatchError,
@@ -30,6 +31,7 @@ from jordanlab import (
     poly_ext_gcd,
     rank,
     rational_roots,
+    scalar_str,
     solve,
     squarefree_part,
 )
@@ -575,6 +577,13 @@ def test_parse_scalar_rejects_other_text(text):
 def test_parse_scalar_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         parse_scalar("1/0")
+
+
+def test_scalar_str_too_long_is_out_of_range():
+    for value in (10 ** 5000, -10 ** 5000, Fraction(1, 10 ** 5000), Fraction(-10 ** 5000, 7)):
+        with pytest.raises(OutOfRangeError, match="about 5001 digits"):
+            scalar_str(value)
+    assert scalar_str(-10 ** 4299) == "-1" + "0" * 4299
 
 
 def test_entries_normalized_to_int():

@@ -28,6 +28,7 @@ from jordanlab import (
     parse_poly,
     reduce_poly,
 )
+from multiply_oracle import multiply as oracle_multiply
 from parse_oracle import parse_poly as oracle_parse_poly
 from rewriting_oracle import complete, confluence_check, normal_word_count
 
@@ -162,6 +163,82 @@ def test_multiply_matches_engine():
         via_engine = engine_normal_form(f * g)
         assert multiply(normal_form(f), normal_form(g)) == via_engine
         assert normal_form(f * g) == via_engine
+
+
+def rand_workload_poly(rng, terms=12, max_degree=40):
+    """A NormalPoly shaped like the benchmark's products: up to 12 terms of
+    degree <= 40 with coefficients p/q, |p| <= 9 and q <= 4."""
+    out = {}
+    for _ in range(terms):
+        d = rng.randint(0, max_degree)
+        k = rng.randint(0, d)
+        out[(k, d - k)] = rand_rational(rng)
+    return NormalPoly(out)
+
+
+def test_multiply_matches_termwise_oracle():
+    rng = random.Random(16)
+    for _ in range(60):
+        f, g = rand_workload_poly(rng), rand_workload_poly(rng)
+        assert normalized(multiply(f, g)) == oracle_multiply(f, g)
+
+
+def test_multiply_fraction_free_edge_cases():
+    rng = random.Random(17)
+    f = rand_workload_poly(rng)
+    zero = NormalPoly.zero()
+    for a, b in ((zero, f), (f, zero), (zero, zero)):
+        assert multiply(a, b).is_zero()
+    # all-int operands: d_f = d_g = 1
+    f, g = (NormalPoly({km: rng.randint(-9, 9) for km in rand_workload_poly(rng).support()})
+            for _ in range(2))
+    product = normalized(multiply(f, g))
+    assert product == oracle_multiply(f, g)
+    assert all(type(c) is int for _, c in product.items())
+    cases = [
+        # negative numerators: divmod rounds toward -infinity, so -1/3 has
+        # remainder 2 and -1 has remainder 0
+        ({(0, 1): Fraction(-3, 2), (0, 0): Fraction(1, 2)}, {(1, 0): Fraction(2, 3)},
+         {(1, 1): -1, (2, 0): -1, (1, 0): Fraction(1, 3)}),
+        ({(0, 1): Fraction(-7, 2)}, {(1, 0): Fraction(2, 3)},
+         {(1, 1): Fraction(-7, 3), (2, 0): Fraction(-7, 3)}),
+        # d = 6 cancels in every coefficient
+        ({(0, 1): Fraction(3, 2)}, {(1, 0): Fraction(2, 3)}, {(1, 1): 1, (2, 0): 1}),
+        # two halves add up to an integer: (x + y)/2 * y = yx/2 + y^2
+        ({(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)}, {(1, 0): 1},
+         {(1, 1): Fraction(1, 2), (2, 0): 1}),
+        # and to zero: (x - y)/2 * (y + 1) has no y^2 term
+        ({(0, 1): Fraction(1, 2), (1, 0): Fraction(-1, 2)}, {(1, 0): 1, (0, 0): 1},
+         {(1, 1): Fraction(1, 2), (0, 1): Fraction(1, 2), (1, 0): Fraction(-1, 2)}),
+    ]
+    for f, g, expected in cases:
+        f, g = NormalPoly(f), NormalPoly(g)
+        product = normalized(multiply(f, g))
+        assert product._terms == expected
+        assert product == oracle_multiply(f, g)
+
+
+def test_multiply_expands_once_per_term_and_y_degree(monkeypatch):
+    from jordanlab import freealg
+
+    calls = 0
+    expand = freealg._x_power_times_y_power
+
+    def counting(b, c):
+        nonlocal calls
+        calls += 1
+        return expand(b, c)
+
+    f = NormalPoly({(0, 3): 1, (2, 1): Fraction(1, 2), (1, 0): -2, (0, 0): Fraction(5, 3)})
+    g = NormalPoly({(1, 0): 1, (1, 2): 3, (1, 5): Fraction(2, 3), (4, 0): 1, (4, 1): -1,
+                    (0, 2): 5, (0, 7): Fraction(-1, 4)})
+    monkeypatch.setattr(freealg, "_x_power_times_y_power", counting)
+    product = multiply(f, g)
+    monkeypatch.undo()
+    distinct_c = len({c for c, _ in g.support()})
+    assert distinct_c == 3
+    assert calls == len(f.support()) * distinct_c < len(f.support()) * len(g.support())
+    assert product == oracle_multiply(f, g)
 
 
 def test_normal_form_matches_engine_on_long_words():

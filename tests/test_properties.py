@@ -1,6 +1,7 @@
 """Property tests of the fraction-free products, the orbit-map series, the
-text and JSON round trips, the algebra product, conjugation invariance,
-the closure of right ideals and rational roots (hypothesis, test-only)."""
+text and JSON round trips, the algebra product (against its termwise oracle,
+and associativity), conjugation invariance, the closure of right ideals and
+rational roots (hypothesis, test-only)."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ pytest.importorskip("hypothesis")
 
 import json  # noqa: E402
 import random  # noqa: E402
+from fractions import Fraction  # noqa: E402
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
@@ -32,6 +34,7 @@ from jordanlab import (  # noqa: E402
 from jordanlab.imagealg import _right_ideal  # noqa: E402
 from jordanlab.sampling import rand_normal_poly, rand_rep, rand_unimodular  # noqa: E402
 from jordanlab.strata import _orbit_differential  # noqa: E402
+from multiply_oracle import multiply as oracle_multiply  # noqa: E402
 from orbit_oracle import matrix_differential, polynomial_in_j  # noqa: E402
 
 SCALARS = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -126,6 +129,23 @@ SEEDED_NORMAL_POLYS = SEEDS.map(lambda seed: rand_normal_poly(random.Random(seed
 @given(SEEDED_NORMAL_POLYS, SEEDED_NORMAL_POLYS, SEEDED_NORMAL_POLYS)
 def test_multiply_is_associative(f, g, h):
     assert multiply(multiply(f, g), h) == multiply(f, multiply(g, h))
+
+
+# Shaped like the benchmark's products: up to 12 terms of degree <= 40 with
+# denominators 1-4.
+PRODUCT_OPERANDS = st.dictionaries(
+    st.tuples(st.integers(0, 20), st.integers(0, 20)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=4), max_size=12).map(NormalPoly)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(PRODUCT_OPERANDS, PRODUCT_OPERANDS)
+def test_multiply_matches_the_termwise_product(f, g):
+    product = multiply(f, g)
+    assert product == oracle_multiply(f, g)
+    for _, c in product.items():
+        assert c != 0
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
