@@ -93,6 +93,19 @@ def _parse_partition(text: str) -> Partition:
         raise OutOfRangeError(f"bad partition {text!r}: {exc}") from exc
 
 
+# Caps on the options whose output grows without bound in the length of the
+# input: ``strata census --n N`` prints p(N) rows (p(30) = 5604) and
+# ``hilbert --max-degree N`` prints N + 1 lines.
+CENSUS_MAX_N = 30
+HILBERT_MAX_DEGREE = 10_000
+
+
+def _capped(option: str, value: int, low: int, high: int) -> int:
+    if not low <= value <= high:
+        raise OutOfRangeError(f"{option} must be in [{low}, {high}], got {value}")
+    return value
+
+
 def _effective_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -114,9 +127,8 @@ def _cmd_mul(args) -> None:
 
 
 def _cmd_hilbert(args) -> None:
-    if args.max_degree < 0:
-        raise OutOfRangeError(f"--max-degree must be >= 0, got {args.max_degree}")
-    dims = [hilbert_dim(d) for d in range(args.max_degree + 1)]
+    max_degree = _capped("--max-degree", args.max_degree, 0, HILBERT_MAX_DEGREE)
+    dims = [hilbert_dim(d) for d in range(max_degree + 1)]
     _output(args, {"dims": dims}, *(f"{d}: {v}" for d, v in enumerate(dims)))
 
 
@@ -193,7 +205,7 @@ def _cmd_image_quotient_codim(args) -> None:
 
 
 def _cmd_strata_census(args) -> None:
-    rows = census(args.n)
+    rows = census(_capped("--n", args.n, 1, CENSUS_MAX_N))
     _output(args, [row.to_json() for row in rows],
             *(f"partition={row.partition} fiber={row.fiber_dim} "
               f"base={row.base_dim} stratum={row.stratum_dim} "
@@ -261,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mul)
 
     p = sub.add_parser("hilbert", parents=[common], help="graded dimensions")
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--max-degree", type=int, required=True,
+                   help=f"0 to {HILBERT_MAX_DEGREE}; one line per degree")
     p.set_defaults(func=_cmd_hilbert)
 
     p = sub.add_parser("gb-check", parents=[common],
@@ -310,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     strata_sub = strata.add_subparsers(dest="strata_command", required=True)
 
     p = strata_sub.add_parser("census", parents=[common])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"1 to {CENSUS_MAX_N}; one row per partition of n")
     p.set_defaults(func=_cmd_strata_census)
 
     p = sub.add_parser("faithful", parents=[common],

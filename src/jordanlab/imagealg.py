@@ -1,9 +1,11 @@
 """Analysis of the image algebra A generated by a verified pair (X, Y).
 
 Every span here is a right ideal s*A of explicit seeds: A itself is I*A,
-and since Y is normal (AY = YA) the radical, its cuts J e_i and J^2 e_i,
-and every two-sided ideal AgA are right ideals too (proof in
-``radical_basis``).  One closure builds them all, level by level in Y:
+and since Y is normal (AY = YA) the radical and its cuts J e_i and J^2 e_i
+are right ideals too (proof in ``radical_basis``).  A two-sided ideal AgA
+is the left closure of the right ideal gA; transposed, that is a right
+ideal of the pair (X^T, -Y^T) (proof in ``ideal_codim``).  One closure
+builds them all, level by level in Y:
 A = k[X] + YA, so s*A is the X-chains of the seeds' products s*Y^j, each
 stopped at its first rejected candidate (proof in ``_right_ideal``).  The
 closure runs on flat integer vectors (row-major n x n entries) and integer
@@ -153,7 +155,8 @@ def radical_basis(a: ImageAlgebra) -> "list[QMatrix]":
     spectrum of X to be rational.
 
     Theorem: J = YA + S(X)A, so J is the right ideal of {Y, S(X)} and no
-    left product is formed.  Proof:
+    left product is formed.  (This rests on the normality of Y and on
+    (b); the ideal of a general g is not gA, see ``ideal_codim``.)  Proof:
     (a) Y is normal, AY = YA.  XY = Y(X + Y) and YX = (X - Y)Y, so by
         induction on word length every word w has wY in YA and Yw in AY.
     (b) A S(X) lies in S(X)A + YA.  A word with a letter Y lies in
@@ -269,14 +272,28 @@ def ideal_codim(a: ImageAlgebra, gens) -> int:
     """Codimension in A of the two-sided ideal generated by the given
     polynomials evaluated at (X, Y).
 
-    A g A is the sum of the right ideals (b g)A over the basis rows b of A,
-    so the ideal is the right ideal of those dim A products per generator
-    and the closure forms no left product (as in ``radical_basis``).
+    Theorem: with M = gA the right ideal of the images g, the ideal is AM,
+    and its transpose is the right ideal of the transposed rows of M in
+    the image algebra of (X^T, -Y^T).  So it takes two right closures and
+    forms no left product.  Proof: A is unital, so AgA = A(gA) = AM, summed
+    over the generators.  Transposition reverses products, so (AM)^T =
+    M^T A^T, and A^T is generated by X^T and Y^T, hence by X^T and -Y^T.
+    That pair satisfies the relation, X^T(-Y^T) - (-Y^T)X^T = (XY - YX)^T
+    = (Y^2)^T = (-Y^T)^2, so ``_right_ideal`` closes M^T A^T from any
+    spanning set of M^T, such as the transposed rows of M.  Transposition
+    keeps dimensions.
     """
-    n = a.rep.n
-    images = [primitive_integral(evaluate(g, a.rep).entries) for g in gens]
-    span = _right_ideal(a.rep, [flat_matmul(b, g, n, n, n) for g in images for b in a.rows])
-    return a.dim - span.rank
+    rep, n = a.rep, a.rep.n
+    images = [primitive_integral(evaluate(g, rep).entries) for g in gens]
+    right = _right_ideal(rep, images)
+    flipped = RepPair(QMatrix(n, n, _transposed(rep.X.entries, n)),
+                      -QMatrix(n, n, _transposed(rep.Y.entries, n)))
+    return a.dim - _right_ideal(flipped, [_transposed(row, n) for row in right.rows]).rank
+
+
+def _transposed(vec, n: int) -> tuple:
+    """The row-major entries of the transpose of a row-major n x n matrix."""
+    return tuple(v for i in range(n) for v in vec[i::n])
 
 
 def _normal_monomials(max_degree: int) -> "list[tuple[int, int]]":

@@ -264,7 +264,26 @@ def fiber_basis(p: Partition) -> FiberBasis:
     the largest last cell among the vectors it uses).  The supports are
     disjoint, so each diagonal is 1 at its own last cell and 0 at every
     other free column: it is the canonical vector of its last cell.
+
+    The supports come from ``_centralizer_supports``; ``strata.census``
+    counts them without building the matrices.
     """
+    n = p.n
+    basis = []
+    for cells in sorted(_centralizer_supports(p), key=lambda cells: cells[-1]):
+        entries = [0] * (n * n)
+        for cell in cells:
+            entries[cell] = 1
+        basis.append(QMatrix(n, n, tuple(entries)))
+    particular = block_diag([x_zero(k) for k in p.parts])
+    return FiberBasis(particular, basis)
+
+
+def _centralizer_supports(p: Partition) -> "list[list[int]]":
+    """The support of each 0/1 diagonal in the ``fiber_basis`` theorem, as
+    row-major cells of an n x n matrix: for each block (a, b), the
+    diagonals d in [max(0, n_b - n_a), n_b).  They are a basis of the
+    centralizer of jordan_matrix(p), so their number is its dimension."""
     n = p.n
     starts = list(accumulate(p.parts, initial=0))
     supports = []
@@ -273,14 +292,7 @@ def fiber_basis(p: Partition) -> FiberBasis:
             for d in range(max(0, n_b - n_a), n_b):
                 supports.append([(start_a + r) * n + start_b + r + d
                                  for r in range(n_b - d)])
-    basis = []
-    for cells in sorted(supports, key=lambda cells: cells[-1]):
-        entries = [0] * (n * n)
-        for cell in cells:
-            entries[cell] = 1
-        basis.append(QMatrix(n, n, tuple(entries)))
-    particular = block_diag([x_zero(k) for k in p.parts])
-    return FiberBasis(particular, basis)
+    return supports
 
 
 def conjugate(rep: RepPair, c: QMatrix, c_inv: "QMatrix | None" = None) -> RepPair:

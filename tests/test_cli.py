@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -464,6 +465,32 @@ def test_unprintably_long_coefficient_is_out_of_range(capture, argv):
     assert out == ""
     assert err.startswith("error: OutOfRangeError: a number of about ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("strata", "census", "--n", "100000"),
+                                  ("strata", "census", "--n", "31"),
+                                  ("hilbert", "--max-degree", "99999999"),
+                                  ("hilbert", "--max-degree", "10001")])
+def test_unbounded_output_is_capped(capture, argv):
+    # p(N) census rows and N + 1 hilbert lines are capped, so a few bytes
+    # of input are refused at once.
+    assert len(argv[-1]) <= 16
+    start = time.perf_counter()
+    code, out, err = capture(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: OutOfRangeError: ")
+    assert err.count("\n") == 1
+
+
+def test_capped_options_accept_their_caps(capture):
+    code, out, _ = capture("hilbert", "--max-degree", "10000")
+    assert code == 0
+    assert out.splitlines()[-1] == "10000: 10001"
+    code, out, _ = capture("strata", "census", "--n", "30")
+    assert code == 0
+    assert len(out.splitlines()) == 5604
 
 
 def test_deterministic_output(capture):

@@ -39,6 +39,7 @@ from jordanlab.imagealg import _right_ideal
 from jordanlab.matrices import int_normalized
 from jordanlab.scalars import primitive_integral
 from jordanlab.sampling import rand_rep, rand_unimodular
+from ideal_oracle import ideal_codim_by_products
 
 WILD_GENS = ["y^2", "x^2*y", "x^3", "x*y - y*x"]
 ONE_SIDED_GENS = ["x"]  # on epsilon_n (n >= 3) AxA is larger than xA
@@ -572,6 +573,24 @@ def test_ideal_codim_epsilon_three_against_brute_force():
     expected = a.dim - brute_force_ideal_dim(rep, WILD_GENS, 4)
     assert expected == 3  # frozen from the oracle
     assert ideal_codim(a, gens) == expected
+
+
+CODIM_GEN_SETS = (WILD_GENS, ["x"], ["y"], ["x^2 - x*y", "y^2*x + 2*y"])
+CODIM_GEN_POOL = ("x", "y", "x^2", "x*y", "y*x - x^2", "x^2*y + y", "x - 1", "x^3 - x", "1")
+
+
+def test_ideal_codim_matches_the_product_seeded_oracle():
+    # the transposed closure against the right ideal of every b*g
+    for n in range(1, 9):
+        a = image_algebra(epsilon_rep(n))
+        for gens in CODIM_GEN_SETS:
+            gens = [parse_poly(g) for g in gens]
+            assert ideal_codim(a, gens) == ideal_codim_by_products(a, gens)
+    rng = random.Random(47)
+    for _ in range(120):
+        a = image_algebra(rand_rep(rng, rng.randint(1, 7)))
+        gens = [parse_poly(rng.choice(CODIM_GEN_POOL)) for _ in range(rng.randint(1, 3))]
+        assert ideal_codim(a, gens) == ideal_codim_by_products(a, gens)
 
 
 def test_ideal_codim_whole_algebra():

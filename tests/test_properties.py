@@ -1,7 +1,8 @@
 """Property tests of the fraction-free products, the orbit-map series, the
 text and JSON round trips, the algebra product (against its termwise oracle,
-and associativity), conjugation invariance, the closure of right ideals and
-rational roots (hypothesis, test-only)."""
+and associativity), conjugation invariance, the closure of right ideals,
+rational roots and the centralizer count of the census (hypothesis,
+test-only)."""
 
 from __future__ import annotations
 
@@ -18,10 +19,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from jordanlab import (  # noqa: E402
     NcPoly,
     NormalPoly,
+    Partition,
     QMatrix,
     RepPair,
     UniPoly,
+    census,
     conjugate,
+    fiber_basis,
     image_algebra,
     matrix_from_json,
     matrix_to_json,
@@ -32,6 +36,7 @@ from jordanlab import (  # noqa: E402
     rational_roots,
 )
 from jordanlab.imagealg import _right_ideal  # noqa: E402
+from jordanlab.reps import _centralizer_supports  # noqa: E402
 from jordanlab.sampling import rand_normal_poly, rand_rep, rand_unimodular  # noqa: E402
 from jordanlab.strata import _orbit_differential  # noqa: E402
 from multiply_oracle import multiply as oracle_multiply  # noqa: E402
@@ -192,3 +197,23 @@ ROOTS = st.one_of(SCALARS, st.fractions(min_value=-2 ** 64, max_value=2 ** 64,
 def test_rational_roots_of_a_product_of_linear_factors(roots, c):
     expected = sorted((r, roots.count(r)) for r in set(roots))
     assert rational_roots(UniPoly.from_roots(roots) * c) == expected
+
+
+@st.composite
+def small_partitions(draw):
+    """A partition of some n <= 14, its parts drawn until they sum to n."""
+    n = draw(st.integers(min_value=1, max_value=14))
+    parts = []
+    while n:
+        parts.append(draw(st.integers(min_value=1, max_value=n)))
+        n -= parts[-1]
+    return Partition.of(parts)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_partitions())
+def test_census_counts_the_fiber_basis(p):
+    # the closed form sum of min(p_a, p_b) is the test's independent count
+    count = len(_centralizer_supports(p))
+    assert count == len(fiber_basis(p).basis) == sum(min(a, b) for a in p for b in p)
+    assert {row.partition: row.fiber_dim for row in census(p.n)}[p] == count

@@ -20,15 +20,18 @@ from jordanlab import (
     conjugate,
     decompose,
     epsilon_rep,
+    fiber_basis,
     inverse,
     jacobian_rank,
     jordan_matrix,
     partitions,
+    rank,
     single_eigenvalue_test,
     x_zero,
 )
 from jordanlab.sampling import rand_rational, rand_rep, rand_unimodular
 from jordanlab.strata import _orbit_differential
+from centralizer_oracle import sylvester_operator
 from orbit_oracle import matrix_differential, polynomial_in_j
 
 PARTITION_COUNTS = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15, 8: 22, 9: 30, 10: 42}
@@ -95,6 +98,34 @@ def test_census_tame_labels():
     assert labels4[(4,)] is TameLabel.TAME
     labels1 = {r.partition.parts: r.tame for r in census(1)}
     assert labels1[(1,)] is TameLabel.TAME
+
+
+def test_census_builds_no_matrix(monkeypatch):
+    # fiber_dim counts the centralizer diagonals: no fiber_basis, no QMatrix
+    built = []
+    init = QMatrix.__post_init__
+
+    def counting_init(self):
+        built.append((self.rows, self.cols))
+        init(self)
+
+    fiber_basis.cache_clear()
+    monkeypatch.setattr(QMatrix, "__post_init__", counting_init)
+    census(10)
+    monkeypatch.undo()
+    assert fiber_basis.cache_info().misses == 0
+    assert built == []
+
+
+def test_census_fiber_dim_is_the_centralizer_dimension():
+    # n <= 7: the kernel dimension of the Sylvester operator, solved for;
+    # n <= 12: the size of the fiber_basis basis
+    for n in range(1, 13):
+        for row in census(n):
+            p = row.partition
+            assert row.fiber_dim == len(fiber_basis(p).basis)
+            if n <= 7:
+                assert row.fiber_dim == n * n - rank(sylvester_operator(jordan_matrix(p)))
 
 
 def test_census_json_schema():
