@@ -93,11 +93,18 @@ def _parse_partition(text: str) -> Partition:
         raise OutOfRangeError(f"bad partition {text!r}: {exc}") from exc
 
 
-# Caps on the options whose output grows without bound in the length of the
-# input: ``strata census --n N`` prints p(N) rows (p(30) = 5604) and
-# ``hilbert --max-degree N`` prints N + 1 lines.
+# Caps on the options whose output or work grows without bound in the
+# length of the input: ``strata census --n N`` prints p(N) rows (p(30) =
+# 5604), ``hilbert --max-degree N`` prints N + 1 lines, ``rep build`` solves
+# for a centralizer of dimension up to n^2 (n parts of 1), ``image
+# relations --max-degree d`` takes the kernel of an n^2 x (d+1)(d+2)/2
+# matrix, and ``orbit jacobian-rank --n N`` the rank of an (N-1) x N
+# matrix whose rational entries grow in length with N.
 CENSUS_MAX_N = 30
 HILBERT_MAX_DEGREE = 10_000
+REP_MAX_N = 50
+RELATIONS_MAX_DEGREE = 30
+JACOBIAN_MAX_N = 100
 
 
 def _capped(option: str, value: int, low: int, high: int) -> int:
@@ -147,6 +154,7 @@ def _cmd_gb_check(args) -> None:
 
 def _cmd_rep_build(args) -> None:
     partition = _parse_partition(args.partition)
+    _capped("the sum of --partition", partition.n, 1, REP_MAX_N)
     y = jordan_matrix(partition)
     if args.canonical is not None:
         if len(partition.parts) != 1:
@@ -187,7 +195,8 @@ def _cmd_image_dim(args) -> None:
 
 
 def _cmd_image_relations(args) -> None:
-    relations = [str(r) for r in discover_relations(load_rep(args.file), args.max_degree)]
+    max_degree = _capped("--max-degree", args.max_degree, 0, RELATIONS_MAX_DEGREE)
+    relations = [str(r) for r in discover_relations(load_rep(args.file), max_degree)]
     _output(args, {"relations": relations}, *relations)
 
 
@@ -234,9 +243,9 @@ def _cmd_decompose(args) -> None:
 
 def _cmd_orbit_jacobian_rank(args) -> None:
     rng = random.Random(_effective_seed(args))
-    n = args.n
-    c_coeffs = [rand_rational(rng) for _ in range(max(0, n - 1))]
-    x_coeffs = [rand_rational(rng) for _ in range(max(0, n - 1))]
+    n = _capped("--n", args.n, 2, JACOBIAN_MAX_N)
+    c_coeffs = [rand_rational(rng) for _ in range(n - 1)]
+    x_coeffs = [rand_rational(rng) for _ in range(n - 1)]
     rank = jacobian_rank(n, c_coeffs, x_coeffs)
     _output(args, rank, rank)
 
@@ -285,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep_sub = rep.add_subparsers(dest="rep_command", required=True)
 
     p = rep_sub.add_parser("build", parents=[common])
-    p.add_argument("--partition", required=True, help="e.g. 5 or 3,2,1")
+    p.add_argument("--partition", required=True,
+                   help=f"e.g. 5 or 3,2,1; the parts sum to 1 to {REP_MAX_N}")
     p.add_argument("--canonical", help="LAMBDA,MU for the full-block normal form")
     p.set_defaults(func=_cmd_rep_build)
 
@@ -307,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = image_sub.add_parser("relations", parents=[common])
     p.add_argument("file")
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--max-degree", type=int, required=True,
+                   help=f"0 to {RELATIONS_MAX_DEGREE}; (d+1)(d+2)/2 monomials of degree <= d")
     p.set_defaults(func=_cmd_image_relations)
 
     p = image_sub.add_parser("quiver", parents=[common])
@@ -342,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     orbit_sub = orbit.add_subparsers(dest="orbit_command", required=True)
 
     p = orbit_sub.add_parser("jacobian-rank", parents=[common])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"2 to {JACOBIAN_MAX_N}; the rank of an (n-1) x n matrix")
     p.set_defaults(func=_cmd_orbit_jacobian_rank)
 
     canonical = sub.add_parser("canonical", help="canonical full-block parameters")

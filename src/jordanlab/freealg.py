@@ -537,14 +537,6 @@ class JordanAutomorphism:
         inv = exact(Fraction(1) / self.alpha)
         return JordanAutomorphism(inv, self.p.scale_argument(inv) * (-inv))
 
-    def x_image(self) -> NcPoly:
-        terms = {X: self.alpha}
-        terms.update((Y * i, c) for i, c in enumerate(self.p.coeffs))
-        return NcPoly(terms)
-
-    def y_image(self) -> NcPoly:
-        return NcPoly({Y: self.alpha})
-
 
 def compose_automorphisms(a: JordanAutomorphism, b: JordanAutomorphism) -> JordanAutomorphism:
     """Group law (p1, c1)(p2, c2) = (c2*p1(y) + p2(c1*y), c1*c2)."""
@@ -555,5 +547,10 @@ def compose_automorphisms(a: JordanAutomorphism, b: JordanAutomorphism) -> Jorda
 
 
 def apply_automorphism(phi: JordanAutomorphism, f: NcPoly) -> NormalPoly:
-    """Substitute x -> alpha*x + p(y), y -> alpha*y and take the normal form."""
-    return _algebra_map(f, {X: normal_form(phi.x_image()), Y: normal_form(phi.y_image())})
+    """Substitute x -> alpha*x + p(y), y -> alpha*y and take the normal form.
+
+    Both images are already normal: alpha*x + p(y) is
+    {(0, 1): alpha, (i, 0): p_i} and alpha*y is {(1, 0): alpha}."""
+    x_image = NormalPoly([((0, 1), phi.alpha)]
+                         + [((i, 0), c) for i, c in enumerate(phi.p.coeffs)])
+    return _algebra_map(f, {X: x_image, Y: NormalPoly({(1, 0): phi.alpha})})

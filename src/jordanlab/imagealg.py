@@ -10,16 +10,17 @@ A = k[X] + YA, so s*A is the X-chains of the seeds' products s*Y^j, each
 stopped at its first rejected candidate (proof in ``_right_ideal``).  The
 closure runs on flat integer vectors (row-major n x n entries) and integer
 products; a ``QMatrix`` is built only for what a public function returns.
-The eigenprojections of X are central in A (proof in ``idempotents``), so
-the quiver is diagonal.  Everything here needs one rational spectrum of X
-per call, and refuses (typed error) when the spectrum is irrational.
+The eigenprojections of X, read from the generalized eigenbasis that
+``strata.decompose`` also uses, are central in A (proof in
+``idempotents``), so the quiver is diagonal.  Everything here needs one
+rational spectrum of X per call, and refuses (typed error) when the
+spectrum is irrational.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
 
 from .errors import IrrationalEigenvaluesError, OutOfRangeError
 from .freealg import NormalPoly
@@ -28,10 +29,11 @@ from .matrices import (
     SpanBuilder,
     char_poly,
     flat_matmul,
+    inverse,
     nullspace_basis,
     poly_at_matrix,
 )
-from .polynomials import UniPoly, poly_ext_gcd, rational_roots
+from .polynomials import UniPoly, rational_roots
 from .reps import RepPair, evaluate
 from .scalars import Scalar, primitive_integral, scalar_str
 
@@ -182,38 +184,52 @@ def radical_basis(a: ImageAlgebra) -> "list[QMatrix]":
     return [QMatrix(n, n, vec) for vec in span.basis_vectors()]
 
 
+def _eigenbasis(x: QMatrix, spectrum) -> "tuple[QMatrix, QMatrix]":
+    """C and C^-1, where the columns of C are the canonical kernel bases of
+    the (X - lambda)^mult in spectrum order: block i of C spans the
+    generalized eigenspace V_i of the i-th eigenvalue, of dimension mult
+    (Jordan form), and V is the direct sum of the V_i."""
+    n = x.rows
+    columns = []
+    for lam, mult in spectrum:
+        columns += nullspace_basis(poly_at_matrix(UniPoly.from_roots([lam] * mult), x))
+    c = QMatrix(n, n, tuple(columns[j][i] for i in range(n) for j in range(n)))
+    return c, inverse(c)
+
+
 def _eigenprojections(x: QMatrix, spectrum) -> "list[QMatrix]":
-    """E_i(X), E_i = u*q_i mod char (see idempotents); char(X) is the product
-    of the p_i = (t - lambda_i)^(m_i) of the rational spectrum."""
-    powers = [UniPoly.from_roots([lam] * mult) for lam, mult in spectrum]
-    char = prod(powers, start=UniPoly.one())
-    out = []
-    for p_i in powers:
-        q_i = char // p_i
-        _, u, _ = poly_ext_gcd(q_i, p_i)
-        out.append(poly_at_matrix((u * q_i) % char, x))
-    return out
+    """E_i = C P_i C^-1 (see idempotents), P_i the 0/1 diagonal of block i."""
+    c, c_inv = _eigenbasis(x, spectrum)
+    # the block of each column of C
+    block = [i for i, (_, mult) in enumerate(spectrum) for _ in range(mult)]
+    return [c @ QMatrix.diagonal(int(b == i) for b in block) @ c_inv
+            for i in range(len(spectrum))]
 
 
 def idempotents(a: ImageAlgebra) -> "list[QMatrix]":
     """Complete orthogonal idempotents, one per distinct eigenvalue of X.
 
-    These are the exact generalized eigenprojections: polynomials in X that
-    are exactly idempotent, pairwise orthogonal and sum to the identity, and
-    reduce to the classical system (X - lambda_1)...(hat).../p(lambda_i)
-    modulo the radical.
+    These are the exact generalized eigenprojections E_i = C P_i C^-1, with
+    C from ``_eigenbasis`` and P_i the 0/1 diagonal of its block i: exactly
+    idempotent, pairwise orthogonal, summing to the identity, and reducing
+    to the classical system (X - lambda_1)...(hat).../p(lambda_i) modulo the
+    radical.  E_i is the projection onto V_i along the other V_j; that
+    projection is unique and a polynomial in X (Hoffman & Kunze, Linear
+    Algebra, 2nd ed., 6.8), so E_i lies in A.
 
     These identities hold by construction, so they are not re-checked.
-    Proof: char = prod p_j with p_j = (t - lambda_j)^(m_j) pairwise coprime,
-    so the monic gcd of q_i = char/p_i and p_i is 1 and u*q_i + v*p_i = 1.
-    Then E_i = u*q_i mod char satisfies E_i = delta_ij (mod p_j) for every
-    j, so char divides E_i^2 - E_i, sum_i E_i - 1 and E_i*E_j (i != j), and
-    Cayley-Hamilton turns each of these into an identity at X.
+    Proof: the P_i are orthogonal idempotents that sum to I, and conjugation
+    by C keeps these identities.  X maps each V_i into itself, so
+    X C = C diag(X|V_1, ..., X|V_r); P_i commutes with that block diagonal,
+    so each E_i commutes with X.  Let W be X-stable and W_i = W cap V_i.
+    The W_i are the generalized eigenspaces of X|W (its eigenvalues are
+    among the lambda_i, and W_i = ker (X|W - lambda_i)^(m_i)), so W is the
+    sum of the W_i and E_i W = W_i lies in W.
 
     Theorem: each e_i commutes with Y too, so it is central in A.  Proof:
-    [X, Y^k] = k*Y^(k+1), so F_k = Y^k V is stable under X and every e_i.
-    Say T has shift s if T F_k lies in F_(k+s) for all k.  The e's commute
-    with X and sum to 1, so projecting XY - YX = Y^2 gives
+    [X, Y^k] = k*Y^(k+1), so F_k = Y^k V is stable under X, hence (above)
+    under every e_i.  Say T has shift s if T F_k lies in F_(k+s) for all k.
+    The e's commute with X and sum to 1, so projecting XY - YX = Y^2 gives
     X Z_ml - Z_ml X = sum_v Z_mv Z_vl for Z_ml = e_m Y e_l.  For m != l the
     Sylvester map T -> XT - TX is invertible on the maps e_m T e_l (X has
     the one eigenvalue lambda_m on e_m V, lambda_l on e_l V) and keeps each

@@ -178,13 +178,6 @@ class UniPoly:
         return f"UniPoly({self.coeffs!r})"
 
 
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic greatest common divisor."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
 def poly_ext_gcd(a: UniPoly, b: UniPoly) -> "tuple[UniPoly, UniPoly, UniPoly]":
     """Monic g plus u, v with u*a + v*b = g."""
     r0, r1 = a, b
@@ -200,6 +193,11 @@ def poly_ext_gcd(a: UniPoly, b: UniPoly) -> "tuple[UniPoly, UniPoly, UniPoly]":
     lead = r0.leading()
     inv = exact(Fraction(1) / lead)
     return r0.monic(), u0 * inv, v0 * inv
+
+
+def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Monic greatest common divisor."""
+    return poly_ext_gcd(a, b)[0]
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:

@@ -15,8 +15,8 @@ from functools import lru_cache
 from itertools import islice
 
 from .errors import OutOfRangeError
-from .imagealg import dim_bound, rational_spectrum
-from .matrices import QMatrix, _echelon, char_poly, inverse, nullspace_basis, poly_at_matrix
+from .imagealg import _eigenbasis, dim_bound, rational_spectrum
+from .matrices import QMatrix, _echelon, char_poly
 from .polynomials import UniPoly
 from .reps import Partition, RepPair, _centralizer_supports
 from .scalars import Scalar, exact
@@ -127,20 +127,16 @@ class Decomposition:
 def decompose(rep: RepPair) -> Decomposition:
     """Split into submodules on the generalized eigenspaces of X.
 
-    The eigenspace ker (X - lambda I)^mult has dimension mult (Jordan form)
-    and is the image of the eigenprojection for lambda, which commutes with
-    Y (proof in ``imagealg.idempotents``).  So every eigenspace is
+    change_of_basis is C of ``imagealg._eigenbasis``, whose block for
+    lambda spans the eigenspace ker (X - lambda I)^mult.  That eigenspace
+    is the image of the eigenprojection for lambda, which commutes with Y
+    (proof in ``imagealg.idempotents``).  So every eigenspace is
     Y-invariant, both conjugated matrices are block-diagonal, and every
     summand is itself a verified pair; requires the spectrum of X to be
     rational.
     """
     spectrum = rational_spectrum(rep.X)
-    n = rep.n
-    columns = []
-    for lam, mult in spectrum:
-        columns += nullspace_basis(poly_at_matrix(UniPoly.from_roots([lam] * mult), rep.X))
-    c = QMatrix(n, n, tuple(columns[j][i] for i in range(n) for j in range(n)))
-    c_inv = inverse(c)
+    c, c_inv = _eigenbasis(rep.X, spectrum)
     xb = c_inv @ rep.X @ c
     yb = c_inv @ rep.Y @ c
     summands = []

@@ -470,13 +470,24 @@ def test_unprintably_long_coefficient_is_out_of_range(capture, argv):
 @pytest.mark.parametrize("argv", [("strata", "census", "--n", "100000"),
                                   ("strata", "census", "--n", "31"),
                                   ("hilbert", "--max-degree", "99999999"),
-                                  ("hilbert", "--max-degree", "10001")])
-def test_unbounded_output_is_capped(capture, argv):
-    # p(N) census rows and N + 1 hilbert lines are capped, so a few bytes
-    # of input are refused at once.
+                                  ("hilbert", "--max-degree", "10001"),
+                                  ("orbit", "jacobian-rank", "--n", "99999"),
+                                  ("orbit", "jacobian-rank", "--n", "101"),
+                                  ("orbit", "jacobian-rank", "--n", "1"),
+                                  ("rep", "build", "--partition", "99999"),
+                                  ("rep", "build", "--partition", "26,25"),
+                                  ("image", "relations", "REP", "--max-degree", "99999"),
+                                  ("image", "relations", "REP", "--max-degree", "31")])
+def test_unbounded_output_is_capped(capture, tmp_path, argv):
+    # p(N) census rows, N + 1 hilbert lines, the Jacobian rank, the fiber
+    # solve of ``rep build`` and the relation kernel are capped, so a few
+    # bytes of input are refused at once.
     assert len(argv[-1]) <= 16
+    code, out, _ = capture("rep", "build", "--partition", "2")
+    path = tmp_path / "eps2.json"
+    path.write_text(out)
     start = time.perf_counter()
-    code, out, err = capture(*argv)
+    code, out, err = capture(*[str(path) if a == "REP" else a for a in argv])
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert out == ""
@@ -484,13 +495,23 @@ def test_unbounded_output_is_capped(capture, argv):
     assert err.count("\n") == 1
 
 
-def test_capped_options_accept_their_caps(capture):
+def test_capped_options_accept_their_caps(capture, tmp_path):
     code, out, _ = capture("hilbert", "--max-degree", "10000")
     assert code == 0
     assert out.splitlines()[-1] == "10000: 10001"
     code, out, _ = capture("strata", "census", "--n", "30")
     assert code == 0
     assert len(out.splitlines()) == 5604
+    code, out, _ = capture("orbit", "jacobian-rank", "--n", "100")
+    assert (code, out) == (0, "98\n")
+    code, out, _ = capture("rep", "build", "--partition", "25,25")
+    assert code == 0
+    assert json.loads(out)["n"] == 50
+    code, out, _ = capture("rep", "build", "--partition", "2")
+    path = tmp_path / "eps2.json"
+    path.write_text(out)
+    code, out, _ = capture("image", "relations", str(path), "--max-degree", "30")
+    assert code == 0
 
 
 def test_deterministic_output(capture):

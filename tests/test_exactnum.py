@@ -29,6 +29,7 @@ from jordanlab import (
     parse_scalar,
     poly_at_matrix,
     poly_ext_gcd,
+    poly_gcd,
     rank,
     rational_roots,
     scalar_str,
@@ -439,6 +440,29 @@ def test_ext_gcd():
     g, u, v = poly_ext_gcd(a, b)
     assert g == UniPoly.one()
     assert u * a + v * b == UniPoly.one()
+
+
+def remainder_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Reference: the plain remainder loop, made monic."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def test_poly_gcd_is_the_extended_gcd():
+    rng = random.Random(49)
+    zero, three = UniPoly.zero(), UniPoly((3,))
+    pairs = [(zero, zero), (zero, three), (three, zero), (three, UniPoly((-1, 2))),
+             (UniPoly((0, 2)), zero), (zero, UniPoly.from_roots([1, 1]))]
+    for _ in range(200):
+        common = UniPoly.from_roots([rand_rational(rng) for _ in range(rng.randint(0, 2))])
+        a, b = (common * UniPoly([rand_rational(rng) for _ in range(rng.randint(0, 4))])
+                for _ in range(2))
+        pairs.append((a, b))
+    for a, b in pairs:
+        g, u, v = poly_ext_gcd(a, b)
+        assert poly_gcd(a, b) == g == remainder_gcd(a, b)
+        assert u * a + v * b == g
 
 
 def test_rational_roots_with_multiplicity():

@@ -465,6 +465,15 @@ def test_apply_simple_shift():
         NormalPoly({(0, 1): 1, (1, 0): 1})
 
 
+def test_automorphism_images_are_the_normal_forms_of_the_substitutions():
+    rng = random.Random(17)
+    for _ in range(30):
+        phi = rand_automorphism(rng)
+        x_image = NcPoly({"x": phi.alpha, **{"y" * i: c for i, c in enumerate(phi.p.coeffs)}})
+        assert apply_automorphism(phi, parse_poly("x")) == normal_form(x_image)
+        assert apply_automorphism(phi, parse_poly("y")) == normal_form(NcPoly({"y": phi.alpha}))
+
+
 def test_relation_preserved():
     rng = random.Random(15)
     rel = parse_poly("x*y - y*x - y^2")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from collections import deque
 from fractions import Fraction
 from math import gcd, lcm
@@ -16,8 +17,10 @@ from jordanlab import (
     QMatrix,
     RepPair,
     SpanBuilder,
+    UniPoly,
     block_diag,
     conjugate,
+    decompose,
     dim_bound,
     discover_relations,
     epsilon_rep,
@@ -35,11 +38,13 @@ from jordanlab import (
     relation_coefficient_vector,
     x_zero,
 )
+from jordanlab import imagealg, polynomials
 from jordanlab.imagealg import _right_ideal
 from jordanlab.matrices import int_normalized
 from jordanlab.scalars import primitive_integral
 from jordanlab.sampling import rand_rep, rand_unimodular
 from ideal_oracle import ideal_codim_by_products
+from spectral_oracle import eigenprojections_by_euclid
 
 WILD_GENS = ["y^2", "x^2*y", "x^3", "x*y - y*x"]
 ONE_SIDED_GENS = ["x"]  # on epsilon_n (n >= 3) AxA is larger than xA
@@ -238,6 +243,85 @@ def test_idempotents_contract_random():
                 if i != j:
                     assert (e @ f).is_zero()
         assert total == QMatrix.identity(rep.n)
+
+
+# Block sizes of the structure benchmark's conjugated assemblies.
+STRUCTURE_SIZES = ((1, 2), (2, 2), (3, 1), (2, 1, 1), (3, 2), (2, 2, 1), (4, 1), (3, 3),
+                   (4, 2), (2, 2, 2), (4, 3), (3, 2, 2), (3, 3, 2), (4, 4))
+RATIONALS = sorted({Fraction(p, q) for p in range(-6, 7) for q in (1, 2, 3)})
+
+
+def repeated_block_assembly(rng: random.Random) -> RepPair:
+    """Conjugated sum of (x_zero(k) + lambda I, J_k) blocks, n <= 8, with 2-4
+    distinct rational lambda; one lambda carries two blocks of one size and
+    each other lambda one or two blocks."""
+    while True:
+        k = rng.randint(1, 2)
+        sizes = [[k, k]] + [[rng.randint(1, 3) for _ in range(rng.randint(1, 2))]
+                            for _ in range(rng.randint(1, 3))]
+        if sum(map(sum, sizes)) <= 8:
+            break
+    lams = rng.sample(RATIONALS, len(sizes))
+    blocks = [(x_zero(k) + QMatrix.identity(k).scale(lam), jordan_block(k))
+              for ks, lam in zip(sizes, lams) for k in ks]
+    assembled = RepPair(block_diag([x for x, _ in blocks]), block_diag([y for _, y in blocks]))
+    c, c_inv = rand_unimodular(rng, assembled.n)
+    return conjugate(assembled, c, c_inv)
+
+
+def spectral_reps() -> "list[RepPair]":
+    """epsilon_1..10, the structure benchmark's assemblies and 120 seeded
+    assemblies with repeated block sizes per eigenvalue."""
+    rng = random.Random(46)
+    reps = [epsilon_rep(n) for n in range(1, 11)]
+    reps += [sized_assembly(rng, sizes) for sizes in STRUCTURE_SIZES]
+    return reps + [repeated_block_assembly(rng) for _ in range(120)]
+
+
+def test_eigenprojections_match_the_extended_euclid_oracle(monkeypatch):
+    # The projections along the generalized eigenspaces are unique, so the
+    # split C P_i C^-1 and the polynomials u*q_i mod char agree exactly, in
+    # ``idempotents`` and in the e_i that ``quiver`` uses.
+    seen = []
+    split = imagealg._eigenprojections
+
+    def recording(x, spectrum):
+        seen.append(split(x, spectrum))
+        return seen[-1]
+
+    monkeypatch.setattr(imagealg, "_eigenprojections", recording)
+    several = 0
+    for rep in spectral_reps():
+        want = eigenprojections_by_euclid(rep.X, rational_spectrum(rep.X))
+        a = image_algebra(rep)
+        seen.clear()
+        assert idempotents(a) == want
+        quiver(a)
+        assert seen == [want, want]
+        several += len(want) > 1
+    assert several == len(STRUCTURE_SIZES) + 120
+
+
+def test_the_spectral_split_calls_no_extended_euclid(monkeypatch):
+    calls = []
+    euclid = polynomials.poly_ext_gcd
+
+    def counting(*args):
+        calls.append(args)
+        return euclid(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("jordanlab") and getattr(module, "poly_ext_gcd", None) is euclid:
+            monkeypatch.setattr(module, "poly_ext_gcd", counting)
+    rng = random.Random(48)
+    for rep in (epsilon_rep(4), sized_assembly(rng, (2, 1)), repeated_block_assembly(rng)):
+        a = image_algebra(rep)
+        idempotents(a)
+        quiver(a)
+        decompose(rep)
+    assert calls == []
+    polynomials.poly_gcd(UniPoly.from_roots([1, 2]), UniPoly.from_roots([2]))
+    assert len(calls) == 1  # the counter is live
 
 
 # -- quiver --------------------------------------------------------------------
