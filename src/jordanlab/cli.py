@@ -8,7 +8,6 @@ every randomized subroutine; --json switches to the documented JSON schemas.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -28,11 +27,11 @@ from .reps import (
     Partition,
     RepPair,
     WitnessResult,
+    _particular_solution,
     canonical_pair,
     evaluate,
     extract_params,
     faithful_witness,
-    fiber_basis,
     jordan_matrix,
 )
 from .sampling import rand_fiber_point, rand_rational
@@ -54,6 +53,8 @@ def rep_to_json(rep: RepPair, partition: "Partition | None" = None) -> dict:
 def load_matrix_pair(path: str) -> "tuple[QMatrix, QMatrix]":
     """The (X, Y) of a representation file; InputFormatError unless it is a
     JSON object with an integer "n" and n x n lists of rational strings."""
+    import json
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -80,6 +81,8 @@ def _output(args, payload, *lines) -> None:
     The one reader of ``args.json``; with no lines, text mode prints nothing.
     """
     if args.json:
+        import json
+
         print(json.dumps(payload, indent=2))
     else:
         for line in lines:
@@ -95,8 +98,8 @@ def _parse_partition(text: str) -> Partition:
 
 # Caps on the options whose output or work grows without bound in the
 # length of the input: ``strata census --n N`` prints p(N) rows (p(30) =
-# 5604), ``hilbert --max-degree N`` prints N + 1 lines, ``rep build`` solves
-# for a centralizer of dimension up to n^2 (n parts of 1), ``image
+# 5604), ``hilbert --max-degree N`` prints N + 1 lines, ``rep build --seed``
+# draws a point of a centralizer of dimension up to n^2 (n parts of 1), ``image
 # relations --max-degree d`` takes the kernel of an n^2 x (d+1)(d+2)/2
 # matrix, and ``orbit jacobian-rank --n N`` the rank of an (N-1) x N
 # matrix whose rational entries grow in length with N.
@@ -153,6 +156,8 @@ def _cmd_gb_check(args) -> None:
 
 
 def _cmd_rep_build(args) -> None:
+    import json
+
     partition = _parse_partition(args.partition)
     _capped("the sum of --partition", partition.n, 1, REP_MAX_N)
     y = jordan_matrix(partition)
@@ -169,7 +174,7 @@ def _cmd_rep_build(args) -> None:
     elif args.seed is not None:
         rep = RepPair(rand_fiber_point(random.Random(args.seed), partition), y)
     else:
-        rep = RepPair(fiber_basis(partition).particular, y)
+        rep = RepPair(_particular_solution(partition), y)
     payload = rep_to_json(rep, partition)
     _output(args, payload, json.dumps(payload, indent=2))
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
@@ -26,7 +25,7 @@ from math import factorial
 
 from .errors import OutOfRangeError, PolyParseError
 from .polynomials import UniPoly
-from .scalars import Scalar, cleared, exact, format_terms
+from .scalars import Scalar, _Record, cleared, exact, format_terms
 
 X, Y = "x", "y"
 DEFAULT_ALPHABET = (Y, X)  # ascending: y < x
@@ -247,16 +246,15 @@ def parse_poly(text: str) -> NcPoly:
 # -- rewriting ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RewriteSystem:
+class RewriteSystem(_Record):
     """Rules lead -> tail with every tail monomial deglex-smaller than lead."""
 
-    alphabet: tuple
-    rules: tuple  # of (lead word, tail NcPoly)
+    __slots__ = _fields = ("alphabet", "rules")  # rules: (lead word, tail NcPoly) pairs
 
-    def __post_init__(self):
-        ranks = _ranks(self.alphabet)
-        for lead, tail in self.rules:
+    def __init__(self, alphabet: tuple, rules: tuple):
+        super().__init__(alphabet, rules)
+        ranks = _ranks(alphabet)
+        for lead, tail in rules:
             if not lead or any(c not in ranks for c in lead):
                 raise ValueError(f"bad leading monomial {lead!r}")
             lk = deglex_key(lead, ranks)
@@ -517,17 +515,16 @@ def gs_series_coefficients(gens: int, rels: int, up_to: int) -> "list[int]":
 # -- automorphisms -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JordanAutomorphism:
+class JordanAutomorphism(_Record):
     """x -> alpha*x + p(y), y -> alpha*y with alpha nonzero."""
 
-    alpha: Scalar
-    p: UniPoly
+    __slots__ = _fields = ("alpha", "p")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", exact(self.alpha))
-        if self.alpha == 0:
+    def __init__(self, alpha: Scalar, p: UniPoly):
+        alpha = exact(alpha)
+        if alpha == 0:
             raise ValueError("automorphism requires alpha != 0")
+        super().__init__(alpha, p)
 
     @classmethod
     def identity(cls) -> "JordanAutomorphism":

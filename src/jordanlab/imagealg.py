@@ -19,7 +19,6 @@ spectrum is irrational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import IrrationalEigenvaluesError, OutOfRangeError
@@ -35,11 +34,10 @@ from .matrices import (
 )
 from .polynomials import UniPoly, rational_roots
 from .reps import RepPair, evaluate
-from .scalars import Scalar, primitive_integral, scalar_str
+from .scalars import Scalar, _Record, primitive_integral, scalar_str
 
 
-@dataclass(frozen=True)
-class ImageAlgebra:
+class ImageAlgebra(_Record):
     """The unital algebra generated by X and Y, as an echelonized span.
 
     Stores the span's integral reduced-echelon rows (gcd-reduced, positive
@@ -51,10 +49,12 @@ class ImageAlgebra:
     Y, so no product of a basis element is tested.
     """
 
-    rep: RepPair
-    rows: tuple  # of tuple of int, one per basis element, pivot-sorted
-    pivots: tuple  # pivot column of each row
-    closure_certified: bool
+    # rows: a tuple of int per basis element, pivot-sorted; pivots: the
+    # pivot column of each row.  No __slots__: ``basis`` is cached in __dict__.
+    _fields = ("rep", "rows", "pivots", "closure_certified")
+
+    def __init__(self, rep: RepPair, rows: tuple, pivots: tuple, closure_certified: bool):
+        super().__init__(rep, rows, pivots, closure_certified)
 
     @property
     def dim(self) -> int:
@@ -241,12 +241,13 @@ def idempotents(a: ImageAlgebra) -> "list[QMatrix]":
     return _eigenprojections(a.rep.X, rational_spectrum(a.rep.X))
 
 
-@dataclass(frozen=True)
-class QuiverData:
+class QuiverData(_Record):
     """Vertices = distinct eigenvalues of X; arrows[i][j] = dim e_i(J/J^2)e_j."""
 
-    vertices: tuple
-    arrows: tuple  # of tuple of int
+    __slots__ = _fields = ("vertices", "arrows")  # arrows: a tuple of int per vertex
+
+    def __init__(self, vertices: tuple, arrows: tuple):
+        super().__init__(vertices, arrows)
 
     def loop_count(self) -> int:
         if len(self.vertices) != 1:

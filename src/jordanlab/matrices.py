@@ -18,15 +18,15 @@ sympy.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputFormatError, NonSquareError, SingularMatrixError, SizeMismatchError
 from .polynomials import UniPoly
 from .scalars import (
     Scalar,
+    _Record,
+    _set,
     cleared,
     content_free,
     exact,
@@ -36,11 +36,14 @@ from .scalars import (
 )
 
 
-@dataclass(frozen=True)
-class QMatrix:
-    rows: int
-    cols: int
-    entries: tuple  # row-major, length rows*cols
+class QMatrix(_Record):
+    __slots__ = _fields = ("rows", "cols", "entries")  # entries: row-major, rows*cols
+
+    def __init__(self, rows: int, cols: int, entries: tuple):
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
@@ -48,7 +51,7 @@ class QMatrix:
         ents = tuple(exact(v) for v in self.entries)
         if len(ents) != self.rows * self.cols:
             raise ValueError("entry count does not match dimensions")
-        object.__setattr__(self, "entries", ents)
+        _set(self, "entries", ents)
 
     # -- constructors ------------------------------------------------------
 
@@ -227,6 +230,7 @@ def parse_matrix(data, rows: int, cols: int, key: str) -> QMatrix:
     for row in data:
         for v in row:
             if not isinstance(v, str):
+                import json
                 raise InputFormatError(
                     f"entries of {key!r} must be rational strings, got {json.dumps(v)}")
             try:
@@ -248,8 +252,7 @@ def int_normalized(m: QMatrix) -> QMatrix:
     return QMatrix(m.rows, m.cols, tuple(primitive_integral(m.entries)))
 
 
-@dataclass
-class SpanBuilder:
+class SpanBuilder(_Record):
     """Incrementally maintained integral reduced row-echelon form of a span.
 
     This is the package's only elimination routine: ``rank``,
@@ -279,9 +282,14 @@ class SpanBuilder:
     place, so a copy of the two lists is an independent span.
     """
 
-    length: int
-    rows: list = field(default_factory=list)    # integer rows, pivot-sorted
-    pivots: list = field(default_factory=list)  # pivot column of each row
+    # rows: integer rows, pivot-sorted; pivots: pivot column of each row.
+    __slots__ = _fields = ("length", "rows", "pivots")
+    __hash__ = None
+
+    def __init__(self, length: int, rows: "list | None" = None, pivots: "list | None" = None):
+        _set(self, "length", length)
+        _set(self, "rows", [] if rows is None else rows)
+        _set(self, "pivots", [] if pivots is None else pivots)
 
     @property
     def rank(self) -> int:

@@ -12,7 +12,6 @@ algebra dimensions, orbit data and census numbers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -28,24 +27,23 @@ from .errors import (
 from .freealg import NcPoly, NormalPoly, normal_form
 from .matrices import QMatrix, block_diag, flat_matmul, inverse, poly_at_matrix
 from .polynomials import UniPoly
-from .scalars import Scalar, cleared, exact
+from .scalars import Scalar, _Record, _set, cleared, exact
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Record):
     """Weakly decreasing positive parts; indexes Jordan forms and strata."""
 
-    parts: tuple
+    __slots__ = _fields = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+    def __init__(self, parts: tuple):
+        parts = tuple(int(p) for p in parts)
         if not parts:
             raise ValueError("partition must have at least one part")
         if any(p < 1 for p in parts):
             raise ValueError("partition parts must be positive")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("partition parts must be weakly decreasing")
-        object.__setattr__(self, "parts", parts)
+        super().__init__(parts)
 
     @classmethod
     def of(cls, parts) -> "Partition":
@@ -96,8 +94,7 @@ def x_zero(n: int) -> QMatrix:
                                for i in range(n) for j in range(n)))
 
 
-@dataclass(frozen=True)
-class RepPair:
+class RepPair(_Record):
     """Verified pair: X@Y - Y@X = Y@Y holds exactly.
 
     Construction does not test whether Y is nilpotent: the relation forces
@@ -117,8 +114,12 @@ class RepPair:
     Cayley-Hamilton gives char(X)(X) = 0; hence S(X)^n = 0.
     """
 
-    X: QMatrix
-    Y: QMatrix
+    __slots__ = _fields = ("X", "Y")
+
+    def __init__(self, X: QMatrix, Y: QMatrix):
+        _set(self, "X", X)
+        _set(self, "Y", Y)
+        self.__post_init__()
 
     def __post_init__(self):
         x, y = self.X, self.Y
@@ -152,11 +153,13 @@ def _relation_residual(x: QMatrix, y: QMatrix) -> "QMatrix | None":
     return QMatrix(n, n, tuple(Fraction(v, d * d) for v in residual))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """Failed relation check; carries the residual XY - YX - Y^2."""
 
-    residual: QMatrix
+    __slots__ = _fields = ("residual",)
+
+    def __init__(self, residual: QMatrix):
+        super().__init__(residual)
 
     def __bool__(self) -> bool:
         return False
@@ -183,10 +186,11 @@ def canonical_pair(lam, mu, n: int) -> RepPair:
     return RepPair(x, j)
 
 
-@dataclass(frozen=True)
-class CanonicalParams:
-    lam: Scalar
-    mu: Scalar
+class CanonicalParams(_Record):
+    __slots__ = _fields = ("lam", "mu")
+
+    def __init__(self, lam: Scalar, mu: Scalar):
+        super().__init__(lam, mu)
 
 
 def extract_params(rep: RepPair) -> CanonicalParams:
@@ -265,33 +269,46 @@ def fiber_basis(p: Partition) -> FiberBasis:
     disjoint, so each diagonal is 1 at its own last cell and 0 at every
     other free column: it is the canonical vector of its last cell.
 
-    The supports come from ``_centralizer_supports``; ``strata.census``
-    counts them without building the matrices.
+    The supports come from ``_centralizer_supports`` in this order;
+    ``strata.census`` counts them and ``sampling.rand_fiber_point`` sums
+    over them without building the matrices.
     """
     n = p.n
     basis = []
-    for cells in sorted(_centralizer_supports(p), key=lambda cells: cells[-1]):
+    for cells in _centralizer_supports(p):
         entries = [0] * (n * n)
         for cell in cells:
             entries[cell] = 1
         basis.append(QMatrix(n, n, tuple(entries)))
-    particular = block_diag([x_zero(k) for k in p.parts])
-    return FiberBasis(particular, basis)
+    return FiberBasis(_particular_solution(p), basis)
+
+
+@lru_cache(maxsize=None)
+def _particular_solution(p: Partition) -> QMatrix:
+    """block_diag(x_zero(k) for each part k), the particular solution of
+    ``fiber_basis``, built without the centralizer basis."""
+    return block_diag([x_zero(k) for k in p.parts])
 
 
 def _centralizer_supports(p: Partition) -> "list[list[int]]":
     """The support of each 0/1 diagonal in the ``fiber_basis`` theorem, as
     row-major cells of an n x n matrix: for each block (a, b), the
     diagonals d in [max(0, n_b - n_a), n_b).  They are a basis of the
-    centralizer of jordan_matrix(p), so their number is its dimension."""
+    centralizer of jordan_matrix(p), so their number is its dimension.
+
+    They come sorted by last cell, the ``fiber_basis`` order.  Diagonal d
+    of block (a, b) ends in the last column of block b, at local row
+    i = n_b - 1 - d of block a, and d runs over its range exactly when i
+    runs over [0, min(n_a, n_b)); so the loops take a, then i, then b."""
     n = p.n
     starts = list(accumulate(p.parts, initial=0))
     supports = []
     for start_a, n_a in zip(starts, p.parts):
-        for start_b, n_b in zip(starts, p.parts):
-            for d in range(max(0, n_b - n_a), n_b):
-                supports.append([(start_a + r) * n + start_b + r + d
-                                 for r in range(n_b - d)])
+        for i in range(n_a):
+            for start_b, n_b in zip(starts, p.parts):
+                if i < n_b:
+                    supports.append([(start_a + r) * n + start_b + n_b - 1 - i + r
+                                     for r in range(i + 1)])
     return supports
 
 

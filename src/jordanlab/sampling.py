@@ -7,13 +7,20 @@ growth stays printable.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .matrices import QMatrix, inverse, poly_at_matrix
 from .polynomials import UniPoly
 from .freealg import NormalPoly
-from .reps import Partition, RepPair, conjugate, fiber_basis, jordan_block, jordan_matrix
+from .reps import (
+    Partition,
+    RepPair,
+    _centralizer_supports,
+    _particular_solution,
+    conjugate,
+    jordan_block,
+    jordan_matrix,
+)
 from .scalars import Scalar, exact
 from .strata import partitions
 
@@ -36,18 +43,19 @@ def rand_partition(rng: random.Random, n: int) -> Partition:
 def rand_fiber_point(rng: random.Random, p: Partition) -> QMatrix:
     """Random solution X of the relation for Y = jordan_matrix(p).
 
-    particular + sum of c_i * basis_i with one rand_rational draw per basis
-    element, in basis order, accumulated entrywise into one matrix.
+    particular + sum of c_i * basis_i over ``fiber_basis(p)``, with one
+    rand_rational draw per basis element in basis order.  Basis element i
+    is the 0/1 matrix of the i-th support of ``_centralizer_supports`` (same
+    order), so c_i is added on those cells and no basis matrix is built.
     """
-    particular, basis = fiber_basis(p)
-    acc = list(particular.entries)
-    for b in basis:
+    n = p.n
+    acc = list(_particular_solution(p).entries)
+    for cells in _centralizer_supports(p):
         c = rand_rational(rng)
         if c != 0:
-            for i, v in enumerate(b.entries):
-                if v:
-                    acc[i] += c * v
-    return QMatrix(particular.rows, particular.cols, tuple(acc))
+            for cell in cells:
+                acc[cell] += c
+    return QMatrix(n, n, tuple(acc))
 
 
 def rand_unimodular(rng: random.Random, n: int) -> "tuple[QMatrix, QMatrix]":

@@ -17,6 +17,51 @@ from .errors import OutOfRangeError
 
 Scalar = int | Fraction
 
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the package's records: the fields named in ``_fields``, set
+    once by ``__init__`` (this one, in ``_fields`` order, or a subclass's
+    own through ``_set``) and never reassigned.
+
+    Records of one class are equal when their field tuples are equal (a
+    record of another class is NotImplemented); a record hashes its field
+    tuple, prints as ``Name(field=value, ...)``, pickles through its
+    constructor and raises AttributeError on any assignment.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
 
 def exact(value: int | Fraction | str) -> Scalar:
     """Coerce to an exact scalar, collapsing integral fractions to int."""

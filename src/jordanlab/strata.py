@@ -9,7 +9,6 @@ dimension exactly n^2.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -19,7 +18,7 @@ from .imagealg import _eigenbasis, dim_bound, rational_spectrum
 from .matrices import QMatrix, _echelon, char_poly
 from .polynomials import UniPoly
 from .reps import Partition, RepPair, _centralizer_supports
-from .scalars import Scalar, exact
+from .scalars import Scalar, _Record, exact
 
 
 class TameLabel(enum.Enum):
@@ -28,14 +27,13 @@ class TameLabel(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class StratumInfo:
-    partition: Partition
-    fiber_dim: int
-    base_dim: int
-    stratum_dim: int
-    image_dim_bound: int
-    tame: TameLabel
+class StratumInfo(_Record):
+    __slots__ = _fields = ("partition", "fiber_dim", "base_dim", "stratum_dim",
+                           "image_dim_bound", "tame")
+
+    def __init__(self, partition: Partition, fiber_dim: int, base_dim: int,
+                 stratum_dim: int, image_dim_bound: int, tame: TameLabel):
+        super().__init__(partition, fiber_dim, base_dim, stratum_dim, image_dim_bound, tame)
 
     def to_json(self) -> dict:
         return {
@@ -101,8 +99,7 @@ def census(n: int) -> "list[StratumInfo]":
     return out
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Record):
     """Summands per distinct eigenvalue of X plus the conjugating matrix.
 
     change_of_basis columns are the generalized eigenbases in eigenvalue
@@ -110,9 +107,10 @@ class Decomposition:
     block-diagonal assembly of the summands.
     """
 
-    summands: tuple  # of RepPair
-    eigenvalues: tuple
-    change_of_basis: QMatrix
+    __slots__ = _fields = ("summands", "eigenvalues", "change_of_basis")  # summands: RepPairs
+
+    def __init__(self, summands: tuple, eigenvalues: tuple, change_of_basis: QMatrix):
+        super().__init__(summands, eigenvalues, change_of_basis)
 
     def __iter__(self):
         return iter(self.summands)

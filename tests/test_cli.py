@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from jordanlab import QMatrix, RepPair, block_diag, conjugate
+from jordanlab import Partition, QMatrix, RepPair, block_diag, conjugate
 from jordanlab.cli import rep_to_json, run
-from jordanlab.reps import jordan_block, x_zero
+from jordanlab.reps import fiber_basis, jordan_block, jordan_matrix, x_zero
 from jordanlab.sampling import rand_unimodular
 
 
@@ -539,3 +543,70 @@ def test_seed_flag_beats_env(capture, monkeypatch):
     monkeypatch.delenv("JORDAN_LAB_SEED")
     plain = capture("rep", "build", "--partition", "4", "--seed", "9")
     assert flagged == plain
+
+
+# -- fresh interpreters ------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_python(*args) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter that imports the package from src/."""
+    env = {k: v for k, v in os.environ.items() if k != "JORDAN_LAB_SEED"}
+    env.update(PYTHONPATH=str(SRC), COLUMNS="80")
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+# "REP" stands for a rep file written by ``rep build``, "BAD" for one with a
+# number where a rational string belongs.
+FRESH_COMMANDS = [
+    ("nf", "x^3*y^2"),
+    ("mul", "y*x", "x^2*y"),
+    ("rep", "build", "--partition", "3,2", "--seed", "1"),
+    ("rep", "verify", "REP"),
+    ("image", "dim", "REP"),
+    ("orbit", "jacobian-rank", "--n", "8", "--seed", "1"),
+    ("nf", "x*y", "--json"),
+    ("rep", "verify", "BAD"),
+    ("--help",),
+]
+
+
+@pytest.mark.parametrize("argv", FRESH_COMMANDS, ids=" ".join)
+def test_fresh_interpreter_matches_run(capture, monkeypatch, tmp_path, argv):
+    """Each command imports in a new interpreter what it needs, which an
+    in-process run() with the test suite's imports would not show."""
+    monkeypatch.delenv("JORDAN_LAB_SEED", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    files = {"REP": tmp_path / "rep.json", "BAD": tmp_path / "bad.json"}
+    files["REP"].write_text(capture("rep", "build", "--partition", "3,2", "--seed", "1")[1])
+    files["BAD"].write_text(json.dumps({"n": 1, "X": [[5]], "Y": [["0"]]}))
+    argv = [str(files[a]) if a in files else a for a in argv]
+    expected = capture(*argv)
+    done = fresh_python("-m", "jordanlab.cli", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == expected
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_json():
+    """Against a bare interpreter, which site hooks may already have given
+    some modules, importing the CLI adds none of these."""
+    show = "import sys; print(*sorted(sys.modules))"
+    bare = set(fresh_python("-c", show).stdout.split())
+    loaded = set(fresh_python("-c", "import jordanlab.cli; " + show).stdout.split())
+    assert "jordanlab.cli" in loaded
+    assert not {"dataclasses", "inspect", "json"} & (loaded - bare)
+
+
+@pytest.mark.parametrize("parts", ["1", "3,2", "4,4,1", "2,2,2,1,1", "5,3,3,1", ",".join("1" * 50)],
+                         ids=lambda parts: parts if len(parts) < 20 else "1x50")
+def test_rep_build_particular_builds_no_fiber_basis(capture, parts):
+    """Without --seed or --canonical, rep build prints the particular
+    solution of fiber_basis and does not build the centralizer basis."""
+    partition = Partition.of(int(p) for p in parts.split(","))
+    fiber_basis.cache_clear()
+    code, out, err = capture("rep", "build", "--partition", parts)
+    assert fiber_basis.cache_info().misses == 0
+    rep = RepPair(fiber_basis(partition).particular, jordan_matrix(partition))
+    assert (code, err) == (0, "")
+    assert out == json.dumps(rep_to_json(rep, partition), indent=2) + "\n"

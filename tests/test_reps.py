@@ -370,6 +370,24 @@ def test_fiber_points_satisfy_relation():
             assert x @ y - y @ x == y @ y
 
 
+def test_rand_fiber_point_is_the_fiber_basis_sum():
+    """Summing each draw over its support cells gives the point, and leaves
+    the generator in the state, that the sum of the dense basis matrices of
+    fiber_basis gives: one rand_rational draw per basis element, in order."""
+    from jordanlab import partitions
+
+    for n in range(1, 9):
+        for p in partitions(n):
+            rng, oracle_rng = random.Random(str(p)), random.Random(str(p))
+            particular, basis = fiber_basis(p)
+            acc = list(particular.entries)
+            for b in basis:
+                c = rand_rational(oracle_rng)
+                acc = [a + c * v for a, v in zip(acc, b.entries)]
+            assert rand_fiber_point(rng, p) == QMatrix(n, n, tuple(acc))
+            assert rng.getstate() == oracle_rng.getstate()
+
+
 def test_fiber_basis_is_b_toeplitz():
     from jordanlab import partitions
 
