@@ -101,12 +101,14 @@ def _parse_partition(text: str) -> Partition:
 # 5604), ``hilbert --max-degree N`` prints N + 1 lines, ``rep build --seed``
 # draws a point of a centralizer of dimension up to n^2 (n parts of 1), ``image
 # relations --max-degree d`` takes the kernel of an n^2 x (d+1)(d+2)/2
-# matrix, and ``orbit jacobian-rank --n N`` the rank of an (N-1) x N
-# matrix whose rational entries grow in length with N.
+# matrix, so both d and that entry count are capped (a short command can
+# name a large rep file), and ``orbit jacobian-rank --n N`` the rank of an
+# (N-1) x N matrix whose rational entries grow in length with N.
 CENSUS_MAX_N = 30
 HILBERT_MAX_DEGREE = 10_000
 REP_MAX_N = 50
 RELATIONS_MAX_DEGREE = 30
+RELATIONS_MAX_ENTRIES = 50_000
 JACOBIAN_MAX_N = 100
 
 
@@ -201,7 +203,10 @@ def _cmd_image_dim(args) -> None:
 
 def _cmd_image_relations(args) -> None:
     max_degree = _capped("--max-degree", args.max_degree, 0, RELATIONS_MAX_DEGREE)
-    relations = [str(r) for r in discover_relations(load_rep(args.file), max_degree)]
+    rep = load_rep(args.file)
+    entries = rep.n ** 2 * (max_degree + 1) * (max_degree + 2) // 2
+    _capped(f"n^2*(d+1)(d+2)/2 at n = {rep.n}", entries, 0, RELATIONS_MAX_ENTRIES)
+    relations = [str(r) for r in discover_relations(rep, max_degree)]
     _output(args, {"relations": relations}, *relations)
 
 
@@ -323,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = image_sub.add_parser("relations", parents=[common])
     p.add_argument("file")
     p.add_argument("--max-degree", type=int, required=True,
-                   help=f"0 to {RELATIONS_MAX_DEGREE}; (d+1)(d+2)/2 monomials of degree <= d")
+                   help=f"0 to {RELATIONS_MAX_DEGREE}; (d+1)(d+2)/2 monomials of degree <= d, "
+                   f"and n^2*(d+1)(d+2)/2 at most {RELATIONS_MAX_ENTRIES} for an n x n rep")
     p.set_defaults(func=_cmd_image_relations)
 
     p = image_sub.add_parser("quiver", parents=[common])

@@ -74,13 +74,14 @@ def _right_ideal(rep: RepPair, seeds) -> SpanBuilder:
     Seeds and candidates are row-major integer entry sequences; the seeds
     need not lie in A.  Level j holds the nonzero products s*Y^j of the
     seeds s; Y is nilpotent, so there are at most n levels.  From the
-    deepest level to level 0, each candidate v is followed by v*X, v*X^2,
-    ... until the span rejects one.  ``SpanBuilder.add`` stores the
-    primitive multiple of each candidate, which spans the same line; the
-    products are taken of the candidate as it came, and by the primitive
-    integer multiples of X and Y (closing under products by a nonzero
-    multiple of a matrix is closing under products by the matrix), so
-    every product is integral and no fraction is formed.
+    deepest level to level 0, each seed product v starts an X-chain: the
+    span takes v, then the product by X of the row it stored for v, and so
+    on until it rejects a candidate.  That row is primitive and zero at
+    every earlier pivot, so it is smaller than the raw product v*X^k.  The
+    products are by the primitive integer multiples of X and Y (closing
+    under products by a nonzero multiple of a matrix is closing under
+    products by the matrix), so every product is integral and no fraction
+    is formed.
 
     Theorem: the span is M.  Proof, with A = k[X] + YA and AY = YA
     (``radical_basis``, (a) and (b)):
@@ -90,11 +91,23 @@ def _right_ideal(rep: RepPair, seeds) -> SpanBuilder:
     (ii) The stopping rule.  Let S be X-stable and v*X^m lie in
         span(v, ..., v*X^(m-1)) + S.  That span plus S is then X-stable,
         so it holds v*k[X].
+    (ii') The chain from stored rows is the chain of v.  Let S be X-stable
+        and S_k = S + span(v, ..., v*X^(k-1)).  Claim: the k-th candidate
+        u_k is c_k*v*X^k + t_k with c_k != 0 and t_k in S_k, so the span
+        before it is S_k, and it is accepted iff v*X^k is.  For k = 0,
+        u_0 = v.  The row stored for an accepted u_k is r_k = beta*u_k + s
+        with beta != 0 and s in S_k (``SpanBuilder.add``), and S_k*X lies
+        in S + span(v*X, ..., v*X^k), which is S_(k+1), as S is X-stable.
+        So u_(k+1) = r_k*X = beta*c_k*v*X^(k+1) + (beta*t_k + s)*X, a
+        nonzero multiple of v*X^(k+1) plus a vector of S_(k+1).  Hence the
+        chain makes the same accept/reject sequence as v, v*X, v*X^2, ...
+        and leaves the same span S + span(v, ..., v*X^(m-1)) behind.
     (iii) By induction from the deepest level, below which M*Y^(j+1) = 0:
         the span before level j is M*Y^(j+1), which is X-stable; after each
-        of the level's X-chains it is still X-stable and, by (ii), holds
-        that candidate's s_i Y^j k[X].  So by (i) the span after level j is
-        M*Y^j, and after level 0 it is M.  Every vector added lies in M.
+        of the level's X-chains it is still X-stable and, by (ii) and
+        (ii'), holds that candidate's s_i Y^j k[X].  So by (i) the span
+        after level j is M*Y^j, and after level 0 it is M.  Every vector
+        added lies in M.
     The span is canonical (``SpanBuilder``), so ``rows`` and ``pivots`` are
     those of any other closure of the same seeds.  (The span before each
     chain is X-stable in any order of the chains, so the theorem needs no
@@ -103,7 +116,8 @@ def _right_ideal(rep: RepPair, seeds) -> SpanBuilder:
 
     Cost: for the identity seed each level ends with exactly one
     rejection, so ``image_algebra`` makes dim A + nu calls of
-    ``SpanBuilder.add``, nu the nilpotency index of Y.  Y^j is not in
+    ``SpanBuilder.add``, nu the nilpotency index of Y; by (ii') that count
+    is the same as for chains of raw products v*X^k.  Y^j is not in
     Y^(j+1)A for j < nu: else Y^jA = Y^(j+1)A, and right products by Y,
     which map Y^iA onto Y^(i+1)A since AY = YA, give Y^jA = Y^nu A = 0.
     """
@@ -115,8 +129,9 @@ def _right_ideal(rep: RepPair, seeds) -> SpanBuilder:
     span = SpanBuilder(n * n)
     for level in reversed(levels):
         for vec in level:
-            while span.add(vec):
-                vec = flat_matmul(vec, x, n, n, n)
+            row = span.add(vec)
+            while row:
+                row = span.add(flat_matmul(row, x, n, n, n))
     return span
 
 

@@ -9,17 +9,20 @@ product, and a ``QMatrix`` is built only for the result.
 
 There is one elimination routine, ``SpanBuilder``:
 a fraction-free integral reduced row-echelon form kept with primitive rows
-and positive pivots.  ``rank``, ``nullspace_basis``, ``solve`` and
-``inverse`` are views of the echelon form of a matrix's rows; since that
-form is unique (proof in the ``SpanBuilder`` docstring), their results do
-not depend on the elimination order.  The test suite checks them against
-sympy.
+and positive pivots.  Each elimination step divides the pivot entry and the
+factor by their gcd before it scales, and a new vector's content is divided
+out once, after its last step (proofs in ``_reduce`` and ``add``).
+``rank``, ``nullspace_basis``, ``solve`` and ``inverse`` are views of the
+echelon form of a matrix's rows; since that form is unique (proof in the
+``SpanBuilder`` docstring), their results do not depend on the elimination
+order.  The test suite checks them against sympy.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
+from math import gcd
 
 from .errors import InputFormatError, NonSquareError, SingularMatrixError, SizeMismatchError
 from .polynomials import UniPoly
@@ -279,7 +282,8 @@ class SpanBuilder(_Record):
     positive leading entry; each row that is nonzero at the new pivot is
     then combined with it, which zeroes that entry and leaves the row's own
     pivot entry positive.  Rows are replaced or inserted, never mutated in
-    place, so a copy of the two lists is an independent span.
+    place, so a copy of the two lists is an independent span, and the row
+    ``add`` returns is never changed by a later ``add``.
     """
 
     # rows: integer rows, pivot-sorted; pivots: pivot column of each row.
@@ -298,34 +302,62 @@ class SpanBuilder(_Record):
     def _reduce(self, vec: "list[int]") -> "list[int]":
         """The integer vector vec reduced to zero at every pivot, made primitive.
 
-        Every step pv*vec - f*row keeps vec integral, so the gcd alone makes
-        it primitive.  A step with pv = 1 does not scale vec, so its gcd is
-        left to the end; the other steps take it at once, which stops the
-        factors pv from piling up."""
+        Against the row with pivot p and pivot entry pv > 0, where
+        f = vec[p] != 0, the step is vec <- (pv/g)*vec - (f/g)*row with
+        g = gcd(pv, f); when pv divides f, pv/g = 1 and vec is not scaled.
+        (a) The step is integral: g divides pv and f.
+        (b) It zeroes entry p, as (pv/g)*f - (f/g)*pv = 0, and only scales
+            the entries at the other pivots by pv/g, as the row is zero
+            there; so no step undoes an earlier one.
+        (c) It is pv/g > 0 times the rational step vec - (f/pv)*row, and
+            scaling vec by c > 0 scales f by c; so by induction vec stays
+            a positive multiple of the rationally reduced vector.
+        A nonzero rational vector has exactly one positive multiple that is
+        a primitive integer vector, so dividing out the content once, at
+        the end, gives the same row as dividing it out after every step,
+        and no factor is multiplied in only to be divided out again.
+        """
         for row, p in zip(self.rows, self.pivots):
             f = vec[p]
             if f:
                 pv = row[p]
-                if pv == 1:
+                g = gcd(pv, f)
+                if g == pv:
+                    f //= g
                     vec = [a - f * b for a, b in zip(vec, row)]
                 else:
-                    vec = content_free([pv * a - f * b for a, b in zip(vec, row)])
+                    pv //= g
+                    f //= g
+                    vec = [pv * a - f * b for a, b in zip(vec, row)]
         return content_free(vec)
 
     def contains(self, vec) -> bool:
         return not any(self._reduce(cleared(vec)[0]))
 
-    def add(self, vec) -> bool:
-        """Insert a rational vector; True if it enlarged the span.
+    def add(self, vec) -> "list[int] | None":
+        """Insert a rational vector; the row stored for it if it enlarged
+        the span, else None.
 
         A nonzero multiple of vec spans the same line, so its denominators
         are cleared first (``cleared`` copies vec, so the span never holds
-        the caller's list).
+        the caller's list).  The stored row is the ``_reduce`` of vec, with
+        its sign flipped if the leading entry is negative: beta*vec + s for
+        a rational beta != 0 and some s in the span before.  It is returned
+        as the span holds it, a nonempty and so truthy list; the caller must
+        not mutate it.
+
+        Back-substitution combines each row that is nonzero at the new
+        pivot p with the new row w (positive entry lead at p) by the step of
+        ``_reduce``: row <- (lead/g)*row - (f/g)*w, g = gcd(lead, f).  It is
+        integral, zeroes entry p, keeps the row zero at the other pivots
+        (w is zero there), and scales the row by lead/g > 0, so its own
+        pivot entry stays positive; its content is then divided out, which
+        makes the row the primitive multiple the invariant asks for.
         """
         work = self._reduce(cleared(vec)[0])
         lead = next(filter(None, work), 0)
         if not lead:
-            return False
+            return None
         pivot = work.index(lead)  # every entry before the first nonzero is 0
         if lead < 0:
             work = [-v for v in work]
@@ -333,11 +365,13 @@ class SpanBuilder(_Record):
         for idx, row in enumerate(self.rows):
             f = row[pivot]
             if f:
-                self.rows[idx] = content_free([lead * a - f * b for a, b in zip(row, work)])
+                g = gcd(lead, f)
+                scale, f = lead // g, f // g
+                self.rows[idx] = content_free([scale * a - f * b for a, b in zip(row, work)])
         at = bisect(self.pivots, pivot)
         self.rows.insert(at, work)
         self.pivots.insert(at, pivot)
-        return True
+        return work
 
     def basis_vectors(self) -> "list[tuple[Scalar, ...]]":
         """The RREF rows (unit pivots) as exact scalar tuples."""

@@ -7,6 +7,7 @@ growth stays printable.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from .matrices import QMatrix, inverse, poly_at_matrix

@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
+import pkgutil
+import typing
 from pathlib import Path
 
 import jordanlab
@@ -40,6 +43,37 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     assert sorted(jordanlab.__all__) == PUBLIC_NAMES
     assert all(hasattr(jordanlab, name) for name in PUBLIC_NAMES)
+
+
+def annotated_callables():
+    """(qualified name, object) of every public function and class of every
+    module, and of every function a public class defines in its body."""
+    for info in pkgutil.iter_modules(jordanlab.__path__):
+        module = importlib.import_module("jordanlab." + info.name)
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                yield f"{module.__name__}.{name}", obj
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    func = member.fget if isinstance(member, property) else member
+                    func = getattr(func, "__func__", func)  # classmethod, staticmethod
+                    if inspect.isfunction(func) and func.__module__ == module.__name__:
+                        yield f"{module.__name__}.{name}.{attr}", func
+
+
+def test_annotations_resolve():
+    # Annotations are strings (``from __future__ import annotations``), so
+    # a name a module never imports fails only when something resolves them.
+    checked = 0
+    for qualname, obj in annotated_callables():
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            raise AssertionError(f"{qualname}: {exc}") from None
+        checked += 1
+    assert checked > 100
 
 
 def traced_spans() -> dict:

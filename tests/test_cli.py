@@ -518,6 +518,22 @@ def test_capped_options_accept_their_caps(capture, tmp_path):
     assert code == 0
 
 
+def test_relations_work_is_capped_by_dimension_and_degree(capture, tmp_path):
+    # n^2*(d+1)(d+2)/2 <= 50000: at n = 50 that is 37500 for d = 4 and
+    # 52500 for d = 5, which is refused before any evaluation.
+    code, out, _ = capture("rep", "build", "--partition", "25,25")
+    path = tmp_path / "rep50.json"
+    path.write_text(out)
+    code, out, err = capture("image", "relations", str(path), "--max-degree", "4")
+    assert (code, out, err) == (0, "", "")  # two 25-blocks: no relation of degree <= 4
+    start = time.perf_counter()
+    code, out, err = capture("image", "relations", str(path), "--max-degree", "5")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == ("error: OutOfRangeError: n^2*(d+1)(d+2)/2 at n = 50 must be in "
+                   "[0, 50000], got 52500\n")
+
+
 def test_deterministic_output(capture):
     first = capture("strata", "census", "--n", "5", "--json")
     second = capture("strata", "census", "--n", "5", "--json")

@@ -19,6 +19,7 @@ from jordanlab import (
     SpanBuilder,
     UniPoly,
     block_diag,
+    char_poly,
     conjugate,
     decompose,
     dim_bound,
@@ -43,6 +44,7 @@ from jordanlab.imagealg import _right_ideal
 from jordanlab.matrices import int_normalized
 from jordanlab.scalars import primitive_integral
 from jordanlab.sampling import rand_rep, rand_unimodular
+from closure_oracle import right_ideal_from_products
 from ideal_oracle import ideal_codim_by_products
 from spectral_oracle import eigenprojections_by_euclid
 
@@ -624,6 +626,41 @@ def test_image_algebra_adds_dim_plus_nilpotency_index(monkeypatch):
         calls = 0
         a = image_algebra(rep)
         assert calls == a.dim + nilpotency_index(rep.Y)
+
+
+def rational_rand_rep(rng: random.Random, n: int) -> RepPair:
+    """The first rand_rep of size n drawn from rng whose X has a rational spectrum."""
+    while True:
+        rep = rand_rep(rng, n)
+        if polynomials.rational_roots(char_poly(rep.X)) is not None:
+            return rep
+
+
+def test_chains_from_stored_rows_match_raw_product_chains(monkeypatch):
+    # Step (ii') of ``_right_ideal``: the same accept/reject sequence and
+    # the same span as the closure that multiplies the raw candidates.
+    rng = random.Random(20)
+    reps = [rational_rand_rep(rng, n) for n in (9, 10, 11, 12)]
+    reps += [epsilon_rep(n) for n in range(1, 15)]
+    gens = [parse_poly(g) for g in WILD_GENS]
+    add = SpanBuilder.add
+    accepted = []
+
+    def recording_add(span, vec):
+        row = add(span, vec)
+        accepted.append(bool(row))
+        return row
+
+    monkeypatch.setattr(SpanBuilder, "add", recording_add)
+    for rep in reps:
+        results = []
+        for closure in (_right_ideal, right_ideal_from_products):
+            monkeypatch.setattr(imagealg, "_right_ideal", closure)
+            accepted.clear()
+            a = image_algebra(rep)
+            results.append((a.rows, a.pivots, radical_basis(a), quiver(a),
+                            ideal_codim(a, gens), tuple(accepted)))
+        assert results[0] == results[1]
 
 
 def test_one_sided_generator_ideal_is_not_its_right_ideal():

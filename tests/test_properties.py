@@ -1,8 +1,8 @@
-"""Property tests of the fraction-free products, the orbit-map series, the
-text and JSON round trips, the algebra product (against its termwise oracle,
-and associativity), conjugation invariance, the closure of right ideals,
-rational roots and the centralizer count of the census (hypothesis,
-test-only)."""
+"""Property tests of the fraction-free products, the elimination kernel
+(against sympy's rref), the orbit-map series, the text and JSON round trips,
+the algebra product (against its termwise oracle, and associativity),
+conjugation invariance, the closure of right ideals, rational roots and the
+centralizer count of the census (hypothesis, test-only)."""
 
 from __future__ import annotations
 
@@ -22,9 +22,11 @@ from jordanlab import (  # noqa: E402
     Partition,
     QMatrix,
     RepPair,
+    SpanBuilder,
     UniPoly,
     census,
     conjugate,
+    exact,
     fiber_basis,
     image_algebra,
     matrix_from_json,
@@ -78,6 +80,40 @@ def test_matmul_is_associative(abc):
 @given(POLYS, POLYS, squares())
 def test_poly_at_matrix_is_multiplicative(p, q, m):
     assert poly_at_matrix(p * q, m) == poly_at_matrix(p, m) @ poly_at_matrix(q, m)
+
+
+@st.composite
+def scaled_rows(draw):
+    """Integer rows of one length up to 64, each a combination of a few
+    sparse base rows times a factor 2-9: the rows share factors, and their
+    pivots, as the elimination meets them, are seldom 1."""
+    length = draw(st.integers(min_value=1, max_value=64))
+    entry = st.one_of(st.just(0), st.integers(min_value=-12, max_value=12))
+    base = draw(st.lists(st.lists(entry, min_size=length, max_size=length),
+                         min_size=1, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        coeffs = draw(st.lists(st.integers(min_value=-3, max_value=3),
+                               min_size=len(base), max_size=len(base)))
+        factor = draw(st.integers(min_value=2, max_value=9))
+        rows.append([factor * sum(c * b[i] for c, b in zip(coeffs, base))
+                     for i in range(length)])
+    return length, rows
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(scaled_rows())
+def test_span_basis_is_sympy_rref(length_and_rows):
+    sympy = pytest.importorskip("sympy")
+    length, rows = length_and_rows
+    span = SpanBuilder(length)
+    for row in rows:
+        span.add(row)
+    reduced, pivots = sympy.Matrix(rows).rref()
+    assert span.pivots == list(pivots)
+    assert span.basis_vectors() == [
+        tuple(exact(Fraction(int(v.p), int(v.q))) for v in reduced.row(i))
+        for i in range(len(pivots))]
 
 
 @st.composite
