@@ -3,6 +3,8 @@
 Exit codes: 0 success, 1 domain error (typed message on stderr), 2 usage
 error.  A global --seed (default 0, overridable by JORDAN_LAB_SEED) feeds
 every randomized subroutine; --json switches to the documented JSON schemas.
+Each command is one row of COMMANDS (path, handler, help, arguments), from
+which build_parser makes the parser; the handlers write through _output.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .freealg import (
     parse_poly,
 )
 from .imagealg import discover_relations, ideal_codim, image_algebra, quiver
-from .matrices import QMatrix, matrix_to_json, parse_matrix
+from .matrices import matrix_to_json, parse_matrix
 from .reps import (
     Partition,
     RepPair,
@@ -50,15 +52,15 @@ def rep_to_json(rep: RepPair, partition: "Partition | None" = None) -> dict:
     return out
 
 
-def load_matrix_pair(path: str) -> "tuple[QMatrix, QMatrix]":
-    """The (X, Y) of a representation file; InputFormatError unless it is a
+def load_rep(path: str) -> RepPair:
+    """The pair of a representation file; InputFormatError unless it is a
     JSON object with an integer "n" and n x n lists of rational strings."""
     import json
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
             raise InputFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputFormatError("a representation file must hold a JSON object")
@@ -68,11 +70,7 @@ def load_matrix_pair(path: str) -> "tuple[QMatrix, QMatrix]":
     n = data["n"]
     if type(n) is not int:
         raise InputFormatError(f'"n" must be an integer, got {json.dumps(n)}')
-    return parse_matrix(data["X"], n, n, "X"), parse_matrix(data["Y"], n, n, "Y")
-
-
-def load_rep(path: str) -> RepPair:
-    return RepPair(*load_matrix_pair(path))
+    return RepPair(parse_matrix(data["X"], n, n, "X"), parse_matrix(data["Y"], n, n, "Y"))
 
 
 def _output(args, payload, *lines) -> None:
@@ -268,6 +266,54 @@ def _cmd_canonical_extract(args) -> None:
 
 # -- parser ------------------------------------------------------------------
 
+GROUPS = {
+    "rep": "build, verify and evaluate representations",
+    "image": "image-algebra analysis",
+    "strata": "stratum census",
+    "orbit": "orbit-map diagnostics",
+    "canonical": "canonical full-block parameters",
+}
+
+# One row per command: its path, handler, help and arguments as (flag,
+# add_argument options).  A path "group name" puts the command under that
+# group of GROUPS.  A command whose help is None gets no line of its own in
+# its group's --help; argparse lists one for help=None, so build_parser
+# leaves that keyword out.
+COMMANDS = [
+    ("nf", _cmd_nf, "normal form of a polynomial", [("poly", {})]),
+    ("mul", _cmd_mul, "product in normal form", [("left", {}), ("right", {})]),
+    ("hilbert", _cmd_hilbert, "graded dimensions",
+     [("--max-degree", dict(type=int, required=True,
+                            help=f"0 to {HILBERT_MAX_DEGREE}; one line per degree"))]),
+    ("gb-check", _cmd_gb_check, "overlap/confluence check of the rewriting system", []),
+    ("rep build", _cmd_rep_build, None,
+     [("--partition", dict(required=True,
+                           help=f"e.g. 5 or 3,2,1; the parts sum to 1 to {REP_MAX_N}")),
+      ("--canonical", dict(help="LAMBDA,MU for the full-block normal form"))]),
+    ("rep verify", _cmd_rep_verify, None, [("file", {})]),
+    ("rep eval", _cmd_rep_eval, None, [("file", {}), ("poly", {})]),
+    ("image dim", _cmd_image_dim, None, [("file", {})]),
+    ("image relations", _cmd_image_relations, None,
+     [("file", {}),
+      ("--max-degree", dict(type=int, required=True,
+                            help=f"0 to {RELATIONS_MAX_DEGREE}; (d+1)(d+2)/2 monomials of "
+                            f"degree <= d, and n^2*(d+1)(d+2)/2 at most "
+                            f"{RELATIONS_MAX_ENTRIES} for an n x n rep"))]),
+    ("image quiver", _cmd_image_quiver, None, [("file", {})]),
+    ("image quotient-codim", _cmd_image_quotient_codim, None,
+     [("file", {}), ("--gens", dict(nargs="+", required=True))]),
+    ("strata census", _cmd_strata_census, None,
+     [("--n", dict(type=int, required=True,
+                   help=f"1 to {CENSUS_MAX_N}; one row per partition of n"))]),
+    ("faithful", _cmd_faithful, "least n with a nonzero image under epsilon_n",
+     [("poly", {}), ("--max-n", dict(type=int))]),
+    ("decompose", _cmd_decompose, "split on generalized eigenspaces of X", [("file", {})]),
+    ("orbit jacobian-rank", _cmd_orbit_jacobian_rank, None,
+     [("--n", dict(type=int, required=True,
+                   help=f"2 to {JACOBIAN_MAX_N}; the rank of an (n-1) x n matrix"))]),
+    ("canonical extract", _cmd_canonical_extract, None, [("file", {})]),
+]
+
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -280,101 +326,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="jordanlab",
         description="Exact computations with representations of the quadratic "
                     "algebra k<x,y>/(xy - yx - y^2)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("nf", parents=[common], help="normal form of a polynomial")
-    p.add_argument("poly")
-    p.set_defaults(func=_cmd_nf)
-
-    p = sub.add_parser("mul", parents=[common], help="product in normal form")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=_cmd_mul)
-
-    p = sub.add_parser("hilbert", parents=[common], help="graded dimensions")
-    p.add_argument("--max-degree", type=int, required=True,
-                   help=f"0 to {HILBERT_MAX_DEGREE}; one line per degree")
-    p.set_defaults(func=_cmd_hilbert)
-
-    p = sub.add_parser("gb-check", parents=[common],
-                       help="overlap/confluence check of the rewriting system")
-    p.set_defaults(func=_cmd_gb_check)
-
-    rep = sub.add_parser("rep", help="build, verify and evaluate representations")
-    rep_sub = rep.add_subparsers(dest="rep_command", required=True)
-
-    p = rep_sub.add_parser("build", parents=[common])
-    p.add_argument("--partition", required=True,
-                   help=f"e.g. 5 or 3,2,1; the parts sum to 1 to {REP_MAX_N}")
-    p.add_argument("--canonical", help="LAMBDA,MU for the full-block normal form")
-    p.set_defaults(func=_cmd_rep_build)
-
-    p = rep_sub.add_parser("verify", parents=[common])
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_rep_verify)
-
-    p = rep_sub.add_parser("eval", parents=[common])
-    p.add_argument("file")
-    p.add_argument("poly")
-    p.set_defaults(func=_cmd_rep_eval)
-
-    image = sub.add_parser("image", help="image-algebra analysis")
-    image_sub = image.add_subparsers(dest="image_command", required=True)
-
-    p = image_sub.add_parser("dim", parents=[common])
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_image_dim)
-
-    p = image_sub.add_parser("relations", parents=[common])
-    p.add_argument("file")
-    p.add_argument("--max-degree", type=int, required=True,
-                   help=f"0 to {RELATIONS_MAX_DEGREE}; (d+1)(d+2)/2 monomials of degree <= d, "
-                   f"and n^2*(d+1)(d+2)/2 at most {RELATIONS_MAX_ENTRIES} for an n x n rep")
-    p.set_defaults(func=_cmd_image_relations)
-
-    p = image_sub.add_parser("quiver", parents=[common])
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_image_quiver)
-
-    p = image_sub.add_parser("quotient-codim", parents=[common])
-    p.add_argument("file")
-    p.add_argument("--gens", nargs="+", required=True)
-    p.set_defaults(func=_cmd_image_quotient_codim)
-
-    strata = sub.add_parser("strata", help="stratum census")
-    strata_sub = strata.add_subparsers(dest="strata_command", required=True)
-
-    p = strata_sub.add_parser("census", parents=[common])
-    p.add_argument("--n", type=int, required=True,
-                   help=f"1 to {CENSUS_MAX_N}; one row per partition of n")
-    p.set_defaults(func=_cmd_strata_census)
-
-    p = sub.add_parser("faithful", parents=[common],
-                       help="least n with a nonzero image under epsilon_n")
-    p.add_argument("poly")
-    p.add_argument("--max-n", type=int, default=None)
-    p.set_defaults(func=_cmd_faithful)
-
-    p = sub.add_parser("decompose", parents=[common],
-                       help="split on generalized eigenspaces of X")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_decompose)
-
-    orbit = sub.add_parser("orbit", help="orbit-map diagnostics")
-    orbit_sub = orbit.add_subparsers(dest="orbit_command", required=True)
-
-    p = orbit_sub.add_parser("jacobian-rank", parents=[common])
-    p.add_argument("--n", type=int, required=True,
-                   help=f"2 to {JACOBIAN_MAX_N}; the rank of an (n-1) x n matrix")
-    p.set_defaults(func=_cmd_orbit_jacobian_rank)
-
-    canonical = sub.add_parser("canonical", help="canonical full-block parameters")
-    canonical_sub = canonical.add_subparsers(dest="canonical_command", required=True)
-
-    p = canonical_sub.add_parser("extract", parents=[common])
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_canonical_extract)
-
+    subs = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, func, help_text, arguments in COMMANDS:
+        group, _, name = path.rpartition(" ")
+        if group not in subs:
+            group_parser = subs[""].add_parser(group, help=GROUPS[group])
+            subs[group] = group_parser.add_subparsers(dest=f"{group}_command", required=True)
+        p = subs[group].add_parser(name, parents=[common],
+                                   **({"help": help_text} if help_text else {}))
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 

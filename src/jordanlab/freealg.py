@@ -213,14 +213,21 @@ def _int(digits: str) -> int:
         raise PolyParseError(f"number of {len(digits)} digits is too long") from None
 
 
+# The most letters the words of one parsed polynomial hold in all: it admits
+# x^4096*y, and refuses "x^4000000000" before a 4 GB word is built.
+MAX_LETTERS = 100_000
+
+
 def parse_poly(text: str) -> NcPoly:
     """Parse the polynomial grammar, e.g. "x^2*y - 2*y^2*x" or "3/2*x + 1".
 
     The grammar has no nesting, so it is one term pattern matched from the
-    left, each term after the first starting with its sign.
+    left, each term after the first starting with its sign.  Words of more
+    than MAX_LETTERS letters in all are a PolyParseError, checked before
+    each run of letters is built.
     """
     terms = []
-    pos = 0
+    pos = letters = 0
     while pos < len(text) or not terms:
         m = _TERM.match(text, pos)
         if m is None or (terms and not m[1]):
@@ -237,6 +244,9 @@ def parse_poly(text: str) -> NcPoly:
             e = _int(e) if e else 1
             if e < 1:
                 raise PolyParseError("exponent must be a positive integer")
+            letters += e
+            if letters > MAX_LETTERS:
+                raise PolyParseError(f"the words have more than {MAX_LETTERS} letters in all")
             word += letter * e
         terms.append((word, -coeff if sign == "-" else coeff))
         pos = m.end()

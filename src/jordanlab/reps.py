@@ -15,6 +15,7 @@ import enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from math import prod
 from typing import NamedTuple
 
 from .errors import (
@@ -394,19 +395,37 @@ class WitnessResult(enum.Enum):
     NOT_FOUND_BELOW_MAX = "not-found-below-max"
 
 
+def _least_nonroot(d: int, coeffs: "dict[int, Scalar]") -> int:
+    """Least i in 0..d with P_d(i) != 0 (``faithful_witness``), coeffs
+    mapping k to c_k: P_d(i) over the product for K = max(coeffs), which is
+    0 only at i = K = 0 < d."""
+    top = max(coeffs)
+    return next(i for i in range(d + 1) if not i == top == 0 < d and sum(
+        c * (-1) ** (top - k) * prod(range(i + k, i + top)) for k, c in coeffs.items()))
+
+
 def faithful_witness(f: NcPoly, max_n: "int | None" = None):
     """Least n with eval(f, epsilon_n) != 0, searching n <= max_n.
 
     Returns WitnessResult.IN_IDEAL when f reduces to 0 (f lies in the
-    defining ideal).  Otherwise a witness exists at some n <= 2*deg(f) + 1,
-    and over epsilon_n that bound is sharp.  Both matrices of epsilon_n are
-    supported on the first superdiagonal, so the degree-d part of f lands on
-    the d-th superdiagonal, whose row i (0 <= i < n - d) is P(i) with
-    P = sum_k c_k (-1)^(d-k) (i+k)(i+k+1)...(i+d-1) for the coefficients
+    defining ideal).  Otherwise the witness is read off the normal form, and
+    no matrix is built.  Both matrices of epsilon_n are supported on the
+    first superdiagonal (Y^k moves row i to row i + k, and X = x_zero(n)
+    moves row j to j + 1 with the factor -j), so the degree-d part of f
+    lands on the d-th superdiagonal.  Distinct degrees fill distinct
+    superdiagonals and cannot cancel, so eval(f, epsilon_n) != 0 iff some
+    degree d of f has a nonzero row i < n - d.  That row is P_d(i) with
+    P_d = sum_k c_k (-1)^(d-k) (i+k)(i+k+1)...(i+d-1) for the coefficients
     c_k of y^k x^(d-k).  These products have the distinct degrees d - k, so
-    P is nonzero of degree <= d and n - d >= d + 1 rows cannot all vanish.
-    They span all polynomials of degree <= d, so some f of each degree d has
-    P(i) = i(i-1)...(i-d+1), which vanishes on every row while n <= 2*d;
+    P_d is nonzero of degree <= d and has a nonroot i in 0..d: the witness
+    is the least d + 1 + i over the degrees d of f and the least nonroots i
+    of P_d, at most 2*deg(f) + 1.  The product for the largest k present,
+    K, divides every term and vanishes only at i = K = 0 < d, so
+    ``_least_nonroot`` tests the quotient, whose products have at most K
+    factors, instead of P_d (``faithful "x^99999"`` multiplies no factors).
+    Over epsilon_n the bound 2*deg(f) + 1 is sharp.  The products span all
+    polynomials of degree <= d, so some f of each degree d has
+    P_d(i) = i(i-1)...(i-d+1), which vanishes on every row while n <= 2*d;
     f = x is the case d = 1 (zero at n = 1 and 2, least witness 3).
     max_n defaults to max(1, 2*deg(f)), below that bound, so under the
     default WitnessResult.NOT_FOUND_BELOW_MAX does not mean that f lies in
@@ -420,7 +439,8 @@ def faithful_witness(f: NcPoly, max_n: "int | None" = None):
         return WitnessResult.IN_IDEAL
     if max_n is None:
         max_n = max(1, 2 * nf.degree)
-    for n in range(1, max_n + 1):
-        if not evaluate(nf, epsilon_rep(n)).is_zero():
-            return n
-    return WitnessResult.NOT_FOUND_BELOW_MAX
+    by_degree: "dict[int, dict[int, Scalar]]" = {}
+    for (k, m), c in nf.items():
+        by_degree.setdefault(k + m, {})[k] = c
+    least = min(d + 1 + _least_nonroot(d, coeffs) for d, coeffs in by_degree.items())
+    return least if least <= max_n else WitnessResult.NOT_FOUND_BELOW_MAX

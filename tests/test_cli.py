@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from jordanlab import Partition, QMatrix, RepPair, block_diag, conjugate
-from jordanlab.cli import rep_to_json, run
+from jordanlab.cli import COMMANDS, GROUPS, build_parser, rep_to_json, run
 from jordanlab.reps import fiber_basis, jordan_block, jordan_matrix, x_zero
 from jordanlab.sampling import rand_unimodular
 
@@ -322,6 +324,15 @@ def test_faithful(capture):
     assert out == "in-ideal\n"
 
 
+def test_faithful_large_degree_is_read_off(capture):
+    # the witness d + 2 of x^d comes from the normal form, not from
+    # evaluating x^200 at epsilon_1 .. epsilon_202
+    start = time.perf_counter()
+    code, out, _ = capture("faithful", "x^200")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (0, "202\n")
+
+
 def test_decompose(capture, tmp_path):
     rep = {
         "n": 2,
@@ -429,6 +440,7 @@ MALFORMED_REP_FILES = {
     "bad_rational": json.dumps({"n": 1, "X": [["1/0"]], "Y": [["0"]]}),
     "exponent_entry": json.dumps({"n": 1, "X": [["1e400"]], "Y": [["0"]]}),
     "not_json": "{",
+    "deep_nesting": "[" * 100_000 + "]" * 100_000,  # json's RecursionError
 }
 
 
@@ -446,9 +458,13 @@ def test_malformed_rep_file_is_input_format_error(capture, tmp_path, name, comma
 
 
 def test_parse_error_is_domain_error(capture):
-    code, _, err = capture("nf", "x^0")
-    assert code == 1
-    assert "PolyParseError" in err
+    # a word of 10^20 letters is refused by the letter cap before it is built
+    for poly in ("x^0", "x^99999999999999999999"):
+        code, out, err = capture("nf", poly)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: PolyParseError: ")
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("poly", ["9" * 5000, "x^" + "9" * 5000])
@@ -586,6 +602,7 @@ FRESH_COMMANDS = [
     ("nf", "x*y", "--json"),
     ("rep", "verify", "BAD"),
     ("--help",),
+    ("rep", "--help"),
 ]
 
 
@@ -626,3 +643,53 @@ def test_rep_build_particular_builds_no_fiber_basis(capture, parts):
     rep = RepPair(fiber_basis(partition).particular, jordan_matrix(partition))
     assert (code, err) == (0, "")
     assert out == json.dumps(rep_to_json(rep, partition), indent=2) + "\n"
+
+
+# -- the command table --------------------------------------------------------
+
+
+def test_every_command_row_dispatches_to_its_handler():
+    """Each row of COMMANDS, its arguments filled in, parses to its own
+    handler, with its own name in the subparser dest of each level."""
+    assert len({path for path, *_ in COMMANDS}) == len(COMMANDS) == 16
+    assert {path.split()[0] for path, *_ in COMMANDS if " " in path} == set(GROUPS)
+    parser = build_parser()
+    for path, func, _, arguments in COMMANDS:
+        argv = path.split()
+        for flag, options in arguments:
+            if not flag.startswith("-"):
+                argv.append("1")
+            elif options.get("required"):
+                argv += [flag, "1"]
+        args = parser.parse_args(argv)
+        assert args.func is func, path
+        group, _, name = path.rpartition(" ")
+        assert args.command == (group or name)
+        if group:
+            assert getattr(args, f"{group}_command") == name
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_examples_run(capture, monkeypatch, tmp_path):
+    """Each line of the README's CLI example block exits 0 (``> file`` is
+    honoured), and a line with a comment prints it, " / " between lines."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = next(block for block in blocks if block.startswith("jordanlab ")).splitlines()
+    assert len(lines) == 18
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("JORDAN_LAB_SEED", raising=False)
+    for line in lines:
+        command, _, expected = line.partition("#")
+        argv = shlex.split(command)
+        assert argv.pop(0) == "jordanlab", line
+        redirect = None
+        if ">" in argv:
+            argv, redirect = argv[:argv.index(">")], argv[-1]
+        code, out, err = capture(*argv)
+        assert (code, err) == (0, ""), line
+        if expected.strip():
+            assert out == expected.strip().replace(" / ", "\n") + "\n", line
+        if redirect is not None:
+            Path(redirect).write_text(out)

@@ -713,6 +713,44 @@ def test_faithful_random_bound():
         assert witness <= max(1, 2 * d)
 
 
+def epsilon_search(f, max_n):
+    """The least n <= max_n with eval(f, epsilon_n) != 0 by evaluating f at
+    each epsilon_n: the search the read-off in faithful_witness replaced."""
+    for n in range(1, max_n + 1):
+        if not evaluate(f, epsilon_rep(n)).is_zero():
+            return n
+    return WitnessResult.NOT_FOUND_BELOW_MAX
+
+
+def test_faithful_matches_epsilon_search():
+    # Random draws, then draws with every monomial of one degree d and small
+    # integer coefficients, which give P_d repeated roots (f = x^2 + 2*y*x +
+    # 2*y^2 has P_2(i) = i(i-1), least witness 5 = 2*2 + 1).
+    rng = random.Random(1209)
+    draws = [rand_normal_poly(rng, rng.randint(0, 7)) for _ in range(300)]
+    draws += [NormalPoly({(k, d - k): rng.randint(-2, 2) for k in range(d + 1)})
+              for d in (rng.randint(1, 5) for _ in range(300))]
+    draws.append(NormalPoly({(0, 2): 1, (1, 1): 2, (2, 0): 2}))
+    witnesses = set()
+    for poly in draws:
+        if poly.is_zero():
+            continue
+        default = max(1, 2 * poly.degree)
+        for max_n in (None, 1, 2, 3, 5, 20):
+            got = faithful_witness(poly.embed(), max_n)
+            assert got == epsilon_search(poly, default if max_n is None else max_n), (poly, max_n)
+            witnesses.add(got)
+    assert faithful_witness(parse_poly("x^2 + 2*y*x + 2*y^2"), 5) == 5
+    assert set(range(1, 9)) <= witnesses
+
+
+def test_faithful_large_degree_reads_off_the_witness():
+    # x^d vanishes at i = 0 of its superdiagonal only; no n x n matrix is built
+    assert faithful_witness(parse_poly("x^200")) == 202
+    assert faithful_witness(parse_poly("y^99999")) == 100000
+    assert faithful_witness(parse_poly("x^99999"), 100000) is WitnessResult.NOT_FOUND_BELOW_MAX
+
+
 def test_faithful_rejects_max_n_below_one():
     for max_n in (0, -1):
         for f in ("x^2", "x*y - y*x - y^2"):
