@@ -156,6 +156,10 @@ def _cmd_gb_check(args) -> None:
 
 
 def _cmd_rep_build(args) -> None:
+    """Print a pair with Y = jordan_matrix(p): ``canonical_pair``, else the
+    seeded ``rand_fiber_point`` or the particular solution.  Those two are
+    points of the fiber of ``reps.fiber_basis``, which proves the relation,
+    so they are not re-verified."""
     import json
 
     partition = _parse_partition(args.partition)
@@ -172,9 +176,9 @@ def _cmd_rep_build(args) -> None:
                 f"--canonical expects rationals LAMBDA,MU, got {args.canonical!r}") from exc
         rep = canonical_pair(lam, mu, partition.n)
     elif args.seed is not None:
-        rep = RepPair(rand_fiber_point(random.Random(args.seed), partition), y)
+        rep = RepPair._proved(rand_fiber_point(random.Random(args.seed), partition), y)
     else:
-        rep = RepPair(_particular_solution(partition), y)
+        rep = RepPair._proved(_particular_solution(partition), y)
     payload = rep_to_json(rep, partition)
     _output(args, payload, json.dumps(payload, indent=2))
 

@@ -388,6 +388,12 @@ def alpha_coeff(k: int, n: int) -> Scalar:
     return factorial(n) // factorial(n - k + 1)
 
 
+# The most bits the coefficients of one expansion x^b y^c may hold in all,
+# by the bound in ``_x_power_times_y_power``: it admits x^4096*y (about 2^28)
+# and refuses x^50000*y^49999 (about 2^35) before anything is expanded.
+EXPANSION_BITS = 2 ** 30
+
+
 # Bounded: a word with an x-run of length D meets about 2D (b, c) pairs, each
 # expansion holding b + 1 integers, so an unbounded cache grows as D^2 with
 # long input words.  4096 is nearly three times the 1390-1450 distinct pairs
@@ -402,9 +408,19 @@ def _x_power_times_y_power(b: int, c: int):
     x^b y^c = sum_j C(b, j) c(c+1)...(c+j-1) y^(c+j) x^(b-j).
     Each coefficient is the previous one times (b-j)(c+j)/(j+1); the
     division is exact because C(b, j)(b-j) = C(b, j+1)(j+1).
+
+    Size.  C(b, j) <= 2^b and c(c+1)...(c+j-1) <= (b+c)^b, so each of the
+    b + 1 coefficients has at most b*(1 + bitlen(b+c)) + 1 bits.  When that
+    total exceeds EXPANSION_BITS the expansion is an OutOfRangeError,
+    raised before it is formed.
     """
     if c == 0:
         return (((0, b), 1),)
+    bits = (b + 1) * (b * (1 + (b + c).bit_length()) + 1)
+    if bits > EXPANSION_BITS:
+        raise OutOfRangeError(
+            f"the normal form of x^{b}*y^{c} may need {bits} bits, "
+            f"more than {EXPANSION_BITS}")
     out = []
     coeff = 1
     for j in range(b + 1):

@@ -311,15 +311,15 @@ def ideal_codim(a: ImageAlgebra, gens) -> int:
     over the generators.  Transposition reverses products, so (AM)^T =
     M^T A^T, and A^T is generated by X^T and Y^T, hence by X^T and -Y^T.
     That pair satisfies the relation, X^T(-Y^T) - (-Y^T)X^T = (XY - YX)^T
-    = (Y^2)^T = (-Y^T)^2, so ``_right_ideal`` closes M^T A^T from any
-    spanning set of M^T, such as the transposed rows of M.  Transposition
-    keeps dimensions.
+    = (Y^2)^T = (-Y^T)^2, so the pair is not re-verified, and
+    ``_right_ideal`` closes M^T A^T from any spanning set of M^T, such as
+    the transposed rows of M.  Transposition keeps dimensions.
     """
     rep, n = a.rep, a.rep.n
     images = [primitive_integral(evaluate(g, rep).entries) for g in gens]
     right = _right_ideal(rep, images)
-    flipped = RepPair(QMatrix(n, n, _transposed(rep.X.entries, n)),
-                      -QMatrix(n, n, _transposed(rep.Y.entries, n)))
+    flipped = RepPair._proved(QMatrix(n, n, _transposed(rep.X.entries, n)),
+                              -QMatrix(n, n, _transposed(rep.Y.entries, n)))
     return a.dim - _right_ideal(flipped, [_transposed(row, n) for row in right.rows]).rank
 
 

@@ -22,13 +22,12 @@ from .errors import (
     NotFullBlockJordanCoordinatesError,
     OutOfRangeError,
     RelationViolationError,
-    RepeatedBlockSizesError,
     SizeMismatchError,
 )
 from .freealg import NcPoly, NormalPoly, normal_form
-from .matrices import QMatrix, block_diag, flat_matmul, inverse, poly_at_matrix
+from .matrices import QMatrix, _divided, block_diag, flat_matmul, inverse, poly_at_matrix
 from .polynomials import UniPoly
-from .scalars import Scalar, _Record, _set, cleared, exact
+from .scalars import Scalar, _Record, _set, cleared
 
 
 class Partition(_Record):
@@ -98,6 +97,19 @@ def x_zero(n: int) -> QMatrix:
 class RepPair(_Record):
     """Verified pair: X@Y - Y@X = Y@Y holds exactly.
 
+    Every pair is verified at construction or proved at its call site.
+    ``RepPair(X, Y)`` (and ``verify_rep``) checks the relation on any input.
+    The private ``RepPair._proved`` skips the check, and is called only
+    where a docstring proves the relation:
+    - ``conjugate``: conjugation by an invertible c is an automorphism;
+    - ``sampling.rand_rep`` and ``rep build``: a fiber point of
+      ``fiber_basis``, conjugated in ``rand_rep`` as in ``conjugate``;
+    - ``strata.decompose``: the diagonal blocks of the pair in a
+      generalized eigenbasis of X;
+    - ``imagealg.ideal_codim``: the pair (X^T, -Y^T).
+    tests/test_api.py pins that list, and a test per site checks its pairs
+    against ``RepPair(X, Y)``.
+
     Construction does not test whether Y is nilpotent: the relation forces
     it.  Proof: by induction [X, Y^k] = k*Y^(k+1), so for every j >= 2,
     Y^j = [X, Y^(j-1)]/(j-1) is a commutator and tr(Y^j) = 0.  Suppose Y
@@ -131,6 +143,14 @@ class RepPair(_Record):
         residual = _relation_residual(x, y)
         if residual is not None:
             raise RelationViolationError("XY - YX != Y^2", residual=residual)
+
+    @classmethod
+    def _proved(cls, X: QMatrix, Y: QMatrix) -> "RepPair":
+        """The pair (X, Y), not checked: for a caller that proves the relation."""
+        rep = object.__new__(cls)
+        _set(rep, "X", X)
+        _set(rep, "Y", Y)
+        return rep
 
     @property
     def n(self) -> int:
@@ -314,16 +334,50 @@ def _centralizer_supports(p: Partition) -> "list[list[int]]":
 
 
 def conjugate(rep: RepPair, c: QMatrix, c_inv: "QMatrix | None" = None) -> RepPair:
-    """The conjugated pair (c X c^-1, c Y c^-1), re-verified.
+    """The conjugated pair (c X c^-1, c Y c^-1).
 
-    The products are taken as they stand: each ``@`` clears its operands'
-    denominators and multiplies integers itself, and its exact result does
-    not depend on how the operands were scaled, so clearing a common
-    denominator here first would only repeat that work.
+    It is not re-verified.  Proof: conjugation by an invertible c is an
+    algebra automorphism of M_n, so (cXc^-1)(cYc^-1) - (cYc^-1)(cXc^-1) =
+    c(XY - YX)c^-1 = cY^2c^-1 = (cYc^-1)^2.  Its hypothesis is that c_inv
+    is the inverse of c.  Omitted, c_inv is ``inverse(c)``, which is exact.
+    Given, it is checked by one integer product, c c_inv = I (for square
+    matrices that makes c_inv c = I too), and a ValueError is raised
+    otherwise.  The products run on integers (``_conjugated``).
     """
-    if c_inv is None:
+    n = rep.n
+    known = c_inv is None
+    if known:
         c_inv = inverse(c)
-    return RepPair(c @ rep.X @ c_inv, c @ rep.Y @ c_inv)
+    for m in (c, c_inv):
+        if m.rows != n or m.cols != n:
+            raise SizeMismatchError(f"conjugator must be {n}x{n}, got {m.rows}x{m.cols}")
+    x, y = _conjugated(c, c_inv, (rep.X, rep.Y), inverse_known=known)
+    return RepPair._proved(QMatrix(n, n, x), QMatrix(n, n, y))
+
+
+def _conjugated(c: QMatrix, c_inv: QMatrix, mats, inverse_known: bool) -> "list[tuple]":
+    """The entries of c m c_inv for each n x n matrix m, by integer products.
+
+    With c = C/d_c, c_inv = D/d_i and m = A/e (``cleared``, each once),
+    c m c_inv = (C A) D/(d_c e d_i): two ``flat_matmul`` and one division
+    per entry (``_divided``), and no Fraction is formed in between.  Unless
+    inverse_known, c c_inv = I is checked first as C D = d_c d_i I, one
+    more integer product; a ValueError is raised if it fails.
+    """
+    n = c.rows
+    cc, d_c = cleared(c.entries)
+    ci, d_i = cleared(c_inv.entries)
+    if not inverse_known:
+        scaled = d_c * d_i
+        if flat_matmul(cc, ci, n, n, n) != [scaled if k % (n + 1) == 0 else 0
+                                             for k in range(n * n)]:
+            raise ValueError("c_inv is not the inverse of c")
+    out = []
+    for m in mats:
+        a, e = cleared(m.entries)
+        out.append(_divided(flat_matmul(flat_matmul(cc, a, n, n, n), ci, n, n, n),
+                            d_c * e * d_i))
+    return out
 
 
 def evaluate(f, rep: RepPair) -> QMatrix:
@@ -349,45 +403,6 @@ def evaluate(f, rep: RepPair) -> QMatrix:
     for row in reversed(rows):
         acc = rep.Y @ acc + poly_at_matrix(UniPoly(row), rep.X)
     return acc
-
-
-def eigenvalues_distinct_blocks(rep: RepPair, p: Partition, diag_values) -> "list[Scalar]":
-    """Eigenvalues of X read off the block diagonals, with multiplicities.
-
-    Only valid when the Jordan blocks of Y have pairwise different sizes.
-    Once Y = jordan_matrix(p) and every diagonal entry of block a is the
-    claimed value lam_a, char(X) is the product of (t - lam_a)^(n_a), so
-    the characteristic polynomial is not computed.  Proof: [X, Y^k] =
-    k*Y^(k+1), so X maps ker Y^k into itself for every k, and char(X) is
-    the product of the characteristic polynomials of the maps X induces on
-    the quotients ker Y^k / ker Y^(k-1).  Y maps each basis vector of a
-    block to the one before it, so that quotient has the basis e(a, k-1),
-    the k-th basis vector of each block a with n_a >= k, and the induced
-    matrix has entry X[start_a + k-1, start_b + k-1] at (a, b).  For a != b
-    that is on the d = 0 diagonal of block X_ab.  The particular solution
-    of fiber_basis(p) is zero there and X minus it commutes with Y, so by
-    the fiber_basis theorem the entry vanishes unless n_b <= n_a.  With
-    distinct sizes stored in decreasing order the induced matrix is upper
-    triangular, and its diagonal is lam_a for every block a with n_a >= k.
-    """
-    parts = p.parts
-    if len(set(parts)) != len(parts):
-        raise RepeatedBlockSizesError(
-            "eigenvalue read-off requires pairwise distinct block sizes")
-    if rep.Y != jordan_matrix(p):
-        raise NotFullBlockJordanCoordinatesError(
-            "rep must be in the Jordan coordinates of the given partition")
-    values = [exact(v) for v in diag_values]
-    if len(values) != len(parts):
-        raise SizeMismatchError("one diagonal value per block is required")
-    offset = 0
-    for size, lam in zip(parts, values):
-        for i in range(size):
-            if rep.X[offset + i, offset + i] != lam:
-                raise ValueError(
-                    f"X does not carry the claimed value {lam} on block diagonal")
-        offset += size
-    return sorted(lam for size, lam in zip(parts, values) for _ in range(size))
 
 
 class WitnessResult(enum.Enum):

@@ -10,15 +10,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .matrices import QMatrix, inverse, poly_at_matrix
+from .matrices import QMatrix, _divided, flat_matmul, inverse, poly_at_matrix
 from .polynomials import UniPoly
 from .freealg import NormalPoly
 from .reps import (
     Partition,
     RepPair,
     _centralizer_supports,
+    _conjugated,
     _particular_solution,
-    conjugate,
     jordan_block,
     jordan_matrix,
 )
@@ -26,8 +26,13 @@ from .scalars import Scalar, exact
 from .strata import partitions
 
 
+def _rand_ratio(rng: random.Random) -> "tuple[int, int]":
+    """The numerator in [-9, 9] and the denominator in [1, 4] of one rational draw."""
+    return rng.randint(-9, 9), rng.randint(1, 4)
+
+
 def rand_rational(rng: random.Random) -> Scalar:
-    return exact(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+    return exact(Fraction(*_rand_ratio(rng)))
 
 
 def rand_nonzero_rational(rng: random.Random) -> Scalar:
@@ -45,37 +50,51 @@ def rand_fiber_point(rng: random.Random, p: Partition) -> QMatrix:
     """Random solution X of the relation for Y = jordan_matrix(p).
 
     particular + sum of c_i * basis_i over ``fiber_basis(p)``, with one
-    rand_rational draw per basis element in basis order.  Basis element i
-    is the 0/1 matrix of the i-th support of ``_centralizer_supports`` (same
+    rational draw per basis element in basis order.  Basis element i is the
+    0/1 matrix of the i-th support of ``_centralizer_supports`` (same
     order), so c_i is added on those cells and no basis matrix is built.
+    The sum is taken on integers over 12 = lcm(1, 2, 3, 4), which every
+    draw's denominator divides, and divided once per entry.
     """
     n = p.n
-    acc = list(_particular_solution(p).entries)
+    acc = [12 * v for v in _particular_solution(p).entries]
     for cells in _centralizer_supports(p):
-        c = rand_rational(rng)
-        if c != 0:
+        num, den = _rand_ratio(rng)
+        if num:
+            c = num * (12 // den)
             for cell in cells:
                 acc[cell] += c
-    return QMatrix(n, n, tuple(acc))
+    return QMatrix(n, n, _divided(acc, 12))
 
 
 def rand_unimodular(rng: random.Random, n: int) -> "tuple[QMatrix, QMatrix]":
-    """Random integer matrix with determinant 1, plus its exact inverse."""
-    lower = [[1 if i == j else (rng.randint(-2, 2) if i > j else 0)
-              for j in range(n)] for i in range(n)]
-    upper = [[1 if i == j else (rng.randint(-2, 2) if i < j else 0)
-              for j in range(n)] for i in range(n)]
-    c = QMatrix.from_rows(lower) @ QMatrix.from_rows(upper)
+    """Random integer matrix with determinant 1, plus its exact inverse.
+
+    The product L U of a random unit lower and a random unit upper
+    triangular integer matrix, formed by one integer ``flat_matmul``.
+    """
+    lower = [1 if i == j else (rng.randint(-2, 2) if i > j else 0)
+             for i in range(n) for j in range(n)]
+    upper = [1 if i == j else (rng.randint(-2, 2) if i < j else 0)
+             for i in range(n) for j in range(n)]
+    c = QMatrix(n, n, tuple(flat_matmul(lower, upper, n, n, n)))
     return c, inverse(c)
 
 
 def rand_rep(rng: random.Random, n: int) -> RepPair:
-    """Random partition, random fiber point, random conjugation."""
+    """Random partition, random fiber point, random conjugation.
+
+    Not re-verified.  Proof: X = ``rand_fiber_point`` solves the relation
+    for Y = jordan_matrix(p) by the ``fiber_basis`` theorem, and c_inv is
+    the exact inverse of c (``rand_unimodular``), so (c X c_inv, c Y c_inv)
+    satisfies it too (``reps.conjugate``), and neither c c_inv = I nor the
+    relation is checked again.
+    """
     p = rand_partition(rng, n)
     x = rand_fiber_point(rng, p)
-    base = RepPair(x, jordan_matrix(p))
     c, c_inv = rand_unimodular(rng, n)
-    return conjugate(base, c, c_inv)
+    cx, cy = _conjugated(c, c_inv, (x, jordan_matrix(p)), inverse_known=True)
+    return RepPair._proved(QMatrix(n, n, cx), QMatrix(n, n, cy))
 
 
 def rand_stabilizer_element(rng: random.Random, n: int) -> QMatrix:

@@ -17,7 +17,7 @@ from .errors import OutOfRangeError
 from .imagealg import _eigenbasis, dim_bound, rational_spectrum
 from .matrices import QMatrix, _echelon, char_poly
 from .polynomials import UniPoly
-from .reps import Partition, RepPair, _centralizer_supports
+from .reps import Partition, RepPair, _centralizer_supports, _conjugated
 from .scalars import Scalar, _Record, exact
 
 
@@ -130,19 +130,21 @@ def decompose(rep: RepPair) -> Decomposition:
     is the image of the eigenprojection for lambda, which commutes with Y
     (proof in ``imagealg.idempotents``).  So every eigenspace is
     Y-invariant, both conjugated matrices are block-diagonal, and every
-    summand is itself a verified pair; requires the spectrum of X to be
-    rational.
+    summand satisfies the relation, so it is not re-verified: the pair
+    (C^-1 X C, C^-1 Y C) does (``reps.conjugate``; C^-1 comes from the
+    exact ``inverse``), and the product of block-diagonal matrices is taken
+    block by block.  Requires the spectrum of X to be rational.
     """
+    n = rep.n
     spectrum = rational_spectrum(rep.X)
     c, c_inv = _eigenbasis(rep.X, spectrum)
-    xb = c_inv @ rep.X @ c
-    yb = c_inv @ rep.Y @ c
+    xb, yb = _conjugated(c_inv, c, (rep.X, rep.Y), inverse_known=True)
     summands = []
     lo = 0
     for _, size in spectrum:
-        block = [(i, j) for i in range(lo, lo + size) for j in range(lo, lo + size)]
-        summands.append(RepPair(QMatrix(size, size, tuple(xb[ij] for ij in block)),
-                                QMatrix(size, size, tuple(yb[ij] for ij in block))))
+        block = [i * n + j for i in range(lo, lo + size) for j in range(lo, lo + size)]
+        summands.append(RepPair._proved(QMatrix(size, size, tuple(xb[k] for k in block)),
+                                        QMatrix(size, size, tuple(yb[k] for k in block))))
         lo += size
     return Decomposition(tuple(summands),
                          tuple(lam for lam, _ in spectrum), c)

@@ -27,7 +27,7 @@ PUBLIC_NAMES = [
     "Violation", "WitnessResult", "alpha_coeff", "apply_automorphism", "block_diag",
     "canonical_pair", "census", "char_poly", "compose_automorphisms", "conjugate",
     "decompose", "deglex_key", "dim_bound", "discover_relations",
-    "eigenvalues_distinct_blocks", "epsilon_rep", "evaluate", "exact", "extract_params",
+    "epsilon_rep", "evaluate", "exact", "extract_params",
     "faithful_witness", "fiber_basis", "full_block_canonicalize",
     "gs_series_coefficients", "hilbert_dim", "ideal_codim", "idempotents",
     "image_algebra", "inverse", "is_nilpotent", "jacobian_rank",
@@ -102,3 +102,41 @@ def test_traced_spans_resolve():
     assert "leftmost_match" in vars(RewriteSystem)
     assert callable(fiber_basis.cache_info)
     assert callable(fiber_basis.cache_clear)
+
+
+SRC = Path(jordanlab.__file__).resolve().parent
+
+# Every function that uses the unverified constructor ``RepPair._proved``.
+# Each proves the relation in its docstring, and tests/test_proved.py checks
+# its pairs against the verifying ``RepPair(X, Y)``.  A new site is added
+# here only with both.
+PROVED_SITES = {
+    "cli._cmd_rep_build",
+    "imagealg.ideal_codim",
+    "reps.conjugate",
+    "sampling.rand_rep",
+    "strata.decompose",
+}
+
+
+def proved_constructor_sites() -> "set[str]":
+    """module.function (classes and nested functions dotted in) of every
+    ``._proved`` reference in the package source."""
+    sites = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "_proved":
+                sites.add(".".join(scope))
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
+    return sites
+
+
+def test_only_the_proved_sites_skip_the_relation_check():
+    assert proved_constructor_sites() == PROVED_SITES

@@ -487,6 +487,20 @@ def test_unprintably_long_coefficient_is_out_of_range(capture, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [("nf", "x^50000*y^49999"), ("mul", "x^50000", "y^49999"),
+                                  ("faithful", "x^50000*y^49999")])
+def test_expansion_over_budget_is_refused_at_once(capture, argv):
+    # The normal form of x^50000*y^49999 has 50001 coefficients of up to
+    # about 10^6 bits; the size bound refuses it before it is expanded.
+    assert all(len(a) <= 16 for a in argv)
+    start = time.perf_counter()
+    code, out, err = capture(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: OutOfRangeError: the normal form of x^50000*y^49999 ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [("strata", "census", "--n", "100000"),
                                   ("strata", "census", "--n", "31"),
                                   ("hilbert", "--max-degree", "99999999"),

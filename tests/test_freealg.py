@@ -272,6 +272,27 @@ def test_x_power_times_y_power_matches_closed_form():
         assert _x_power_times_y_power(b, c) == closed_form(b, c)
 
 
+def test_expansion_budget_bounds_the_coefficient_bits(monkeypatch):
+    """The size bound is never below the real total of coefficient bits:
+    with the budget one bit below a case's total, the case is refused.  Far
+    above the budget, x^50000*y^49999 is refused without being expanded."""
+    from jordanlab import freealg
+
+    expand = freealg._x_power_times_y_power
+    for b, c in [(1, 1), (2, 5), (7, 1), (30, 30), (60, 2), (200, 1), (300, 700)]:
+        bits = sum(v.bit_length() for _, v in expand(b, c))
+        expand.cache_clear()
+        monkeypatch.setattr(freealg, "EXPANSION_BITS", bits - 1)
+        with pytest.raises(OutOfRangeError):
+            expand(b, c)
+        monkeypatch.undo()
+    assert len(expand(0, 10 ** 9)) == 1
+    with pytest.raises(OutOfRangeError):
+        expand(50000, 49999)
+    with pytest.raises(OutOfRangeError):
+        normal_form(parse_poly("x^50000*y^49999"))
+
+
 def test_power_cache_is_bounded():
     from jordanlab.freealg import _x_power_times_y_power
 

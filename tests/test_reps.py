@@ -25,7 +25,6 @@ from jordanlab import (
     canonical_pair,
     char_poly,
     conjugate,
-    eigenvalues_distinct_blocks,
     epsilon_rep,
     evaluate,
     extract_params,
@@ -53,6 +52,7 @@ from jordanlab.sampling import (
     rand_stabilizer_element,
     rand_unimodular,
 )
+from blocks_oracle import eigenvalues_distinct_blocks
 from centralizer_oracle import is_b_toeplitz, sylvester_operator
 from orbit_oracle import polynomial_in_j
 
@@ -235,8 +235,10 @@ def fraction_product(*mats: QMatrix) -> "list[list[Fraction]]":
 
 
 def test_conjugate_matches_fraction_products():
-    """conjugate multiplies as the pair stands, with no common denominator
-    cleared first; its entries equal the Fraction products exactly."""
+    """conjugate multiplies on integers, each matrix cleared once and each
+    entry divided once; its entries equal the Fraction products exactly,
+    and the pair it does not re-verify, with c_inv given or omitted (the
+    same pair), passes the verifying constructor."""
     from jordanlab import inverse, rank
 
     rng = random.Random(51)
@@ -249,6 +251,7 @@ def test_conjugate_matches_fraction_products():
                 break
         c_inv = inverse(c)
         again = conjugate(rep, c, c_inv)
+        assert RepPair(again.X, again.Y) == again
         assert again.X.to_rows() == fraction_product(c, rep.X, c_inv)
         assert again.Y.to_rows() == fraction_product(c, rep.Y, c_inv)
         assert conjugate(rep, c) == again
