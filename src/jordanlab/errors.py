@@ -47,9 +47,5 @@ class IrrationalEigenvaluesError(JordanLabError):
     """The characteristic polynomial does not split over the rationals."""
 
 
-class RepeatedBlockSizesError(JordanLabError):
-    """Eigenvalue read-off requires pairwise distinct Jordan block sizes."""
-
-
 class NotFullBlockJordanCoordinatesError(JordanLabError):
     """The operation requires Y to be exactly the full upper Jordan block."""

@@ -26,6 +26,7 @@ from .freealg import NormalPoly
 from .matrices import (
     QMatrix,
     SpanBuilder,
+    _product,
     char_poly,
     flat_matmul,
     inverse,
@@ -217,7 +218,7 @@ def _eigenprojections(x: QMatrix, spectrum) -> "list[QMatrix]":
     c, c_inv = _eigenbasis(x, spectrum)
     # the block of each column of C
     block = [i for i, (_, mult) in enumerate(spectrum) for _ in range(mult)]
-    return [c @ QMatrix.diagonal(int(b == i) for b in block) @ c_inv
+    return [_product(c, QMatrix.diagonal(int(b == i) for b in block), c_inv)
             for i in range(len(spectrum))]
 
 
@@ -340,10 +341,15 @@ def discover_relations(rep: RepPair, max_degree: int) -> "list[NormalPoly]":
 
     Kernel of the evaluation map from span{y^k x^m : k+m <= max_degree} to
     n x n matrices, echelonized over the monomial list ordered by (degree,
-    number of y's).
+    number of y's).  Each monomial's image is one product from an earlier
+    one: X^m = X^(m-1) X, and Y^k X^m = Y (Y^(k-1) X^m), which has degree
+    one less and so comes before it in that order.
     """
     monomials = _normal_monomials(max_degree)
-    columns = [evaluate(NormalPoly.monomial(k, m), rep).entries for k, m in monomials]
+    images = {(0, 0): QMatrix.identity(rep.n)}
+    for k, m in monomials[1:]:
+        images[k, m] = rep.Y @ images[k - 1, m] if k else images[0, m - 1] @ rep.X
+    columns = [images[km].entries for km in monomials]
     n2 = rep.n * rep.n
     eval_matrix = QMatrix(n2, len(monomials),
                           tuple(columns[c][r] for r in range(n2)

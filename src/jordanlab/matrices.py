@@ -1,11 +1,14 @@
 """Dense exact-rational matrices and the elimination kernel.
 
-All arithmetic is exact, and the hot loops run on plain integers.  A
-product clears each operand's denominators once (``scalars.cleared``),
-multiplies the integer entries in one flat kernel (``flat_matmul``) and
-divides each output entry once; ``poly_at_matrix`` runs Horner's rule on
-integers in the same way.  So no ``Fraction`` arithmetic happens inside a
-product, and a ``QMatrix`` is built only for the result.
+All arithmetic is exact, and the hot loops run on plain integers.  There
+is one product kernel, ``_product``: it clears each factor's denominators
+once (``scalars.cleared``), chains the integer products in one flat kernel
+(``flat_matmul``) and divides each result entry once.  ``@`` and every
+change of basis (``reps.conjugate``, ``sampling.rand_rep``,
+``strata.decompose``, the eigenprojections of ``imagealg``) multiply
+through it; ``poly_at_matrix`` runs Horner's rule on integers in the same
+way.  So no ``Fraction`` arithmetic happens inside a product, and a
+``QMatrix`` is built only for the result.
 
 There is one elimination routine, ``SpanBuilder``:
 a fraction-free integral reduced row-echelon form kept with primitive rows
@@ -133,16 +136,7 @@ class QMatrix(_Record):
     __rmul__ = __mul__
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
-        """Fraction-free product: with self = A/da and other = B/db for
-        integer A, B (``cleared``), self @ other = (A @ B)/(da*db) entry by
-        entry, so the integer product is divided once per entry."""
-        if self.cols != other.rows:
-            raise SizeMismatchError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        a, da = cleared(self.entries)
-        b, db = cleared(other.entries)
-        out = flat_matmul(a, b, self.rows, self.cols, other.cols)
-        return QMatrix(self.rows, other.cols, _divided(out, da * db))
+        return _product(self, other)
 
     def _same_shape(self, other: "QMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -188,6 +182,26 @@ def _divided(values: "list[int]", d: int) -> tuple:
     if d == 1:
         return tuple(values)
     return tuple(v // d if v % d == 0 else Fraction(v, d) for v in values)
+
+
+def _product(*factors: QMatrix) -> QMatrix:
+    """The exact product of one or more matrices, left to right.
+
+    Fraction-free: with each factor m_i = A_i/d_i for integer A_i
+    (``cleared``, once per factor), the product is (A_1 ... A_k)/(d_1 ...
+    d_k) entry by entry, so the integer products are chained in
+    ``flat_matmul`` and each result entry is divided once.
+    """
+    first = factors[0]
+    rows, cols = first.rows, first.cols
+    acc, d = cleared(first.entries)
+    for m in factors[1:]:
+        if cols != m.rows:
+            raise SizeMismatchError(f"cannot multiply {rows}x{cols} by {m.rows}x{m.cols}")
+        b, e = cleared(m.entries)
+        acc = flat_matmul(acc, b, rows, cols, m.cols)
+        cols, d = m.cols, d * e
+    return QMatrix(rows, cols, _divided(acc, d))
 
 
 def block_diag(blocks) -> QMatrix:

@@ -25,7 +25,7 @@ from .errors import (
     SizeMismatchError,
 )
 from .freealg import NcPoly, NormalPoly, normal_form
-from .matrices import QMatrix, _divided, block_diag, flat_matmul, inverse, poly_at_matrix
+from .matrices import QMatrix, _product, block_diag, flat_matmul, inverse, poly_at_matrix
 from .polynomials import UniPoly
 from .scalars import Scalar, _Record, _set, cleared
 
@@ -103,7 +103,8 @@ class RepPair(_Record):
     where a docstring proves the relation:
     - ``conjugate``: conjugation by an invertible c is an automorphism;
     - ``sampling.rand_rep`` and ``rep build``: a fiber point of
-      ``fiber_basis``, conjugated in ``rand_rep`` as in ``conjugate``;
+      ``fiber_basis``, conjugated in ``rand_rep`` by a matrix and its exact
+      inverse, as in ``conjugate``;
     - ``strata.decompose``: the diagonal blocks of the pair in a
       generalized eigenbasis of X;
     - ``imagealg.ideal_codim``: the pair (X^T, -Y^T).
@@ -340,44 +341,20 @@ def conjugate(rep: RepPair, c: QMatrix, c_inv: "QMatrix | None" = None) -> RepPa
     algebra automorphism of M_n, so (cXc^-1)(cYc^-1) - (cYc^-1)(cXc^-1) =
     c(XY - YX)c^-1 = cY^2c^-1 = (cYc^-1)^2.  Its hypothesis is that c_inv
     is the inverse of c.  Omitted, c_inv is ``inverse(c)``, which is exact.
-    Given, it is checked by one integer product, c c_inv = I (for square
-    matrices that makes c_inv c = I too), and a ValueError is raised
-    otherwise.  The products run on integers (``_conjugated``).
+    Given, it is checked by one product, c c_inv = I (for square matrices
+    that makes c_inv c = I too), and a ValueError is raised otherwise.
+    Each side is one fraction-free triple product (``matrices._product``).
     """
     n = rep.n
-    known = c_inv is None
-    if known:
+    given = c_inv is not None
+    if not given:
         c_inv = inverse(c)
     for m in (c, c_inv):
         if m.rows != n or m.cols != n:
             raise SizeMismatchError(f"conjugator must be {n}x{n}, got {m.rows}x{m.cols}")
-    x, y = _conjugated(c, c_inv, (rep.X, rep.Y), inverse_known=known)
-    return RepPair._proved(QMatrix(n, n, x), QMatrix(n, n, y))
-
-
-def _conjugated(c: QMatrix, c_inv: QMatrix, mats, inverse_known: bool) -> "list[tuple]":
-    """The entries of c m c_inv for each n x n matrix m, by integer products.
-
-    With c = C/d_c, c_inv = D/d_i and m = A/e (``cleared``, each once),
-    c m c_inv = (C A) D/(d_c e d_i): two ``flat_matmul`` and one division
-    per entry (``_divided``), and no Fraction is formed in between.  Unless
-    inverse_known, c c_inv = I is checked first as C D = d_c d_i I, one
-    more integer product; a ValueError is raised if it fails.
-    """
-    n = c.rows
-    cc, d_c = cleared(c.entries)
-    ci, d_i = cleared(c_inv.entries)
-    if not inverse_known:
-        scaled = d_c * d_i
-        if flat_matmul(cc, ci, n, n, n) != [scaled if k % (n + 1) == 0 else 0
-                                             for k in range(n * n)]:
-            raise ValueError("c_inv is not the inverse of c")
-    out = []
-    for m in mats:
-        a, e = cleared(m.entries)
-        out.append(_divided(flat_matmul(flat_matmul(cc, a, n, n, n), ci, n, n, n),
-                            d_c * e * d_i))
-    return out
+    if given and _product(c, c_inv) != QMatrix.identity(n):
+        raise ValueError("c_inv is not the inverse of c")
+    return RepPair._proved(_product(c, rep.X, c_inv), _product(c, rep.Y, c_inv))
 
 
 def evaluate(f, rep: RepPair) -> QMatrix:

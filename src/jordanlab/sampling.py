@@ -10,14 +10,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .matrices import QMatrix, _divided, flat_matmul, inverse, poly_at_matrix
+from .matrices import QMatrix, _divided, _product, flat_matmul, inverse, poly_at_matrix
 from .polynomials import UniPoly
 from .freealg import NormalPoly
 from .reps import (
     Partition,
     RepPair,
     _centralizer_supports,
-    _conjugated,
     _particular_solution,
     jordan_block,
     jordan_matrix,
@@ -88,13 +87,13 @@ def rand_rep(rng: random.Random, n: int) -> RepPair:
     for Y = jordan_matrix(p) by the ``fiber_basis`` theorem, and c_inv is
     the exact inverse of c (``rand_unimodular``), so (c X c_inv, c Y c_inv)
     satisfies it too (``reps.conjugate``), and neither c c_inv = I nor the
-    relation is checked again.
+    relation is checked again.  Each side is one fraction-free triple
+    product (``matrices._product``).
     """
     p = rand_partition(rng, n)
     x = rand_fiber_point(rng, p)
     c, c_inv = rand_unimodular(rng, n)
-    cx, cy = _conjugated(c, c_inv, (x, jordan_matrix(p)), inverse_known=True)
-    return RepPair._proved(QMatrix(n, n, cx), QMatrix(n, n, cy))
+    return RepPair._proved(_product(c, x, c_inv), _product(c, jordan_matrix(p), c_inv))
 
 
 def rand_stabilizer_element(rng: random.Random, n: int) -> QMatrix:

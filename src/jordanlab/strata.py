@@ -15,9 +15,9 @@ from itertools import islice
 
 from .errors import OutOfRangeError
 from .imagealg import _eigenbasis, dim_bound, rational_spectrum
-from .matrices import QMatrix, _echelon, char_poly
+from .matrices import QMatrix, _echelon, _product, char_poly
 from .polynomials import UniPoly
-from .reps import Partition, RepPair, _centralizer_supports, _conjugated
+from .reps import Partition, RepPair, _centralizer_supports
 from .scalars import Scalar, _Record, exact
 
 
@@ -138,7 +138,7 @@ def decompose(rep: RepPair) -> Decomposition:
     n = rep.n
     spectrum = rational_spectrum(rep.X)
     c, c_inv = _eigenbasis(rep.X, spectrum)
-    xb, yb = _conjugated(c_inv, c, (rep.X, rep.Y), inverse_known=True)
+    xb, yb = _product(c_inv, rep.X, c).entries, _product(c_inv, rep.Y, c).entries
     summands = []
     lo = 0
     for _, size in spectrum:

@@ -3,18 +3,23 @@
 ``eigenvalues_distinct_blocks`` left the library when ``strata.decompose``
 moved to the spectral split ``imagealg._eigenbasis``: nothing in the
 package calls it.  It stays here as a cross-check of ``char_poly`` and
-``rational_roots`` on fiber points whose blocks have distinct sizes.
+``rational_roots`` on fiber points whose blocks have distinct sizes, and
+``RepeatedBlockSizesError``, which only it raises, is defined here too.
 """
 
 from __future__ import annotations
 
 from jordanlab.errors import (
+    JordanLabError,
     NotFullBlockJordanCoordinatesError,
-    RepeatedBlockSizesError,
     SizeMismatchError,
 )
 from jordanlab.reps import Partition, RepPair, jordan_matrix
 from jordanlab.scalars import Scalar, exact
+
+
+class RepeatedBlockSizesError(JordanLabError):
+    """Eigenvalue read-off requires pairwise distinct Jordan block sizes."""
 
 
 def eigenvalues_distinct_blocks(rep: RepPair, p: Partition, diag_values) -> "list[Scalar]":

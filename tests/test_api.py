@@ -22,7 +22,7 @@ PUBLIC_NAMES = [
     "JordanLabError", "NcPoly", "NonSquareError", "NormalPoly",
     "NotFullBlockJordanCoordinatesError", "OutOfRangeError", "Partition",
     "PolyParseError", "QMatrix", "QuiverData", "RelationViolationError", "RepPair",
-    "RepeatedBlockSizesError", "RewriteSystem", "Scalar", "SingularMatrixError",
+    "RewriteSystem", "Scalar", "SingularMatrixError",
     "SizeMismatchError", "SpanBuilder", "StratumInfo", "TameLabel", "UniPoly",
     "Violation", "WitnessResult", "alpha_coeff", "apply_automorphism", "block_diag",
     "canonical_pair", "census", "char_poly", "compose_automorphisms", "conjugate",
@@ -119,9 +119,23 @@ PROVED_SITES = {
 }
 
 
-def proved_constructor_sites() -> "set[str]":
+# Every function outside matrices.py that calls the integer kernels
+# ``flat_matmul`` or ``_divided`` itself instead of multiplying through
+# ``matrices._product``: the right-ideal closure and the seed products of
+# ``quiver``, the relation check, and the sampler's integer sums.  A new
+# hand-rolled product fails here; it belongs in ``_product``.
+RAW_PRODUCT_SITES = {
+    "imagealg._right_ideal",
+    "imagealg.quiver",
+    "reps._relation_residual",
+    "sampling.rand_fiber_point",
+    "sampling.rand_unimodular",
+}
+
+
+def source_sites(match) -> "set[str]":
     """module.function (classes and nested functions dotted in) of every
-    ``._proved`` reference in the package source."""
+    node of the package source that ``match`` accepts."""
     sites = set()
 
     def visit(node, scope):
@@ -129,7 +143,7 @@ def proved_constructor_sites() -> "set[str]":
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "_proved":
+            if match(child):
                 sites.add(".".join(scope))
             visit(child, scope)
 
@@ -139,4 +153,11 @@ def proved_constructor_sites() -> "set[str]":
 
 
 def test_only_the_proved_sites_skip_the_relation_check():
-    assert proved_constructor_sites() == PROVED_SITES
+    assert source_sites(
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "_proved") == PROVED_SITES
+
+
+def test_only_the_raw_product_sites_bypass_the_product_kernel():
+    sites = source_sites(
+        lambda node: isinstance(node, ast.Name) and node.id in ("flat_matmul", "_divided"))
+    assert {s for s in sites if not s.startswith("matrices.")} == RAW_PRODUCT_SITES

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -18,7 +19,7 @@ import pytest
 from jordanlab import Partition, QMatrix, RepPair, block_diag, conjugate
 from jordanlab.cli import COMMANDS, GROUPS, build_parser, rep_to_json, run
 from jordanlab.reps import fiber_basis, jordan_block, jordan_matrix, x_zero
-from jordanlab.sampling import rand_unimodular
+from jordanlab.sampling import rand_rep, rand_unimodular
 
 
 @pytest.fixture()
@@ -546,6 +547,22 @@ def test_capped_options_accept_their_caps(capture, tmp_path):
     path.write_text(out)
     code, out, _ = capture("image", "relations", str(path), "--max-degree", "30")
     assert code == 0
+
+
+def test_relations_of_a_fractional_rep_at_the_degree_cap(capture, tmp_path):
+    # A seeded rep with fractional entries at d = 30: each column of the
+    # evaluation matrix is one product from an earlier column, not a
+    # Horner evaluation of its own, and the output is the one the
+    # per-monomial evaluation printed (its sha256 below).
+    path = tmp_path / "rep10.json"
+    path.write_text(json.dumps(rep_to_json(rand_rep(random.Random(1), 10))))
+    start = time.perf_counter()
+    code, out, err = capture("image", "relations", str(path), "--max-degree", "30")
+    assert time.perf_counter() - start < 1.5
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == len(set(out.splitlines())) > 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "dd77ac5b3aed1ed8e5ec874db5963d109744aebc0dec320e27b4e8c729b5199e")
 
 
 def test_relations_work_is_capped_by_dimension_and_degree(capture, tmp_path):

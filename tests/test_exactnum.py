@@ -36,6 +36,7 @@ from jordanlab import (
     solve,
     squarefree_part,
 )
+from jordanlab.matrices import _product
 from jordanlab.reps import jordan_block
 from jordanlab.sampling import rand_rep
 from jordanlab.scalars import cleared, content_free, exact, primitive_integral
@@ -239,6 +240,34 @@ def test_matmul_matches_fraction_triple_loop():
         got = a @ b
         assert (got.rows, got.cols) == (n, m)
         assert_exact_entries(got.entries, naive_product(a, b))
+
+
+def test_product_chain_matches_fraction_triple_loops():
+    # ``_product`` chains 1-4 factors, rectangular and empty shapes
+    # included; the oracle multiplies them pairwise by Fraction loops.
+    rng = random.Random(47)
+    kinds = ("int", "mixed", "large")
+    for idx in range(240):
+        low = 0 if idx % 8 == 0 else 1
+        dims = [rng.randint(low, 4) for _ in range(idx % 4 + 2)]
+        factors = [operand(rng, dims[i], dims[i + 1], kinds[(idx + i) % 3])
+                   for i in range(len(dims) - 1)]
+        want = factors[0]
+        for m in factors[1:]:
+            want = QMatrix(want.rows, m.cols, tuple(naive_product(want, m)))
+        got = _product(*factors)
+        assert (got.rows, got.cols) == (dims[0], dims[-1])
+        assert_exact_entries(got.entries, [Fraction(v) for v in want.entries])
+
+
+def test_product_chain_refuses_a_shape_mismatch():
+    a, b, c = QMatrix.zeros(2, 3), QMatrix.zeros(3, 4), QMatrix.zeros(2, 2)
+    with pytest.raises(SizeMismatchError, match="^cannot multiply 2x4 by 2x2$"):
+        _product(a, b, c)
+    with pytest.raises(SizeMismatchError, match="^cannot multiply 2x3 by 2x2$"):
+        _product(a, c, b)
+    with pytest.raises(SizeMismatchError, match="^cannot multiply 2x3 by 2x2$"):
+        a @ c
 
 
 def naive_poly_at(p: UniPoly, m: QMatrix) -> "list[Fraction]":

@@ -304,6 +304,17 @@ def test_eigenprojections_match_the_extended_euclid_oracle(monkeypatch):
     assert several == len(STRUCTURE_SIZES) + 120
 
 
+def test_eigenprojections_equal_the_pairwise_products():
+    # One triple product per projection gives what C @ P_i @ C^-1 gave.
+    for rep in spectral_reps()[::3]:
+        spectrum = rational_spectrum(rep.X)
+        c, c_inv = imagealg._eigenbasis(rep.X, spectrum)
+        block = [i for i, (_, mult) in enumerate(spectrum) for _ in range(mult)]
+        want = [c @ QMatrix.diagonal(int(b == i) for b in block) @ c_inv
+                for i in range(len(spectrum))]
+        assert imagealg._eigenprojections(rep.X, spectrum) == want
+
+
 def test_the_spectral_split_calls_no_extended_euclid(monkeypatch):
     calls = []
     euclid = polynomials.poly_ext_gcd
@@ -728,6 +739,30 @@ def relations_span(rep, max_degree):
     for r in rels:
         span.add(relation_coefficient_vector(r, max_degree))
     return rels, span
+
+
+def test_relation_columns_match_per_monomial_evaluate(monkeypatch):
+    # Each column is one product from an earlier column; the oracle
+    # evaluates every monomial y^k x^m on its own.
+    seen = []
+    kernel = imagealg.nullspace_basis
+
+    def recording(m):
+        seen.append(m)
+        return kernel(m)
+
+    monkeypatch.setattr(imagealg, "nullspace_basis", recording)
+    rng = random.Random(49)
+    reps = [rand_rep(rng, rng.randint(1, 6)) for _ in range(12)] + [epsilon_rep(4)]
+    for rep in reps:
+        max_degree = rng.randint(0, 7)
+        seen.clear()
+        discover_relations(rep, max_degree)
+        monomials = [(k, d - k) for d in range(max_degree + 1) for k in range(d + 1)]
+        columns = [evaluate(NormalPoly.monomial(k, m), rep).entries for k, m in monomials]
+        n2 = rep.n * rep.n
+        assert seen == [QMatrix(n2, len(monomials), tuple(
+            columns[c][r] for r in range(n2) for c in range(len(monomials))))]
 
 
 def test_relations_epsilon_four():

@@ -16,7 +16,6 @@ from jordanlab import (
     QMatrix,
     RelationViolationError,
     RepPair,
-    RepeatedBlockSizesError,
     SizeMismatchError,
     UniPoly,
     Violation,
@@ -52,7 +51,7 @@ from jordanlab.sampling import (
     rand_stabilizer_element,
     rand_unimodular,
 )
-from blocks_oracle import eigenvalues_distinct_blocks
+from blocks_oracle import RepeatedBlockSizesError, eigenvalues_distinct_blocks
 from centralizer_oracle import is_b_toeplitz, sylvester_operator
 from orbit_oracle import polynomial_in_j
 
