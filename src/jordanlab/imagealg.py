@@ -1,31 +1,32 @@
 """Analysis of the image algebra A generated by a verified pair (X, Y).
 
-Every span here is a right ideal s*A of explicit seeds: A itself is I*A,
-and since Y is normal (AY = YA) the radical and its cuts J e_i and J^2 e_i
-are right ideals too (proof in ``radical_basis``).  A two-sided ideal AgA
-is the left closure of the right ideal gA; transposed, that is a right
-ideal of the pair (X^T, -Y^T) (proof in ``ideal_codim``).  One closure
-builds them all, level by level in Y:
+Every span closed here is a right ideal s*A of explicit seeds: A is I*A;
+since Y is normal (AY = YA), the radical of a one-eigenvalue pair and its
+square are right ideals (proof in ``quiver``); and a two-sided ideal AgA,
+transposed, is a right ideal of the pair (X^T, -Y^T) (proof in
+``ideal_codim``).  One closure builds them all, level by level in Y:
 A = k[X] + YA, so s*A is the X-chains of the seeds' products s*Y^j, each
-stopped at its first rejected candidate (proof in ``_right_ideal``).  The
-closure runs on flat integer vectors (row-major n x n entries) and integer
+stopped at its first rejected candidate (proof in ``_right_ideal``).  It
+runs on flat integer vectors (row-major n x n entries) and integer
 products; a ``QMatrix`` is built only for what a public function returns.
-The eigenprojections of X, read from the generalized eigenbasis that
-``strata.decompose`` also uses, are central in A (proof in
-``idempotents``), so the quiver is diagonal.  Everything here needs one
-rational spectrum of X per call, and refuses (typed error) when the
-spectrum is irrational.
+The radical is the kernel of the trace form on the stored rows of A (proof
+in ``radical_basis``).  The eigenprojections of X are central (proof in
+``idempotents``), so the quiver is diagonal and each vertex's loops are
+closed in its eigen-summand's m_i^2 coordinates.  Everything here needs a
+rational spectrum of X, and refuses (typed error) an irrational one.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from operator import mul
 
 from .errors import IrrationalEigenvaluesError, OutOfRangeError
 from .freealg import NormalPoly
 from .matrices import (
     QMatrix,
     SpanBuilder,
+    _echelon,
     _product,
     char_poly,
     flat_matmul,
@@ -35,7 +36,7 @@ from .matrices import (
 )
 from .polynomials import UniPoly, rational_roots
 from .reps import RepPair, evaluate
-from .scalars import Scalar, _Record, primitive_integral, scalar_str
+from .scalars import Scalar, _Record, cleared, primitive_integral, scalar_str
 
 
 class ImageAlgebra(_Record):
@@ -85,7 +86,7 @@ def _right_ideal(rep: RepPair, seeds) -> SpanBuilder:
     is formed.
 
     Theorem: the span is M.  Proof, with A = k[X] + YA and AY = YA
-    (``radical_basis``, (a) and (b)):
+    (``quiver``, (a) and (b)):
     (i) The level recursion.  AY^j = Y^jA, so M*Y^j = sum of s_i Y^j A: each
         M*Y^j is a right ideal, and A = k[X] + YA splits it as
         M*Y^j = sum of s_i Y^j k[X] + M*Y^(j+1).
@@ -158,45 +159,48 @@ def rational_spectrum(x: QMatrix) -> "list[tuple[Scalar, int]]":
     return roots
 
 
-def _radical_generators(rep: RepPair, spectrum) -> "list[list[int]]":
-    """Y and S(X), S = prod of (t - lambda), as primitive integer vectors."""
-    s = UniPoly.from_roots([lam for lam, _ in spectrum])
-    return [primitive_integral(m.entries) for m in (rep.Y, poly_at_matrix(s, rep.X))]
-
-
 def radical_basis(a: ImageAlgebra) -> "list[QMatrix]":
-    """Basis of the Jacobson radical J(A).
+    """Basis of the Jacobson radical J(A), in canonical reduced-echelon order.
 
-    J(A) is the two-sided ideal of A generated by Y together with
-    S(X) = prod of (X - lambda*I) over the distinct eigenvalues: modulo that
-    ideal the algebra is k[x]/(S), a product of fields.  Requires the
-    spectrum of X to be rational.
+    Requires a rational spectrum of X: r distinct eigenvalues lambda_i, of
+    multiplicities m_i.
 
-    Theorem: J = YA + S(X)A, so J is the right ideal of {Y, S(X)} and no
-    left product is formed.  (This rests on the normality of Y and on
-    (b); the ideal of a general g is not gA, see ``ideal_codim``.)  Proof:
-    (a) Y is normal, AY = YA.  XY = Y(X + Y) and YX = (X - Y)Y, so by
-        induction on word length every word w has wY in YA and Yw in AY.
-    (b) A S(X) lies in S(X)A + YA.  A word with a letter Y lies in
-        A Y A = YA by (a), so A = k[X] + YA, and k[X] S(X) = S(X) k[X].
-        With (a), A(YA + S(X)A) lies in YA + S(X)A: that right ideal is a
-        two-sided ideal containing Y and S(X), so it is (Y, S(X)) = J.
-    (c) J^2 = YJ + S(X)J, since J J = Y(AJ) + S(X)(AJ) and AJ = J.
-    (d) The e_i are central (see ``idempotents``), so J e_i = Y e_i A +
-        S(X) e_i A, and by (c), with A J e_i = J e_i, J^2 e_i = J (J e_i) is
-        the right ideal of the four products g h e_i with g, h in {Y, S(X)}.
+    Theorem: J = {b in A : tr(b X^k) = 0 for k < r}, and dim J = dim A - r.
+    Proof: XY = Y(X + Y), so X preserves every ker Y^k; refining that flag
+    by a triangular form of X gives an A-stable full flag, in which each b
+    in A is triangular with diagonal values chi_i(b), chi_i the character
+    X -> lambda_i, Y -> 0 (lambda_i occurring m_i times).  The common
+    kernel N of the chi_i is an ideal of strictly triangular, so nilpotent,
+    elements, so N lies in J; chi_i(J) is a nil ideal of Q, so J = N.  By
+    Lagrange interpolation in X the chi_i map A onto Q^r, so dim J =
+    dim A - r (not re-checked).  And tr(b X^k) = sum_i m_i lambda_i^k
+    chi_i(b) with an invertible Vandermonde matrix and m_i != 0, so these
+    r traces vanish iff every chi_i(b) does.
 
-    The radical has dimension dim A - r for the r distinct eigenvalues, so
-    the result is not re-checked.  Proof: XY = Y(X + Y), so X preserves
-    ker Y, and likewise every ker Y^k; refining that flag by a triangular
-    form of X gives an A-stable full flag whose 1-dimensional quotients
-    carry the characters X -> lambda_i, Y -> 0, every lambda_i occurring.
-    These kill Y and S(X), and by Lagrange interpolation in X they map
-    A/(Y, S(X)) onto Q^r; that quotient is spanned by 1, X, ..., X^(r-1),
-    so its dimension is exactly r.
+    So no closure runs.  Traces against the powers of the primitive integer
+    multiple x of X (each a nonzero multiple) are taken on the stored rows
+    u_j of A, which are zero at each other's pivots p_j.  ``nullspace_basis``
+    of that trace matrix with its columns reversed gives, per non-pivot
+    column, a vector with 1 there, 0 at the other non-pivot columns and
+    nonzero entries only before it; read backwards, these are zero before
+    their 1 and at every other vector's 1: the reduced-echelon basis of the
+    kernel in Q^(dim A), each with at most r + 1 nonzero entries.  For such
+    a c, led at l, w = sum_j c_j u_j is zero before p_l, c_l u_l != 0 at
+    p_l, and zero at every other w's lead.  So the w are a basis of J in
+    echelon form: ``_echelon`` takes no elimination step on them, and its
+    rows are J's canonical ``SpanBuilder`` rows, those of any closure.
     """
-    n = a.rep.n
-    span = _right_ideal(a.rep, _radical_generators(a.rep, rational_spectrum(a.rep.X)))
+    rep, n, d = a.rep, a.rep.n, a.dim
+    xt = QMatrix(n, n, _transposed(primitive_integral(rep.X.entries), n))
+    forms = [QMatrix.identity(n)]  # (x^T)^k: tr(u x^k) is the dot product of u and (x^T)^k
+    for _ in rational_spectrum(rep.X)[1:]:
+        forms.append(forms[-1] @ xt)
+    traces = QMatrix(len(forms), d, tuple(sum(map(mul, u, f.entries))
+                                          for f in forms for u in reversed(a.rows)))
+    kernel = [cleared(vec[::-1])[0] for vec in reversed(nullspace_basis(traces))]
+    w = flat_matmul([c for vec in kernel for c in vec], [v for u in a.rows for v in u],
+                    len(kernel), d, n * n)
+    span = _echelon((w[i * n * n:(i + 1) * n * n] for i in range(len(kernel))), n * n)
     return [QMatrix(n, n, vec) for vec in span.basis_vectors()]
 
 
@@ -204,13 +208,40 @@ def _eigenbasis(x: QMatrix, spectrum) -> "tuple[QMatrix, QMatrix]":
     """C and C^-1, where the columns of C are the canonical kernel bases of
     the (X - lambda)^mult in spectrum order: block i of C spans the
     generalized eigenspace V_i of the i-th eigenvalue, of dimension mult
-    (Jordan form), and V is the direct sum of the V_i."""
+    (Jordan form), and V is the direct sum of the V_i.  With one eigenvalue
+    (X - lambda)^n = 0 (Cayley-Hamilton), whose canonical kernel basis is
+    the standard basis: C = C^-1 = I, and nothing is computed."""
     n = x.rows
+    if len(spectrum) == 1:
+        return (QMatrix.identity(n),) * 2
     columns = []
     for lam, mult in spectrum:
         columns += nullspace_basis(poly_at_matrix(UniPoly.from_roots([lam] * mult), x))
     c = QMatrix(n, n, tuple(columns[j][i] for i in range(n) for j in range(n)))
     return c, inverse(c)
+
+
+def _summands(rep: RepPair, spectrum) -> "tuple[QMatrix, list[RepPair]]":
+    """C of ``_eigenbasis`` and the summands (X_i, Y_i), the diagonal blocks
+    of (C^-1 X C, C^-1 Y C) in spectrum order.
+
+    Block i of C spans V_i, the image of the eigenprojection e_i, which
+    commutes with Y (``idempotents``).  So V_i is Y-invariant, both
+    conjugated matrices are block-diagonal, and each summand satisfies the
+    relation, so it is not re-verified: the conjugated pair does
+    (``reps.conjugate``; C^-1 is the exact ``inverse``), and products of
+    block-diagonal matrices are taken block by block.
+    """
+    n = rep.n
+    c, c_inv = _eigenbasis(rep.X, spectrum)
+    xb, yb = _product(c_inv, rep.X, c).entries, _product(c_inv, rep.Y, c).entries
+    summands, lo = [], 0
+    for _, m in spectrum:
+        block = [i * n + j for i in range(lo, lo + m) for j in range(lo, lo + m)]
+        summands.append(RepPair._proved(QMatrix(m, m, tuple(xb[k] for k in block)),
+                                        QMatrix(m, m, tuple(yb[k] for k in block))))
+        lo += m
+    return c, summands
 
 
 def _eigenprojections(x: QMatrix, spectrum) -> "list[QMatrix]":
@@ -278,24 +309,43 @@ class QuiverData(_Record):
 
 
 def quiver(a: ImageAlgebra) -> QuiverData:
-    """Exact quiver of the (basic) image algebra.
+    """Exact quiver of the (basic) image algebra, closed per eigen-summand.
 
     The e_i are central (see ``idempotents``), so e_i J e_j = J e_i e_j is 0
-    for i != j and J e_i for i = j, and J e_i meets J^2 in J^2 e_i = J (J e_i):
+    for i != j and J e_i for i = j, and J e_i meets J^2 in J^2 e_i = (J e_i)^2:
     dim e_i (J/J^2) e_j is 0 off the diagonal and dim J e_i - dim J^2 e_i on it.
-    Both are right ideals of explicit seeds (``radical_basis``, (d)), so the
-    radical itself is not spanned.
+
+    Theorem: that is dim J(A_i) - dim J(A_i)^2 for the image algebra A_i of
+    the summand (X_i, Y_i) of ``_summands``.  Proof: a -> a e_i maps A onto
+    A e_i = e_i A e_i, which maps V into V_i and kills the other V_j.  So
+    restricting to V_i (block i of C^-1 a e_i C) is an injective algebra
+    map, sending e_i, X e_i, Y e_i to I, X_i, Y_i: its image is A_i.  For a
+    central idempotent J(A e_i) = J e_i, and J^2 e_i = (J e_i)^2.
+
+    Theorem: for a pair with rational spectrum, J = YA + S(X)A, S = prod
+    of (t - lambda), and J^2 is the right ideal of the products g h, g, h
+    in {Y, S(X)}: no left product is formed.  (It rests on the normality
+    of Y and on (b); the ideal of a general g is not gA, see
+    ``ideal_codim``.)  Proof:
+    (a) AY = YA.  XY = Y(X + Y) and YX = (X - Y)Y, so by induction on word
+        length every word w has wY in YA and Yw in AY.
+    (b) A word with a letter Y lies in AYA = YA by (a), so A = k[X] + YA;
+        with k[X] S(X) = S(X) k[X], I = YA + S(X)A is a two-sided ideal.
+        The chi_i of ``radical_basis`` kill Y and S(X), so I lies in J; S
+        has degree r, so A is spanned by I and 1, X, ..., X^(r-1), and
+        dim I >= dim A - r = dim J.  So I = J.
+    (c) J^2 = YJ + S(X)J, since J J = Y(AJ) + S(X)(AJ) and AJ = J.
+    So J(A_i) is the right ideal of {Y_i, X_i - lambda_i}.  With one
+    eigenvalue A_1 = A and dim J = dim A - 1, so only J^2 is closed.
     """
     spectrum = rational_spectrum(a.rep.X)
-    n = a.rep.n
-    gens = _radical_generators(a.rep, spectrum)
     loops = []
-    for e in _eigenprojections(a.rep.X, spectrum):
-        e = primitive_integral(e.entries)
-        ge = [flat_matmul(g, e, n, n, n) for g in gens]
-        je = _right_ideal(a.rep, ge)
-        j2e = _right_ideal(a.rep, [flat_matmul(g, h, n, n, n) for g in gens for h in ge])
-        loops.append(je.rank - j2e.rank)
+    for (lam, m), pair in zip(spectrum, _summands(a.rep, spectrum)[1]):
+        s = [v - lam if k % (m + 1) == 0 else v for k, v in enumerate(pair.X.entries)]
+        gens = [primitive_integral(pair.Y.entries), primitive_integral(s)]
+        rad = _right_ideal(pair, gens).rank if len(spectrum) > 1 else a.dim - 1
+        loops.append(rad - _right_ideal(
+            pair, [flat_matmul(g, h, m, m, m) for g in gens for h in gens]).rank)
     arrows = tuple(tuple(loop if i == j else 0 for j in range(len(loops)))
                    for i, loop in enumerate(loops))
     return QuiverData(tuple(lam for lam, _ in spectrum), arrows)

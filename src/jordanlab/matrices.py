@@ -5,7 +5,7 @@ is one product kernel, ``_product``: it clears each factor's denominators
 once (``scalars.cleared``), chains the integer products in one flat kernel
 (``flat_matmul``) and divides each result entry once.  ``@`` and every
 change of basis (``reps.conjugate``, ``sampling.rand_rep``,
-``strata.decompose``, the eigenprojections of ``imagealg``) multiply
+the eigen-summands and eigenprojections of ``imagealg``) multiply
 through it; ``poly_at_matrix`` runs Horner's rule on integers in the same
 way.  So no ``Fraction`` arithmetic happens inside a product, and a
 ``QMatrix`` is built only for the result.

@@ -105,8 +105,8 @@ class RepPair(_Record):
     - ``sampling.rand_rep`` and ``rep build``: a fiber point of
       ``fiber_basis``, conjugated in ``rand_rep`` by a matrix and its exact
       inverse, as in ``conjugate``;
-    - ``strata.decompose``: the diagonal blocks of the pair in a
-      generalized eigenbasis of X;
+    - ``imagealg._summands`` (for ``strata.decompose`` and ``quiver``):
+      the diagonal blocks of the pair in a generalized eigenbasis of X;
     - ``imagealg.ideal_codim``: the pair (X^T, -Y^T).
     tests/test_api.py pins that list, and a test per site checks its pairs
     against ``RepPair(X, Y)``.

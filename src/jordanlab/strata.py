@@ -14,8 +14,8 @@ from functools import lru_cache
 from itertools import islice
 
 from .errors import OutOfRangeError
-from .imagealg import _eigenbasis, dim_bound, rational_spectrum
-from .matrices import QMatrix, _echelon, _product, char_poly
+from .imagealg import _summands, dim_bound, rational_spectrum
+from .matrices import QMatrix, _echelon, char_poly
 from .polynomials import UniPoly
 from .reps import Partition, RepPair, _centralizer_supports
 from .scalars import Scalar, _Record, exact
@@ -126,28 +126,14 @@ def decompose(rep: RepPair) -> Decomposition:
     """Split into submodules on the generalized eigenspaces of X.
 
     change_of_basis is C of ``imagealg._eigenbasis``, whose block for
-    lambda spans the eigenspace ker (X - lambda I)^mult.  That eigenspace
-    is the image of the eigenprojection for lambda, which commutes with Y
-    (proof in ``imagealg.idempotents``).  So every eigenspace is
-    Y-invariant, both conjugated matrices are block-diagonal, and every
-    summand satisfies the relation, so it is not re-verified: the pair
-    (C^-1 X C, C^-1 Y C) does (``reps.conjugate``; C^-1 comes from the
-    exact ``inverse``), and the product of block-diagonal matrices is taken
-    block by block.  Requires the spectrum of X to be rational.
+    lambda spans the eigenspace ker (X - lambda I)^mult, and the summands
+    are the diagonal blocks of the conjugated pair, which are proved
+    Y-invariant and verified in ``imagealg._summands``.  Requires the
+    spectrum of X to be rational.
     """
-    n = rep.n
     spectrum = rational_spectrum(rep.X)
-    c, c_inv = _eigenbasis(rep.X, spectrum)
-    xb, yb = _product(c_inv, rep.X, c).entries, _product(c_inv, rep.Y, c).entries
-    summands = []
-    lo = 0
-    for _, size in spectrum:
-        block = [i * n + j for i in range(lo, lo + size) for j in range(lo, lo + size)]
-        summands.append(RepPair._proved(QMatrix(size, size, tuple(xb[k] for k in block)),
-                                        QMatrix(size, size, tuple(yb[k] for k in block))))
-        lo += size
-    return Decomposition(tuple(summands),
-                         tuple(lam for lam, _ in spectrum), c)
+    c, summands = _summands(rep, spectrum)
+    return Decomposition(tuple(summands), tuple(lam for lam, _ in spectrum), c)
 
 
 def single_eigenvalue_test(rep: RepPair) -> bool:

@@ -28,7 +28,7 @@ def right_ideal_from_products(rep: RepPair, seeds) -> SpanBuilder:
     every product is integral and no fraction is formed.
 
     Theorem: the span is M.  Proof, with A = k[X] + YA and AY = YA
-    (``radical_basis``, (a) and (b)):
+    (``quiver``, (a) and (b)):
     (i) The level recursion.  AY^j = Y^jA, so M*Y^j = sum of s_i Y^j A: each
         M*Y^j is a right ideal, and A = k[X] + YA splits it as
         M*Y^j = sum of s_i Y^j k[X] + M*Y^(j+1).

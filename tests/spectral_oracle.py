@@ -1,12 +1,14 @@
 """Cross-check for ``jordanlab.imagealg._eigenprojections``, used only by the tests.
 
 The library reads the eigenprojections of X off the generalized eigenbasis
-C as C P_i C^-1.  The oracle builds them as polynomials in X by the
-extended Euclidean algorithm in Q[t]: char(X) is the product of the
-pairwise coprime p_i = (t - lambda_i)^(m_i), so with q_i = char/p_i there
-are u, v with u*q_i + v*p_i = 1, and e_i = u*q_i mod char is 1 modulo p_i
-and 0 modulo every other p_j.  So char divides e_i^2 - e_i, sum_i e_i - 1
-and e_i*e_j (i != j), and Cayley-Hamilton makes each an identity at X.
+C as C P_i C^-1, for ``idempotents`` only: ``quiver`` forms no e_i, it
+closes the eigen-summands of ``imagealg._summands``.  The oracle builds
+them as polynomials in X by the extended Euclidean algorithm in Q[t]:
+char(X) is the product of the pairwise coprime p_i = (t - lambda_i)^(m_i),
+so with q_i = char/p_i there are u, v with u*q_i + v*p_i = 1, and
+e_i = u*q_i mod char is 1 modulo p_i and 0 modulo every other p_j.  So
+char divides e_i^2 - e_i, sum_i e_i - 1 and e_i*e_j (i != j), and
+Cayley-Hamilton makes each an identity at X.
 """
 
 from __future__ import annotations

@@ -112,21 +112,25 @@ SRC = Path(jordanlab.__file__).resolve().parent
 # here only with both.
 PROVED_SITES = {
     "cli._cmd_rep_build",
+    "imagealg._summands",
     "imagealg.ideal_codim",
     "reps.conjugate",
     "sampling.rand_rep",
-    "strata.decompose",
 }
 
 
 # Every function outside matrices.py that calls the integer kernels
 # ``flat_matmul`` or ``_divided`` itself instead of multiplying through
 # ``matrices._product``: the right-ideal closure and the seed products of
-# ``quiver``, the relation check, and the sampler's integer sums.  A new
+# ``quiver``, the combinations of A's stored integer rows by the kernel rows
+# in ``radical_basis`` (wrapping those rows in a QMatrix would coerce dim A
+# * n^2 entries, and the echelon form, not one denominator, scales the
+# result), the relation check, and the sampler's integer sums.  A new
 # hand-rolled product fails here; it belongs in ``_product``.
 RAW_PRODUCT_SITES = {
     "imagealg._right_ideal",
     "imagealg.quiver",
+    "imagealg.radical_basis",
     "reps._relation_residual",
     "sampling.rand_fiber_point",
     "sampling.rand_unimodular",

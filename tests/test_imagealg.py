@@ -282,24 +282,33 @@ def spectral_reps() -> "list[RepPair]":
 
 def test_eigenprojections_match_the_extended_euclid_oracle(monkeypatch):
     # The projections along the generalized eigenspaces are unique, so the
-    # split C P_i C^-1 and the polynomials u*q_i mod char agree exactly, in
-    # ``idempotents`` and in the e_i that ``quiver`` uses.
-    seen = []
-    split = imagealg._eigenprojections
+    # split C P_i C^-1 and the polynomials u*q_i mod char agree exactly in
+    # ``idempotents``.  ``quiver`` forms no e_i: it closes the summands of
+    # ``decompose``.
+    seen, summands = [], []
+    split, summands_of = imagealg._eigenprojections, imagealg._summands
 
     def recording(x, spectrum):
         seen.append(split(x, spectrum))
         return seen[-1]
 
+    def recording_summands(rep, spectrum):
+        result = summands_of(rep, spectrum)
+        summands.append(result[1])
+        return result
+
     monkeypatch.setattr(imagealg, "_eigenprojections", recording)
+    monkeypatch.setattr(imagealg, "_summands", recording_summands)
     several = 0
     for rep in spectral_reps():
         want = eigenprojections_by_euclid(rep.X, rational_spectrum(rep.X))
         a = image_algebra(rep)
         seen.clear()
+        summands.clear()
         assert idempotents(a) == want
         quiver(a)
-        assert seen == [want, want]
+        assert seen == [want]
+        assert summands == [list(decompose(rep).summands)]
         several += len(want) > 1
     assert several == len(STRUCTURE_SIZES) + 120
 

@@ -126,13 +126,15 @@ def test_decompose_summands_verify_and_match_the_fraction_conjugate():
         c, c_inv = rand_unimodular(rng, x.rows)
         reps.append(conjugate(RepPair(x, y), c, c_inv))
     for rep in reps:
-        result = decompose(rep)
-        for s in result:
+        # ``imagealg._summands`` builds the pairs for ``decompose`` and ``quiver``.
+        cb, pairs = imagealg._summands(rep, rational_roots(char_poly(rep.X)))
+        for s in pairs:
             assert RepPair(s.X, s.Y) == s
-        cb = result.change_of_basis
         cb_inv = inverse(cb)
-        assert block_diag([s.X for s in result]) == fraction_product(cb_inv, rep.X, cb)
-        assert block_diag([s.Y for s in result]) == fraction_product(cb_inv, rep.Y, cb)
+        assert block_diag([s.X for s in pairs]) == fraction_product(cb_inv, rep.X, cb)
+        assert block_diag([s.Y for s in pairs]) == fraction_product(cb_inv, rep.Y, cb)
+        result = decompose(rep)
+        assert result.summands == tuple(pairs) and result.change_of_basis == cb
 
 
 def transposed(m: QMatrix) -> QMatrix:
