@@ -6,22 +6,23 @@ core, ``_Terms``, which stores no zero terms and integral coefficients as
 int.  The linear operations add raw sums into a plain dict and normalize
 it once in ``_nonzero``.  Normal forms on the basis y^k x^m come from the
 Ore-extension product ``multiply``: the algebra is k[y][x; y^2 d/dy] (see
-``normal_form``).  ``multiply`` is fraction-free: it multiplies integers
-and divides by one common denominator at the end, leaving the same stored
-form.  The generic rewriting engine (deglex with x > y, the single rule
-xy -> yx + y^2) remains for the overlap list of ``gb-check`` and as the
-test oracle: tests/test_freealg.py::test_multiply_matches_engine checks
-``multiply`` and ``normal_form`` against ``reduce_poly``.
+``normal_form``).  ``multiply`` is fraction-free: it sums integers on
+int keys k*W + m and divides by one common denominator at the end, leaving
+the same stored form; one public call expands at most EXPANSION_BITS bits.
+The rewriting engine (deglex with x > y, the single rule xy -> yx + y^2)
+remains for the overlap list of ``gb-check`` and as the test oracle.
 """
 
 from __future__ import annotations
 
 import heapq
 import re
+from contextvars import ContextVar
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import groupby
 from math import factorial
+from operator import itemgetter
 
 from .errors import OutOfRangeError, PolyParseError
 from .polynomials import UniPoly
@@ -346,6 +347,29 @@ def reduce_poly(f: NcPoly, rs: RewriteSystem) -> NcPoly:
     return out
 
 
+# The most bits of expansion bounds (``_bound``) that one public call may
+# admit in all: x^4096*y (about 2^28) passes; x^50000*y^49999 (2^35), or
+# three terms x^8400*y (2^30 each), is refused before it is expanded.
+EXPANSION_BITS = 2 ** 30
+# [bits] the public call under way may still admit, None between calls; a
+# ContextVar keeps the calls of different threads apart.
+_left: "ContextVar[list | None]" = ContextVar("expansion_bits_left", default=None)
+
+
+def _metered(fn):
+    """fn as a public call: the calls it makes share its expansion budget."""
+    @wraps(fn)
+    def call(*args, **kwargs):
+        if _left.get() is not None:
+            return fn(*args, **kwargs)
+        token = _left.set([EXPANSION_BITS])
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _left.reset(token)
+    return call
+
+
 def _algebra_map(f: NcPoly, images: "dict[str, NormalPoly]") -> NormalPoly:
     """Image of f under the algebra map sending each letter to images[letter].
 
@@ -364,6 +388,7 @@ def _algebra_map(f: NcPoly, images: "dict[str, NormalPoly]") -> NormalPoly:
     return NormalPoly(out)
 
 
+@_metered
 def normal_form(f: NcPoly) -> NormalPoly:
     """Canonical form of f modulo the ideal (xy - yx - y^2).
 
@@ -388,83 +413,111 @@ def alpha_coeff(k: int, n: int) -> Scalar:
     return factorial(n) // factorial(n - k + 1)
 
 
-# The most bits the coefficients of one expansion x^b y^c may hold in all,
-# by the bound in ``_x_power_times_y_power``: it admits x^4096*y (about 2^28)
-# and refuses x^50000*y^49999 (about 2^35) before anything is expanded.
-EXPANSION_BITS = 2 ** 30
-
-
-# Bounded: a word with an x-run of length D meets about 2D (b, c) pairs, each
-# expansion holding b + 1 integers, so an unbounded cache grows as D^2 with
-# long input words.  4096 is nearly three times the 1390-1450 distinct pairs
-# that one pass of the benchmark's normal_forms workload meets (seeds 0-2),
-# so it never evicts.
-@lru_cache(maxsize=4096)
-def _x_power_times_y_power(b: int, c: int):
-    """Normal form of x^b y^c as a tuple of ((k, m), coeff).
+def _x_power_times_y_power(b: int, c: int) -> "tuple[int, ...]":
+    """The b + 1 coefficients of the normal form of x^b y^c: entry j is that
+    of y^(c+j) x^(b-j), and for c = 0 it is (1,), x^b itself.
 
     In the Ore extension x^b p = sum_j C(b, j) delta^j(p) x^(b-j) (Leibniz),
     and delta^j(y^c) = c(c+1)...(c+j-1) y^(c+j), so
     x^b y^c = sum_j C(b, j) c(c+1)...(c+j-1) y^(c+j) x^(b-j).
     Each coefficient is the previous one times (b-j)(c+j)/(j+1); the
     division is exact because C(b, j)(b-j) = C(b, j+1)(j+1).
-
-    Size.  C(b, j) <= 2^b and c(c+1)...(c+j-1) <= (b+c)^b, so each of the
-    b + 1 coefficients has at most b*(1 + bitlen(b+c)) + 1 bits.  When that
-    total exceeds EXPANSION_BITS the expansion is an OutOfRangeError,
-    raised before it is formed.
     """
-    if c == 0:
-        return (((0, b), 1),)
-    bits = (b + 1) * (b * (1 + (b + c).bit_length()) + 1)
-    if bits > EXPANSION_BITS:
-        raise OutOfRangeError(
-            f"the normal form of x^{b}*y^{c} may need {bits} bits, "
-            f"more than {EXPANSION_BITS}")
+    if not c:
+        return (1,)
     out = []
     coeff = 1
     for j in range(b + 1):
-        out.append(((c + j, b - j), coeff))
+        out.append(coeff)
         coeff = coeff * (b - j) * (c + j) // (j + 1)
     return tuple(out)
 
 
+def _bound(b: int, c: int) -> int:
+    """Bits the coefficients of x^b y^c, c >= 1, hold at most in all:
+    C(b, j) <= 2^b and c(c+1)...(c+j-1) <= (b+c)^b, so each of the b + 1
+    has at most b*(1 + bitlen(b+c)) + 1 bits."""
+    return (b + 1) * (b * (1 + (b + c).bit_length()) + 1)
+
+
+# A word with an x-run of length D meets about 2D (b, c) pairs.  Only
+# expansions bounded by EXPANSION_BITS // maxsize are kept, so the cache holds
+# at most EXPANSION_BITS bits.  4096 is nearly three times the 1390-1450 pairs
+# one pass of the benchmark's normal_forms workload meets (seeds 0-2, all
+# under 2^14 bits): it never evicts.
+@lru_cache(maxsize=4096)
+def _expansion(b: int, c: int) -> "tuple[int, ...] | None":
+    """``_x_power_times_y_power``, or None if it is too large to keep."""
+    if c and _bound(b, c) > EXPANSION_BITS // _expansion.cache_info().maxsize:
+        return None
+    return _x_power_times_y_power(b, c)
+
+
+def _admitted(b: int, c: int) -> "tuple[int, ...]":
+    """An expansion too large to keep, charged to the public call: an
+    OutOfRangeError before it is formed if its bound exceeds what is left."""
+    left = _left.get()
+    bits = _bound(b, c)
+    if bits > left[0]:
+        raise OutOfRangeError(f"the normal form of x^{b}*y^{c} may need {bits} bits, "
+                              f"more than the {left[0]} left of {EXPANSION_BITS}")
+    left[0] -= bits
+    return _x_power_times_y_power(b, c)
+
+
+_x_degree = itemgetter(1)  # of a key (k, m)
+
+
+@_metered
 def multiply(f: NormalPoly, g: NormalPoly) -> NormalPoly:
     """Product in the algebra, returned in normal form.
 
     Fraction-free.  ``cleared`` writes f = P/d_f and g = Q/d_g with integer
     coefficients.  The product is bilinear, so fg = PQ/(d_f d_g), and PQ is
     a sum of integer products through the closed form of x^b y^c
-    (``_x_power_times_y_power``); the terms of g are grouped by their
-    y-degree c, so that form is looked up once per term of f and distinct
-    c.  Each nonzero coefficient v of PQ is divided once by d = d_f d_g:
-    if divmod(v, d) leaves remainder 0 the quotient is v/d exactly, stored
-    as int; otherwise v/d is not integral and Fraction(v, d) is it in
-    lowest terms.  So each coefficient is stored as ``_nonzero`` stores
-    v/d.  tests/multiply_oracle.py keeps the termwise rational product this
-    replaced as the differential oracle, and test_multiply_matches_engine
-    checks against the rewriting engine ``reduce_poly``.
+    (``_expansion``), looked up once per term of f and distinct y-degree c
+    of g.  Each nonzero coefficient v of PQ is divided once by d = d_f d_g:
+    with remainder 0 the quotient is v/d, stored as int; otherwise
+    Fraction(v, d) is v/d in lowest terms, as ``_nonzero`` stores it.
+
+    Keys.  The relation is homogeneous, so every term of y^a x^b y^c x^e =
+    y^a (x^b y^c) x^e has degree a + b + c + e: entry j of the expansion is
+    the coefficient of (k, m) = (a + c + j, b - j + e).  With W = 1 + the
+    largest x-degree of f + that of g, PQ is summed on the int k*W + m,
+    which starts at (a + c)*W + b + e and steps by W - 1.  Since
+    0 <= m <= b + e < W, divmod(key, W) is (k, m): a tuple is formed once
+    per output term.  tests/multiply_oracle.py (termwise, rational) and
+    test_multiply_matches_engine (``reduce_poly``) are the oracles.
     """
+    if not (f._terms and g._terms):
+        return NormalPoly()
     P, d_f = cleared(f._terms.values())
     Q, d_g = cleared(g._terms.values())
     by_c: dict[int, list] = {}
+    top = 0  # the largest x-degree of g
     for (c, e), q in zip(g._terms, Q):
         by_c.setdefault(c, []).append((e, q))
-    out: dict[tuple[int, int], int] = {}
+        if e > top:
+            top = e
+    w = 1 + max(f._terms, key=_x_degree)[1] + top
+    step = w - 1
+    out: dict[int, int] = {}
     for (a, b), p in zip(f._terms, P):
         for c, row in by_c.items():
-            expansion = _x_power_times_y_power(b, c)
+            expansion = _expansion(b, c) or _admitted(b, c)
+            base = (a + c) * w + b
             for e, q in row:
                 pq = p * q
-                for (k, m), v in expansion:
-                    key = (a + k, m + e)
+                key = base + e
+                for v in expansion:
                     out[key] = out.get(key, 0) + pq * v
+                    key += step
     d = d_f * d_g
     terms = {}
     for key, v in out.items():
         if v:
             quo, rem = divmod(v, d)
-            terms[key] = Fraction(v, d) if rem else quo
+            terms[divmod(key, w)] = Fraction(v, d) if rem else quo
     return NormalPoly._of(terms)
 
 
@@ -569,6 +622,7 @@ def compose_automorphisms(a: JordanAutomorphism, b: JordanAutomorphism) -> Jorda
     )
 
 
+@_metered
 def apply_automorphism(phi: JordanAutomorphism, f: NcPoly) -> NormalPoly:
     """Substitute x -> alpha*x + p(y), y -> alpha*y and take the normal form.
 

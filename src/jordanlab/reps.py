@@ -366,15 +366,18 @@ def evaluate(f, rep: RepPair) -> QMatrix:
     are equal.  A letter outside {x, y} raises ValueError (``normal_form``).
     The normal form sum_k Y^k p_k(X) is evaluated by Horner's rule in Y,
     acc = Y acc + p_k(X) from the top k down, each p_k(X) by
-    ``poly_at_matrix``.
+    ``poly_at_matrix``.  Y is nilpotent (``RepPair``), so Y^n = 0 and the
+    terms with k >= n are dropped before the table of the p_k is built.
     """
     if isinstance(f, NcPoly):
         f = normal_form(f)
     if not isinstance(f, NormalPoly):
         raise TypeError(f"cannot evaluate {type(f).__name__}")
-    top = max((k for k, _ in f.support()), default=0)
-    rows = [[0] * (f.degree + 1) for _ in range(top + 1)]  # rows[k]: p_k, lowest first
-    for (k, m), c in f.items():
+    terms = [(km, c) for km, c in f._terms.items() if km[0] < rep.n]
+    top = max((k for (k, _), _ in terms), default=0)
+    width = max((m for (_, m), _ in terms), default=0) + 1
+    rows = [[0] * width for _ in range(top + 1)]  # rows[k]: p_k, lowest first
+    for (k, m), c in terms:
         rows[k][m] = c
     acc = poly_at_matrix(UniPoly(rows.pop()), rep.X)
     for row in reversed(rows):

@@ -165,3 +165,49 @@ def test_only_the_raw_product_sites_bypass_the_product_kernel():
     sites = source_sites(
         lambda node: isinstance(node, ast.Name) and node.id in ("flat_matmul", "_divided"))
     assert {s for s in sites if not s.startswith("matrices.")} == RAW_PRODUCT_SITES
+
+
+# Every ``functools.lru_cache`` of the package with its maxsize.  An
+# unbounded cache keeps everything it meets, so a new one, or a bound
+# lifted, is a decision made visible here.
+LRU_CACHES = {
+    "freealg._expansion": 4096,
+    "freealg.jordan_system": None,
+    "reps._particular_solution": None,
+    "reps.epsilon_rep": None,
+    "reps.fiber_basis": None,
+    "reps.jordan_block": None,
+    "reps.jordan_matrix": None,
+    "reps.x_zero": None,
+    "strata._partitions_tuple": None,
+}
+
+
+def test_every_lru_cache_is_pinned_with_its_maxsize():
+    assert source_sites(
+        lambda node: isinstance(node, ast.Name) and node.id in ("lru_cache", "cache")
+    ) == set(LRU_CACHES)
+    for maxsize in set(LRU_CACHES.values()):
+        assert source_sites(
+            lambda node: isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "lru_cache"
+            and [(k.arg, ast.literal_eval(k.value)) for k in node.keywords]
+            == [("maxsize", maxsize)]
+        ) == {site for site, size in LRU_CACHES.items() if size == maxsize}
+
+
+def test_the_expansion_cache_holds_at_most_the_expansion_budget():
+    # It keeps an expansion only if its bound is at most EXPANSION_BITS //
+    # maxsize, so its maxsize entries hold at most EXPANSION_BITS bits.
+    from jordanlab import freealg
+
+    maxsize = freealg._expansion.cache_info().maxsize
+    assert maxsize == LRU_CACHES["freealg._expansion"]
+    kept = freealg.EXPANSION_BITS // maxsize
+    for c in (1, 7, 100):
+        b = 0
+        while freealg._bound(b + 1, c) <= kept:
+            b += 1
+        assert freealg._expansion(b, c) == freealg._x_power_times_y_power(b, c)
+        assert freealg._expansion(b + 1, c) is None
+

@@ -502,6 +502,35 @@ def test_expansion_over_budget_is_refused_at_once(capture, argv):
     assert err.count("\n") == 1
 
 
+def test_expansions_of_one_call_share_one_budget(capture):
+    # Each x^b*y here is admitted alone (about 2^30 bits); the three of one
+    # call are refused at the second, without the 586 MB they once took.
+    start = time.perf_counter()
+    code, out, err = capture("nf", "x^8400*y+x^8399*y+x^8398*y")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: OutOfRangeError: the normal form of x^8399*y^1 ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("rep", "eval", "REP", "y^99999"), "0 0\n0 0\n"),
+    (("rep", "eval", "REP", "y^99990+x*y"), "0 3\n0 0\n"),  # Y X + Y^2 = 3Y
+    (("image", "quotient-codim", "REP", "--gens", "y^99999"), "2\n"),
+])
+def test_high_powers_of_y_vanish_on_a_rep_at_once(capture, tmp_path, argv, expected):
+    # Y is nilpotent, so Y^k = 0 for k >= n; the dense table of a 2x2 rep
+    # once had 10^5 rows of 10^5 entries here.
+    assert len(argv[3]) <= 16 and len(argv[-1]) <= 16
+    code, out, _ = capture("rep", "build", "--partition", "2", "--canonical", "3,1")
+    path = tmp_path / "rep2.json"
+    path.write_text(out)
+    start = time.perf_counter()
+    code, out, err = capture(*[str(path) if a == "REP" else a for a in argv])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (0, expected, "")
+
+
 @pytest.mark.parametrize("argv", [("strata", "census", "--n", "100000"),
                                   ("strata", "census", "--n", "31"),
                                   ("hilbert", "--max-degree", "99999999"),

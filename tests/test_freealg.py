@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 import pytest
 
@@ -29,6 +29,7 @@ from jordanlab import (
     reduce_poly,
 )
 from multiply_oracle import multiply as oracle_multiply
+from multiply_oracle import x_power_times_y_power as oracle_expansion
 from parse_oracle import parse_poly as oracle_parse_poly
 from rewriting_oracle import complete, confluence_check, normal_word_count
 
@@ -222,7 +223,7 @@ def test_multiply_expands_once_per_term_and_y_degree(monkeypatch):
     from jordanlab import freealg
 
     calls = 0
-    expand = freealg._x_power_times_y_power
+    expand = freealg._expansion
 
     def counting(b, c):
         nonlocal calls
@@ -232,13 +233,57 @@ def test_multiply_expands_once_per_term_and_y_degree(monkeypatch):
     f = NormalPoly({(0, 3): 1, (2, 1): Fraction(1, 2), (1, 0): -2, (0, 0): Fraction(5, 3)})
     g = NormalPoly({(1, 0): 1, (1, 2): 3, (1, 5): Fraction(2, 3), (4, 0): 1, (4, 1): -1,
                     (0, 2): 5, (0, 7): Fraction(-1, 4)})
-    monkeypatch.setattr(freealg, "_x_power_times_y_power", counting)
+    monkeypatch.setattr(freealg, "_expansion", counting)
     product = multiply(f, g)
     monkeypatch.undo()
     distinct_c = len({c for c, _ in g.support()})
     assert distinct_c == 3
     assert calls == len(f.support()) * distinct_c < len(f.support()) * len(g.support())
     assert product == oracle_multiply(f, g)
+
+
+def test_multiply_integer_key_edge_cases():
+    """Zero operands, right factors without y (c = 0), terms that cancel,
+    integral operands and sparse operands of degree 10^9, each against the
+    termwise oracle."""
+    zero, one = NormalPoly.zero(), NormalPoly.one()
+    cases = [
+        (zero, NormalPoly({(3, 2): 5})), (NormalPoly({(0, 4): 1}), zero),
+        # c = 0: x^b * x^e and y^a x^b * x^e only add the x-degrees
+        (NormalPoly({(2, 3): Fraction(1, 2), (0, 1): -1}), NormalPoly({(0, 4): 3, (0, 0): 1})),
+        # terms that cancel: (x - y)(x + y) = x^2 + (yx + y^2) - yx - y^2 = x^2
+        (NormalPoly({(0, 1): 1, (1, 0): -1}), NormalPoly({(1, 0): 1, (0, 1): 1})),
+        # integral operands: d = 1
+        (NormalPoly({(0, 5): 2, (1, 1): -3}), NormalPoly({(2, 3): 7, (0, 0): 1})),
+        (NormalPoly({(10 ** 9, 0): 1}), NormalPoly({(0, 1): 1})),
+        (NormalPoly({(10 ** 9, 0): 2, (0, 10 ** 9): Fraction(1, 3)}), one),
+    ]
+    for f, g in cases:
+        assert normalized(multiply(f, g)) == oracle_multiply(f, g)
+    assert multiply(*cases[3]) == NormalPoly({(0, 2): 1})
+    # (x + y)(x - y) = x^2 - (yx + y^2) + yx - y^2 = x^2 - 2y^2
+    f, g = NormalPoly({(0, 1): 1, (1, 0): 1}), NormalPoly({(0, 1): 1, (1, 0): -1})
+    assert multiply(f, g) == NormalPoly({(0, 2): 1, (2, 0): -2})
+    assert (multiply(NormalPoly({(10 ** 9, 0): 1}), NormalPoly({(0, 1): 1}))
+            == NormalPoly({(10 ** 9, 1): 1}))
+    # x * y^(10^9) = y^(10^9) x + 10^9 y^(10^9 + 1)
+    assert (multiply(NormalPoly({(0, 1): 1}), NormalPoly({(10 ** 9, 0): 1}))
+            == NormalPoly({(10 ** 9, 1): 1, (10 ** 9 + 1, 0): 10 ** 9}))
+
+
+def test_multiply_allocates_nothing_of_the_size_of_the_degree():
+    import tracemalloc
+
+    f = NormalPoly({(10 ** 9, 0): 2, (0, 1): Fraction(1, 3)})
+    g = NormalPoly({(10 ** 9, 1): 1, (0, 10 ** 9): -1})
+    tracemalloc.start()
+    try:
+        product = multiply(f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000
+    assert product == oracle_multiply(f, g) and len(product.support()) == 5
 
 
 def test_normal_form_matches_engine_on_long_words():
@@ -255,21 +300,16 @@ def test_normal_form_rejects_foreign_letter():
 
 
 def test_x_power_times_y_power_matches_closed_form():
+    """The expansion is its coefficient tuple: entry j belongs to
+    y^(c+j) x^(b-j), checked against the oracle's binomial closed form."""
     from jordanlab.freealg import _x_power_times_y_power
-
-    def closed_form(b, c):
-        if c == 0:
-            return (((0, b), 1),)
-        out = []
-        rising = 1
-        for j in range(b + 1):
-            out.append(((c + j, b - j), comb(b, j) * rising))
-            rising *= c + j
-        return tuple(out)
 
     cases = [(b, c) for b in range(61) for c in range(13)] + [(4096, 1), (1000, 37)]
     for b, c in cases:
-        assert _x_power_times_y_power(b, c) == closed_form(b, c)
+        expansion = _x_power_times_y_power(b, c)
+        assert expansion == tuple(v for _, v in oracle_expansion(b, c))
+        assert [km for km, _ in oracle_expansion(b, c)] == [
+            (c + j, b - j) for j in range(len(expansion))]
 
 
 def test_expansion_budget_bounds_the_coefficient_bits(monkeypatch):
@@ -278,26 +318,81 @@ def test_expansion_budget_bounds_the_coefficient_bits(monkeypatch):
     above the budget, x^50000*y^49999 is refused without being expanded."""
     from jordanlab import freealg
 
-    expand = freealg._x_power_times_y_power
+    def power_product(b, c):
+        return multiply(NormalPoly.monomial(0, b), NormalPoly.monomial(c, 0))
+
     for b, c in [(1, 1), (2, 5), (7, 1), (30, 30), (60, 2), (200, 1), (300, 700)]:
-        bits = sum(v.bit_length() for _, v in expand(b, c))
-        expand.cache_clear()
+        bits = sum(v.bit_length() for v in freealg._x_power_times_y_power(b, c))
+        assert freealg._bound(b, c) >= bits
+        freealg._expansion.cache_clear()
         monkeypatch.setattr(freealg, "EXPANSION_BITS", bits - 1)
         with pytest.raises(OutOfRangeError):
-            expand(b, c)
+            power_product(b, c)
         monkeypatch.undo()
-    assert len(expand(0, 10 ** 9)) == 1
+        freealg._expansion.cache_clear()
+        assert power_product(b, c) == oracle_multiply(NormalPoly.monomial(0, b),
+                                                      NormalPoly.monomial(c, 0))
+    assert power_product(0, 10 ** 9) == NormalPoly.monomial(10 ** 9, 0)
+    assert power_product(10 ** 9, 0) == NormalPoly.monomial(0, 10 ** 9)
     with pytest.raises(OutOfRangeError):
-        expand(50000, 49999)
+        power_product(50000, 49999)
     with pytest.raises(OutOfRangeError):
         normal_form(parse_poly("x^50000*y^49999"))
 
 
-def test_power_cache_is_bounded():
-    from jordanlab.freealg import _x_power_times_y_power
+def test_expansion_budget_holds_per_call(monkeypatch):
+    """Each x^b*y of the 26-byte input is within the budget, the three of
+    one call are not, and the refusal comes before the second expansion is
+    formed.  The budget is spent per public call, nested calls included,
+    and the next call has all of it again."""
+    import time
 
-    maxsize = _x_power_times_y_power.cache_info().maxsize
+    from jordanlab import freealg
+
+    assert freealg._bound(8400, 1) <= freealg.EXPANSION_BITS < 2 * freealg._bound(8398, 1)
+    start = time.perf_counter()
+    with pytest.raises(OutOfRangeError):
+        normal_form(parse_poly("x^8400*y+x^8399*y+x^8398*y"))
+    assert time.perf_counter() - start < 5
+    assert freealg._left.get() is None
+    monkeypatch.setattr(freealg, "EXPANSION_BITS", freealg._bound(300, 1) * 3 // 2)
+    x300, y = NormalPoly.monomial(0, 300), NormalPoly.monomial(1, 0)
+    for _ in range(2):
+        assert len(multiply(x300, y).support()) == 301
+        assert len(normal_form(parse_poly("x^300*y")).support()) == 301
+    with pytest.raises(OutOfRangeError):
+        normal_form(parse_poly("x^300*y + x^300*y*x"))
+
+
+def test_expansion_budget_is_per_thread():
+    import threading
+
+    from jordanlab import freealg
+
+    token = freealg._left.set([0])  # as if a call under way had spent its budget
+    try:
+        with pytest.raises(OutOfRangeError):
+            multiply(NormalPoly.monomial(0, 300), NormalPoly.monomial(1, 0))
+        out = []
+        thread = threading.Thread(target=lambda: out.append(normal_form(parse_poly("x^300*y"))))
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive() and len(out[0].support()) == 301
+    finally:
+        freealg._left.reset(token)
+
+
+def test_power_cache_is_bounded():
+    from jordanlab import freealg
+
+    maxsize = freealg._expansion.cache_info().maxsize
     assert maxsize is not None and maxsize >= 4096
+    kept = freealg.EXPANSION_BITS // maxsize
+    assert freealg._bound(4096, 1) > kept and freealg._expansion(4096, 1) is None
+    assert freealg._bound(1000, 37) > kept and freealg._expansion(1000, 37) is None
+    # every expansion of the benchmark's normal_forms pass (b, c <= 40) is kept
+    assert freealg._bound(40, 40) < 2 ** 14 <= kept
+    assert freealg._expansion(40, 40) == freealg._x_power_times_y_power(40, 40)
 
 
 def test_multiply_associative():

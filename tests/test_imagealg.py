@@ -314,7 +314,7 @@ def test_eigenprojections_match_the_extended_euclid_oracle(monkeypatch):
 
 
 def test_eigenprojections_equal_the_pairwise_products():
-    # One triple product per projection gives what C @ P_i @ C^-1 gave.
+    # The block product C[:, block i] C^-1[block i, :] is C @ P_i @ C^-1.
     for rep in spectral_reps()[::3]:
         spectrum = rational_spectrum(rep.X)
         c, c_inv = imagealg._eigenbasis(rep.X, spectrum)
