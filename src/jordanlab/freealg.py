@@ -1,16 +1,18 @@
 """Free algebra on {x, y}, the Jordan-plane product and the rewriting engine.
 
 Monomials are plain strings over the alphabet.  ``NcPoly`` (keyed by word)
-and ``NormalPoly`` (keyed by (k, m) for y^k x^m) share one term-dictionary
-core, ``_Terms``, which stores no zero terms and integral coefficients as
-int.  The linear operations add raw sums into a plain dict and normalize
-it once in ``_nonzero``.  Normal forms on the basis y^k x^m come from the
-Ore-extension product ``multiply``: the algebra is k[y][x; y^2 d/dy] (see
-``normal_form``).  ``multiply`` is fraction-free: it sums integers on
-int keys k*W + m and divides by one common denominator at the end, leaving
-the same stored form; one public call expands at most EXPANSION_BITS bits.
-The rewriting engine (deglex with x > y, the single rule xy -> yx + y^2)
-remains for the overlap list of ``gb-check`` and as the test oracle.
+and ``NormalPoly`` (keyed by (k, m) for y^k x^m) share one term core,
+``_Terms``, which stores int numerators over one denominator in lowest
+terms (the proof that this form is canonical is in ``NormalPoly``).  The
+linear operations sum numerators on a common denominator and reduce once
+in ``_reduced``; ``items()`` presents each coefficient as an exact scalar.
+Normal forms on the basis y^k x^m come from the Ore-extension product
+``multiply``: the algebra is k[y][x; y^2 d/dy] (see ``normal_form``).
+``multiply`` is fraction-free: it sums the stored numerators on int keys
+k*W + m and divides by one gcd at the end; one public call expands at most
+EXPANSION_BITS bits.  The rewriting engine (deglex with x > y, the single
+rule xy -> yx + y^2) remains for the overlap list of ``gb-check`` and as
+the test oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import groupby
-from math import factorial
+from math import factorial, gcd, lcm
 from operator import itemgetter
 
 from .errors import OutOfRangeError, PolyParseError
@@ -44,16 +46,13 @@ def _ranks(alphabet) -> "dict[str, int]":
 # -- noncommutative polynomials ---------------------------------------------
 
 
-def _nonzero(terms: dict) -> dict:
-    """The term dict without zero coefficients and with integral ones as int."""
-    return {key: exact(c) for key, c in terms.items() if c}
-
-
 class _Terms:
     """Shared core of ``NcPoly`` and ``NormalPoly``: a finite rational
-    combination of keys.  Equality holds only within one class."""
+    combination of keys, stored as int numerators ``_nums`` (no zeros) over
+    one denominator ``_den`` in the form proved canonical in ``NormalPoly``.
+    Equality holds only within one class."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, terms=None):
         data = {}
@@ -61,7 +60,8 @@ class _Terms:
             for key, coeff in (terms.items() if isinstance(terms, dict) else terms):
                 key = self._key(key)
                 data[key] = data.get(key, 0) + exact(coeff)
-        self._terms = _nonzero(data)
+        nums, self._den = cleared(data.values())
+        self._nums = {key: v for key, v in zip(data, nums) if v}
 
     @staticmethod
     def _key(key):
@@ -69,43 +69,72 @@ class _Terms:
         return key
 
     @classmethod
-    def _of(cls, terms: dict):
-        """Wrap a term dict that is already normalized, as ``_nonzero`` leaves it."""
+    def _of(cls, nums: dict, den: int):
+        """Wrap numerators and a denominator already in the stored form."""
         res = cls.__new__(cls)
-        res._terms = terms
+        res._nums = nums
+        res._den = den
         return res
+
+    @classmethod
+    def _reduced(cls, sums: dict, den: int):
+        """The element sum of v/den over the int sums v, in the stored form:
+        zero sums dropped, the rest and den divided by their gcd."""
+        g = gcd(den, *sums.values())
+        return cls._of({key: v // g for key, v in sums.items() if v}, den // g)
+
+    @classmethod
+    def _combination(cls, pairs, den: int = 1):
+        """sum of n * p over the (int n, element p) pairs, divided by den:
+        the numerators summed over the lcm of the denominators."""
+        common = lcm(*(p._den for _, p in pairs))
+        out = {}
+        for n, p in pairs:
+            s = n * (common // p._den)
+            for key, v in p._nums.items():
+                out[key] = out.get(key, 0) + s * v
+        return cls._reduced(out, common * den)
 
     @classmethod
     def zero(cls):
         return cls()
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
+
+    def numerators(self) -> "tuple[dict, int]":
+        """(int numerator by key, denominator): what ``cleared`` makes of the
+        coefficients, the same numbers as the stored form."""
+        return dict(self._nums), self._den
+
+    def _value(self, num: int) -> Scalar:
+        return exact(Fraction(num, self._den))
+
+    def _items(self) -> list:
+        return [(key, self._value(v)) for key, v in self._nums.items()]
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self._terms == other._terms
+        return (type(other) is type(self) and self._den == other._den
+                and self._nums == other._nums)
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._nums.items())))
 
     def __add__(self, other):
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, 0) + c
-        return self._of(_nonzero(out))
+        return self._combination([(1, self), (1, other)])
 
     def __neg__(self):
-        return self._of({key: -c for key, c in self._terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combination([(1, self), (-1, other)])
 
     def scale(self, c):
         c = exact(c)
-        return self._of(_nonzero({key: v * c for key, v in self._terms.items()}))
+        return self._combination([(c.numerator, self)], c.denominator)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._terms!r})"
+        return f"{type(self).__name__}({dict(self._items())!r})"
 
 
 class NcPoly(_Terms):
@@ -123,25 +152,24 @@ class NcPoly(_Terms):
 
     def items(self) -> "list[tuple[str, Scalar]]":
         ranks = _ranks(DEFAULT_ALPHABET)
-        return sorted(self._terms.items(),
-                      key=lambda kv: deglex_key(kv[0], ranks), reverse=True)
+        return sorted(self._items(), key=lambda kv: deglex_key(kv[0], ranks), reverse=True)
 
     def coefficient(self, word: str) -> Scalar:
-        return self._terms.get(word, 0)
+        return self._value(self._nums.get(word, 0))
 
     @property
     def degree(self) -> int:
-        return max((len(w) for w in self._terms), default=-1)
+        return max((len(w) for w in self._nums), default=-1)
 
     def __mul__(self, other):
         if not isinstance(other, NcPoly):
             return self.scale(other)
-        out: dict[str, Scalar] = {}
-        for wa, ca in self._terms.items():
-            for wb, cb in other._terms.items():
+        out: dict[str, int] = {}
+        for wa, ca in self._nums.items():
+            for wb, cb in other._nums.items():
                 w = wa + wb
                 out[w] = out.get(w, 0) + ca * cb
-        return NcPoly._of(_nonzero(out))
+        return NcPoly._reduced(out, self._den * other._den)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -151,7 +179,18 @@ class NcPoly(_Terms):
 
 
 class NormalPoly(_Terms):
-    """Polynomial on the normal basis y^k x^m, keyed by (k, m)."""
+    """Polynomial on the normal basis y^k x^m, keyed by (k, m).
+
+    Stored form: int numerators n_key, none zero, over one denominator
+    den > 0 with gcd(content, den) = 1, content being the gcd of the n_key;
+    zero is ({}, 1).  It is canonical: the coefficient n_key/den has the
+    reduced denominator den/g_key, g_key = gcd(n_key, den), and for each
+    prime p the largest power of p in these is v_p(den) - min v_p(g_key) =
+    v_p(den), as gcd over the keys of g_key = gcd(content, den) = 1.  So den
+    is the lcm of the reduced denominators and n_key = den * coefficient:
+    both are fixed by the coefficients, ``==`` and ``hash`` are structural,
+    and ``cleared`` of the coefficients returns (nums, den) unchanged.
+    """
 
     __slots__ = ()
 
@@ -170,21 +209,21 @@ class NormalPoly(_Terms):
 
     def items(self) -> "list[tuple[tuple[int, int], Scalar]]":
         # descending deglex: higher total degree first, then fewer y's first
-        return sorted(self._terms.items(), key=lambda kv: (-sum(kv[0]), kv[0][0]))
+        return sorted(self._items(), key=lambda kv: (-sum(kv[0]), kv[0][0]))
 
     def coefficient(self, k: int, m: int) -> Scalar:
-        return self._terms.get((k, m), 0)
+        return self._value(self._nums.get((k, m), 0))
 
     def support(self) -> "list[tuple[int, int]]":
         return [km for km, _ in self.items()]
 
     @property
     def degree(self) -> int:
-        return max((k + m for k, m in self._terms), default=-1)
+        return max((k + m for k, m in self._nums), default=-1)
 
     def embed(self) -> NcPoly:
         """The same element as a word polynomial (y's before x's)."""
-        return NcPoly({Y * k + X * m: c for (k, m), c in self._terms.items()})
+        return NcPoly._of({Y * k + X * m: v for (k, m), v in self._nums.items()}, self._den)
 
     def __str__(self) -> str:
         return format_terms((word_text(Y * k + X * m), c) for (k, m), c in self.items())
@@ -299,52 +338,34 @@ def reduce_poly(f: NcPoly, rs: RewriteSystem) -> NcPoly:
     """Rewrite f to a combination of normal words (leftmost strategy).
 
     Terminates because every rule replaces a word by strictly smaller words
-    in the admissible order; like terms are merged eagerly so each distinct
-    word is processed at most once.
+    in the admissible order.  The heap pops the largest word first, so every
+    term that reaches a word comes before it: like terms are merged in
+    ``pending`` and each distinct word is pushed and processed once.
     """
     ranks = rs.ranks()
 
     def heap_key(word):
         return (-len(word), tuple(-ranks[c] for c in word))
 
-    pending: dict[str, Scalar] = {}
-    heap: list = []
-    for word, coeff in f.items():
-        pending[word] = coeff
-        heapq.heappush(heap, (heap_key(word), word))
-    result: dict[str, Scalar] = {}
+    pending = dict(f.items())
+    heap = [(heap_key(word), word) for word in pending]
+    heapq.heapify(heap)
+    result = {}
     while heap:
         _, word = heapq.heappop(heap)
-        if word not in pending:
-            continue
         coeff = pending.pop(word)
-        if coeff == 0:
-            continue
-        match = rs.leftmost_match(word)
+        match = rs.leftmost_match(word) if coeff else None
         if match is None:
-            total = result.get(word, 0) + coeff
-            if total == 0:
-                result.pop(word, None)
-            else:
-                result[word] = exact(total)
+            result[word] = coeff
             continue
         pos, ridx = match
         lead, tail = rs.rules[ridx]
-        prefix, suffix = word[:pos], word[pos + len(lead):]
-        for tword, tcoeff in tail._terms.items():
-            new_word = prefix + tword + suffix
-            if new_word in pending:
-                total = pending[new_word] + coeff * tcoeff
-                if total == 0:
-                    del pending[new_word]
-                else:
-                    pending[new_word] = exact(total)
-            else:
-                pending[new_word] = exact(coeff * tcoeff)
+        for tword, tcoeff in tail.items():
+            new_word = word[:pos] + tword + word[pos + len(lead):]
+            if new_word not in pending:
                 heapq.heappush(heap, (heap_key(new_word), new_word))
-    out = NcPoly()
-    out._terms = result
-    return out
+            pending[new_word] = pending.get(new_word, 0) + coeff * tcoeff
+    return NcPoly(result)
 
 
 # The most bits of expansion bounds (``_bound``) that one public call may
@@ -375,17 +396,18 @@ def _algebra_map(f: NcPoly, images: "dict[str, NormalPoly]") -> NormalPoly:
 
     Each word is folded run by run: the power of a run's image is formed
     first, by repeated squaring, so a run of length e costs O(log e)
-    products (the product is associative, so the result is the same).
+    products (the product is associative, so the result is the same).  The
+    images of the words are combined by their numerators (``_combination``).
     """
-    out = []
-    for word, coeff in f._terms.items():
+    products = []
+    for word, n in f._nums.items():
         prod = NormalPoly.one()
         for ch, run in groupby(word):
             if ch not in images:
                 raise ValueError(f"word {word!r} has a letter outside {{x, y}}")
             prod = multiply(prod, _power(images[ch], sum(1 for _ in run)))
-        out.extend((km, coeff * v) for km, v in prod._terms.items())
-    return NormalPoly(out)
+        products.append((n, prod))
+    return NormalPoly._combination(products, f._den)
 
 
 @_metered
@@ -472,13 +494,12 @@ _x_degree = itemgetter(1)  # of a key (k, m)
 def multiply(f: NormalPoly, g: NormalPoly) -> NormalPoly:
     """Product in the algebra, returned in normal form.
 
-    Fraction-free.  ``cleared`` writes f = P/d_f and g = Q/d_g with integer
-    coefficients.  The product is bilinear, so fg = PQ/(d_f d_g), and PQ is
+    Fraction-free.  f and g are stored as P/d_f and Q/d_g with integer
+    numerators.  The product is bilinear, so fg = PQ/(d_f d_g), and PQ is
     a sum of integer products through the closed form of x^b y^c
     (``_expansion``), looked up once per term of f and distinct y-degree c
-    of g.  Each nonzero coefficient v of PQ is divided once by d = d_f d_g:
-    with remainder 0 the quotient is v/d, stored as int; otherwise
-    Fraction(v, d) is v/d in lowest terms, as ``_nonzero`` stores it.
+    of g.  One gcd of d = d_f d_g with the sums (stopping at 1) divides
+    them and d once, which leaves the stored form of ``NormalPoly``.
 
     Keys.  The relation is homogeneous, so every term of y^a x^b y^c x^e =
     y^a (x^b y^c) x^e has degree a + b + c + e: entry j of the expansion is
@@ -489,20 +510,18 @@ def multiply(f: NormalPoly, g: NormalPoly) -> NormalPoly:
     per output term.  tests/multiply_oracle.py (termwise, rational) and
     test_multiply_matches_engine (``reduce_poly``) are the oracles.
     """
-    if not (f._terms and g._terms):
+    if not (f._nums and g._nums):
         return NormalPoly()
-    P, d_f = cleared(f._terms.values())
-    Q, d_g = cleared(g._terms.values())
     by_c: dict[int, list] = {}
     top = 0  # the largest x-degree of g
-    for (c, e), q in zip(g._terms, Q):
+    for (c, e), q in g._nums.items():
         by_c.setdefault(c, []).append((e, q))
         if e > top:
             top = e
-    w = 1 + max(f._terms, key=_x_degree)[1] + top
+    w = 1 + max(f._nums, key=_x_degree)[1] + top
     step = w - 1
     out: dict[int, int] = {}
-    for (a, b), p in zip(f._terms, P):
+    for (a, b), p in f._nums.items():
         for c, row in by_c.items():
             expansion = _expansion(b, c) or _admitted(b, c)
             base = (a + c) * w + b
@@ -512,13 +531,11 @@ def multiply(f: NormalPoly, g: NormalPoly) -> NormalPoly:
                 for v in expansion:
                     out[key] = out.get(key, 0) + pq * v
                     key += step
-    d = d_f * d_g
-    terms = {}
-    for key, v in out.items():
-        if v:
-            quo, rem = divmod(v, d)
-            terms[divmod(key, w)] = Fraction(v, d) if rem else quo
-    return NormalPoly._of(terms)
+    d = f._den * g._den
+    c = gcd(d, *out.values())
+    if c == 1:
+        return NormalPoly._of({divmod(key, w): v for key, v in out.items() if v}, d)
+    return NormalPoly._of({divmod(key, w): v // c for key, v in out.items() if v}, d // c)
 
 
 def _power(p: NormalPoly, e: int) -> NormalPoly:
@@ -535,30 +552,22 @@ def _power(p: NormalPoly, e: int) -> NormalPoly:
 def _ambiguities(rs: RewriteSystem):
     """(word, i, pos_i, j, pos_j) for every minimal overlap or inclusion."""
     leads = [lead for lead, _ in rs.rules]
-    found = []
-    seen = set()
+    found = set()
     for i, u in enumerate(leads):
         for j, v in enumerate(leads):
             # proper overlap: a suffix of u equals a prefix of v
             for t in range(1, min(len(u), len(v))):
                 if u[-t:] == v[:t]:
-                    w = u + v[t:]
-                    key = (w, i, 0, j, len(u) - t)
-                    if key not in seen:
-                        seen.add(key)
-                        found.append(key)
+                    found.add((u + v[t:], i, 0, j, len(u) - t))
             # inclusion: v occurs properly inside u
             if i != j and len(v) < len(u):
                 start = u.find(v)
                 while start >= 0:
-                    key = (u, i, 0, j, start)
-                    if key not in seen:
-                        seen.add(key)
-                        found.append(key)
+                    found.add((u, i, 0, j, start))
                     start = u.find(v, start + 1)
     ranks = rs.ranks()
-    found.sort(key=lambda t: (deglex_key(t[0], ranks), t[1], t[3], t[4]))
-    return found
+    # deglex_key is one-to-one on words, so this key orders distinct tuples
+    return sorted(found, key=lambda t: (deglex_key(t[0], ranks), t[1], t[3], t[4]))
 
 
 def overlaps(rs: RewriteSystem) -> "list[tuple[str, int, int]]":
@@ -584,11 +593,10 @@ def gs_series_coefficients(gens: int, rels: int, up_to: int) -> "list[int]":
     """First up_to+1 coefficients of 1 / (1 - gens*t + rels*t^2)."""
     if up_to < 0:
         raise OutOfRangeError("up_to must be nonnegative")
-    coeffs = [1]
-    for k in range(1, up_to + 1):
-        value = gens * coeffs[k - 1] - (rels * coeffs[k - 2] if k >= 2 else 0)
-        coeffs.append(value)
-    return coeffs
+    coeffs = [0, 1]  # a zero before the constant term starts the recurrence
+    for _ in range(up_to):
+        coeffs.append(gens * coeffs[-1] - rels * coeffs[-2])
+    return coeffs[1:]
 
 
 # -- automorphisms -------------------------------------------------------------

@@ -15,7 +15,6 @@ import enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import prod
 from typing import NamedTuple
 
 from .errors import (
@@ -364,16 +363,19 @@ def evaluate(f, rep: RepPair) -> QMatrix:
     pair is verified, so the map x -> X, y -> Y kills xy - yx - y^2 and
     factors through R = k<x,y>/(xy - yx - y^2), where f and normal_form(f)
     are equal.  A letter outside {x, y} raises ValueError (``normal_form``).
-    The normal form sum_k Y^k p_k(X) is evaluated by Horner's rule in Y,
-    acc = Y acc + p_k(X) from the top k down, each p_k(X) by
-    ``poly_at_matrix``.  Y is nilpotent (``RepPair``), so Y^n = 0 and the
-    terms with k >= n are dropped before the table of the p_k is built.
+    The normal form is stored as N/d with integer numerators N (see
+    ``NormalPoly``), so f(X, Y) = N(X, Y)/d.  N = sum_k Y^k p_k(X) is
+    evaluated by Horner's rule in Y, acc = Y acc + p_k(X) from the top k
+    down, each p_k(X) by ``poly_at_matrix``, and d divides the result once.
+    Y is nilpotent (``RepPair``), so Y^n = 0 and the terms with k >= n are
+    dropped before the table of the p_k is built.
     """
     if isinstance(f, NcPoly):
         f = normal_form(f)
     if not isinstance(f, NormalPoly):
         raise TypeError(f"cannot evaluate {type(f).__name__}")
-    terms = [(km, c) for km, c in f._terms.items() if km[0] < rep.n]
+    nums, den = f.numerators()
+    terms = [(km, c) for km, c in nums.items() if km[0] < rep.n]
     top = max((k for (k, _), _ in terms), default=0)
     width = max((m for (_, m), _ in terms), default=0) + 1
     rows = [[0] * width for _ in range(top + 1)]  # rows[k]: p_k, lowest first
@@ -382,7 +384,7 @@ def evaluate(f, rep: RepPair) -> QMatrix:
     acc = poly_at_matrix(UniPoly(rows.pop()), rep.X)
     for row in reversed(rows):
         acc = rep.Y @ acc + poly_at_matrix(UniPoly(row), rep.X)
-    return acc
+    return acc if den == 1 else acc.scale(Fraction(1, den))
 
 
 class WitnessResult(enum.Enum):
@@ -390,13 +392,22 @@ class WitnessResult(enum.Enum):
     NOT_FOUND_BELOW_MAX = "not-found-below-max"
 
 
-def _least_nonroot(d: int, coeffs: "dict[int, Scalar]") -> int:
+def _least_nonroot(d: int, coeffs: "dict[int, int]") -> int:
     """Least i in 0..d with P_d(i) != 0 (``faithful_witness``), coeffs
-    mapping k to c_k: P_d(i) over the product for K = max(coeffs), which is
-    0 only at i = K = 0 < d."""
-    top = max(coeffs)
-    return next(i for i in range(d + 1) if not i == top == 0 < d and sum(
-        c * (-1) ** (top - k) * prod(range(i + k, i + top)) for k, c in coeffs.items()))
+    mapping k to c_k (scaled to integers, which keeps every root): P_d(i)
+    over the product for K = max(coeffs), which is 0 only at i = K = 0 < d.
+    That quotient, sum_k (-1)^(K-k) c_k (i+k)...(i+K-1), is summed by
+    Horner's rule over the rising factors, acc = acc (i+k-1) + (-1)^(K-k) c_k
+    from the least k up: one small factor per step."""
+    top, low = max(coeffs), min(coeffs)
+
+    def value(i: int) -> int:
+        acc = 0
+        for k in range(low, top + 1):
+            acc = acc * (i + k - 1) + (-1) ** (top - k) * coeffs.get(k, 0)
+        return acc
+
+    return next(i for i in range(d + 1) if not i == top == 0 < d and value(i))
 
 
 def faithful_witness(f: NcPoly, max_n: "int | None" = None):
@@ -434,8 +445,8 @@ def faithful_witness(f: NcPoly, max_n: "int | None" = None):
         return WitnessResult.IN_IDEAL
     if max_n is None:
         max_n = max(1, 2 * nf.degree)
-    by_degree: "dict[int, dict[int, Scalar]]" = {}
-    for (k, m), c in nf.items():
+    by_degree: "dict[int, dict[int, int]]" = {}
+    for (k, m), c in nf.numerators()[0].items():
         by_degree.setdefault(k + m, {})[k] = c
     least = min(d + 1 + _least_nonroot(d, coeffs) for d, coeffs in by_degree.items())
     return least if least <= max_n else WitnessResult.NOT_FOUND_BELOW_MAX

@@ -1,13 +1,13 @@
 """The termwise rational Ore product, used only by the tests.
 
-``jordanlab.freealg.multiply`` clears the denominators of both operands,
-sums integer products on int keys and divides once at the end.  This is
-the product it replaced, the reference for the differential tests in
-tests/test_freealg.py and tests/test_properties.py: it multiplies the
-rational coefficients of every pair of terms, adds the raw products into
-one dict keyed by (k, m) and normalizes it once with ``_nonzero``.  It
-expands x^b y^c by its own closed form, binomial times rising factorial,
-so it shares no code with the library's expansion.
+``jordanlab.freealg.multiply`` sums the integer numerators of both operands
+on int keys and divides by one gcd at the end.  This is the product it
+replaced, the reference for the differential tests in tests/test_freealg.py
+and tests/test_properties.py: it multiplies the rational coefficients
+(``items()``) of every pair of terms, adds the raw products into one dict
+keyed by (k, m) and hands it to the ``NormalPoly`` constructor.  It expands
+x^b y^c by its own closed form, binomial times rising factorial, so it
+shares no code with the library's expansion.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 from math import comb
 
 from jordanlab import NormalPoly, Scalar
-from jordanlab.freealg import _nonzero
 
 
 def x_power_times_y_power(b: int, c: int) -> "list[tuple[tuple[int, int], int]]":
@@ -33,13 +32,13 @@ def multiply(f: NormalPoly, g: NormalPoly) -> NormalPoly:
     """Product in the algebra, returned in normal form.
 
     Expands x^b y^c by the closed form termwise, adds the raw products
-    into one dict and normalizes it once.
+    into one dict and builds the polynomial from it once.
     """
     out: dict[tuple[int, int], Scalar] = {}
-    for (a, b), cf in f._terms.items():
-        for (c, d), cg in g._terms.items():
+    for (a, b), cf in f.items():
+        for (c, d), cg in g.items():
             coeff = cf * cg
             for (k, m), v in x_power_times_y_power(b, c):
                 key = (a + k, m + d)
                 out[key] = out.get(key, 0) + coeff * v
-    return NormalPoly._of(_nonzero(out))
+    return NormalPoly(out)

@@ -137,9 +137,10 @@ RAW_PRODUCT_SITES = {
 }
 
 
-def source_sites(match) -> "set[str]":
+def source_sites(match, root: Path = SRC) -> "set[str]":
     """module.function (classes and nested functions dotted in) of every
-    node of the package source that ``match`` accepts."""
+    node of the package source, or of the modules in root, that ``match``
+    accepts."""
     sites = set()
 
     def visit(node, scope):
@@ -151,7 +152,7 @@ def source_sites(match) -> "set[str]":
                 sites.add(".".join(scope))
             visit(child, scope)
 
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(root.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
     return sites
 
@@ -165,6 +166,21 @@ def test_only_the_raw_product_sites_bypass_the_product_kernel():
     sites = source_sites(
         lambda node: isinstance(node, ast.Name) and node.id in ("flat_matmul", "_divided"))
     assert {s for s in sites if not s.startswith("matrices.")} == RAW_PRODUCT_SITES
+
+
+# The stored form of ``freealg._Terms``: int numerators over one
+# denominator, proved canonical in the ``NormalPoly`` docstring.  Only
+# freealg.py reads or writes it; other modules and the tests go through
+# ``items()``, ``coefficient()`` and ``numerators()``.
+STORED_FORM = ("_nums", "_den")
+
+
+def test_only_freealg_touches_the_stored_form():
+    def match(node):
+        return isinstance(node, ast.Attribute) and node.attr in STORED_FORM
+
+    assert {site.split(".")[0] for site in source_sites(match)} == {"freealg"}
+    assert source_sites(match, Path(__file__).resolve().parent) == set()
 
 
 # Every ``functools.lru_cache`` of the package with its maxsize.  An

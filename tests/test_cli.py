@@ -681,6 +681,16 @@ def test_fresh_interpreter_matches_run(capture, monkeypatch, tmp_path, argv):
     assert (done.returncode, done.stdout, done.stderr) == expected
 
 
+def test_faithful_of_a_long_x_run_times_y_is_fast():
+    # The 10 bytes x^4096*y expand to 4097 terms of about 50k bits; the
+    # nonroot search sums them by Horner's rule over the rising factors,
+    # where one product of up to 4097 factors per term once took 16 s.
+    start = time.perf_counter()
+    done = fresh_python("-m", "jordanlab.cli", "faithful", "x^4096*y")
+    assert time.perf_counter() - start < 5.0
+    assert (done.returncode, done.stdout) == (0, "4099\n")
+
+
 def test_cli_import_loads_no_dataclasses_inspect_or_json():
     """Against a bare interpreter, which site hooks may already have given
     some modules, importing the CLI adds none of these."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -28,6 +28,8 @@ from jordanlab import (
     parse_poly,
     reduce_poly,
 )
+from jordanlab.freealg import _power
+from jordanlab.scalars import cleared
 from multiply_oracle import multiply as oracle_multiply
 from multiply_oracle import x_power_times_y_power as oracle_expansion
 from parse_oracle import parse_poly as oracle_parse_poly
@@ -215,7 +217,7 @@ def test_multiply_fraction_free_edge_cases():
     for f, g, expected in cases:
         f, g = NormalPoly(f), NormalPoly(g)
         product = normalized(multiply(f, g))
-        assert product._terms == expected
+        assert dict(product.items()) == expected
         assert product == oracle_multiply(f, g)
 
 
@@ -470,6 +472,48 @@ def test_term_core_stores_normalized_coefficients():
         assert normalized(nf.scale(0)).is_zero()
         same(normalized(apply_automorphism(phi, f + g)),
              apply_automorphism(phi, f) + apply_automorphism(phi, g))
+
+
+def canonical(p):
+    """p, after asserting that its stored form is int numerators, none
+    zero, over den > 0 with gcd(content, den) = 1, and that ``cleared``
+    of its coefficients returns that form unchanged."""
+    nums, den = p.numerators()
+    assert den > 0 and all(type(v) is int and v for v in nums.values())
+    assert gcd(*nums.values(), den) == 1
+    coeffs = dict(normalized(p).items())
+    assert cleared([coeffs[key] for key in nums]) == (list(nums.values()), den)
+    return p
+
+
+def test_term_core_stores_one_canonical_denominator():
+    rng = random.Random(22)
+    for cls in (NcPoly, NormalPoly):
+        assert cls().numerators() == ({}, 1)
+    for _ in range(60):
+        f, g = rand_workload_poly(rng, 8, 12), rand_workload_poly(rng, 8, 12)
+        terms = f.items()
+        # the constructor with Fractions, a scaled copy, a sum of two parts
+        # and a difference, products by one, a square and its power
+        same(canonical(NormalPoly({km: Fraction(c) for km, c in terms})), f)
+        same(canonical(NormalPoly({km: 6 * c for km, c in terms}).scale(Fraction(1, 6))), f)
+        same(canonical(NormalPoly(terms[::2]) + NormalPoly(terms[1::2])), f)
+        same(canonical((f + g) - g), f)
+        same(canonical(multiply(NormalPoly.one(), f)), canonical(multiply(f, NormalPoly.one())))
+        same(canonical(multiply(f, NormalPoly.one())), f)
+        same(canonical(_power(f, 2)), canonical(multiply(f, f)))
+        same(canonical(_power(f, 3)), canonical(multiply(multiply(f, f), f)))
+        for zero in (f - f, f.scale(0), multiply(f, g - g), f.embed() - f.embed()):
+            assert canonical(zero).numerators() == ({}, 1)
+        # the word side: construction, scaling, products and the embedding
+        w = canonical(f.embed())
+        same(w, NcPoly({"y" * k + "x" * m: c for (k, m), c in terms}))
+        same(canonical(w.scale(Fraction(-4, 9))).scale(Fraction(-9, 4)), w)
+        same(canonical(w * NcPoly.one()), w)
+        assert type(f.coefficient(41, 0)) is int and type(w.coefficient("z")) is int
+    for _ in range(500):
+        f, g = rand_workload_poly(rng, 5, 10), rand_workload_poly(rng, 5, 10)
+        assert canonical(multiply(f, g)) == oracle_multiply(f, g)
 
 
 def test_term_core_compares_within_one_class():

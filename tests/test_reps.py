@@ -749,6 +749,7 @@ def test_faithful_matches_epsilon_search():
 def test_faithful_large_degree_reads_off_the_witness():
     # x^d vanishes at i = 0 of its superdiagonal only; no n x n matrix is built
     assert faithful_witness(parse_poly("x^200")) == 202
+    assert faithful_witness(parse_poly("x^2000*y")) == 2003
     assert faithful_witness(parse_poly("y^99999")) == 100000
     assert faithful_witness(parse_poly("x^99999"), 100000) is WitnessResult.NOT_FOUND_BELOW_MAX
 
