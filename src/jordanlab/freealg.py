@@ -1,15 +1,17 @@
 """Free algebra on {x, y}, the Jordan-plane product and the rewriting engine.
 
 Monomials are plain strings over the alphabet.  ``NcPoly`` (keyed by word)
-and ``NormalPoly`` (keyed by (k, m) for y^k x^m) share one term core,
-``_Terms``, which stores int numerators over one denominator in lowest
-terms (the proof that this form is canonical is in ``NormalPoly``).  The
-linear operations sum numerators on a common denominator and reduce once
-in ``_reduced``; ``items()`` presents each coefficient as an exact scalar.
-Normal forms on the basis y^k x^m come from the Ore-extension product
-``multiply``: the algebra is k[y][x; y^2 d/dy] (see ``normal_form``).
-``multiply`` is fraction-free: it sums the stored numerators on int keys
-k*W + m and divides by one gcd at the end; one public call expands at most
+and ``NormalPoly`` (y^k x^m keyed by the int k*W + m, W = 1 + its largest
+x-degree) share one term core, ``_Terms``, which stores int numerators over
+one denominator in lowest terms, and W (the proof that this form is
+canonical is in ``NormalPoly``).  The linear operations sum numerators on
+a common denominator and the largest W and reduce once in ``_reduced``;
+``items()``, ``coefficient()`` and ``numerators()`` decode the keys to
+(k, m) and present exact scalars.  Normal forms on the basis y^k x^m come
+from the Ore-extension product ``multiply``: the algebra is
+k[y][x; y^2 d/dy] (see ``normal_form``).  ``multiply`` is fraction-free
+and tuple-free: it sums the stored numerators on the stored keys of the
+product and divides by one gcd at the end; one public call expands at most
 EXPANSION_BITS bits.  The rewriting engine (deglex with x > y, the single
 rule xy -> yx + y^2) remains for the overlap list of ``gb-check`` and as
 the test oracle.
@@ -24,7 +26,6 @@ from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import groupby
 from math import factorial, gcd, lcm
-from operator import itemgetter
 
 from .errors import OutOfRangeError, PolyParseError
 from .polynomials import UniPoly
@@ -49,10 +50,11 @@ def _ranks(alphabet) -> "dict[str, int]":
 class _Terms:
     """Shared core of ``NcPoly`` and ``NormalPoly``: a finite rational
     combination of keys, stored as int numerators ``_nums`` (no zeros) over
-    one denominator ``_den`` in the form proved canonical in ``NormalPoly``.
-    Equality holds only within one class."""
+    one denominator ``_den`` and a key width ``_w``, in the form proved
+    canonical in ``NormalPoly``; words need no width, so an ``NcPoly`` has
+    W = 1.  Equality holds only within one class."""
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = ("_nums", "_den", "_w")
 
     def __init__(self, terms=None):
         data = {}
@@ -62,38 +64,60 @@ class _Terms:
                 data[key] = data.get(key, 0) + exact(coeff)
         nums, self._den = cleared(data.values())
         self._nums = {key: v for key, v in zip(data, nums) if v}
+        self._w = 1
 
     @staticmethod
     def _key(key):
-        """The stored form of an input key."""
+        """An input key as stored before encoding: a word as it is; the
+        pairs of ``NormalPoly`` are checked."""
         return key
 
+    def _pairs(self):
+        """(input key, numerator) pairs."""
+        return self._nums.items()
+
     @classmethod
-    def _of(cls, nums: dict, den: int):
-        """Wrap numerators and a denominator already in the stored form."""
+    def _of(cls, nums: dict, den: int, w=1):
+        """Wrap numerators, a denominator and W already in the stored form."""
         res = cls.__new__(cls)
         res._nums = nums
         res._den = den
+        res._w = w
         return res
 
     @classmethod
-    def _reduced(cls, sums: dict, den: int):
-        """The element sum of v/den over the int sums v, in the stored form:
-        zero sums dropped, the rest and den divided by their gcd."""
+    def _reduced(cls, sums: dict, den: int, w=1):
+        """The element sum of v/den over the int sums v on keys of width w,
+        in the stored form: zero sums dropped, the rest and den divided by
+        their gcd, and W = 1 if no sum is left.  sums itself is kept when
+        the gcd is 1 and no sum is zero."""
         g = gcd(den, *sums.values())
-        return cls._of({key: v // g for key, v in sums.items() if v}, den // g)
+        if g == 1 and all(sums.values()):
+            return cls._of(sums, den, w)
+        nums = {key: v // g for key, v in sums.items() if v}
+        return cls._of(nums, den // g, w if nums else 1)
 
     @classmethod
     def _combination(cls, pairs, den: int = 1):
         """sum of n * p over the (int n, element p) pairs, divided by den:
-        the numerators summed over the lcm of the denominators."""
+        the numerators summed over the lcm of the denominators, on the keys
+        of the largest W.  Every n is nonzero, except in a lone pair
+        (``scale(0)``, whose zero ``_reduced`` gives W = 1).  An operand of
+        smaller W has a smaller top x-degree, so the top x-degree of the sum
+        can cancel only where two or more operands have the largest W: only
+        then is W recomputed."""
         common = lcm(*(p._den for _, p in pairs))
+        ws = [p._w for _, p in pairs]
+        w = max(ws, default=1)
         out = {}
         for n, p in pairs:
             s = n * (common // p._den)
-            for key, v in p._nums.items():
+            for key, v in _rekeyed(p._nums, p._w, w).items():
                 out[key] = out.get(key, 0) + s * v
-        return cls._reduced(out, common * den)
+        if w > 1 and ws.count(w) > 1:
+            top = 1 + max((key % w for key, v in out.items() if v), default=0)
+            out, w = _rekeyed(out, w, top), top
+        return cls._reduced(out, common * den, w)
 
     @classmethod
     def zero(cls):
@@ -103,22 +127,22 @@ class _Terms:
         return not self._nums
 
     def numerators(self) -> "tuple[dict, int]":
-        """(int numerator by key, denominator): what ``cleared`` makes of the
-        coefficients, the same numbers as the stored form."""
-        return dict(self._nums), self._den
+        """(int numerator by input key, denominator): what ``cleared`` makes
+        of the coefficients, the same numbers as the stored form."""
+        return dict(self._pairs()), self._den
 
     def _value(self, num: int) -> Scalar:
         return exact(Fraction(num, self._den))
 
     def _items(self) -> list:
-        return [(key, self._value(v)) for key, v in self._nums.items()]
+        return [(key, self._value(v)) for key, v in self._pairs()]
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and self._den == other._den
-                and self._nums == other._nums)
+                and self._w == other._w and self._nums == other._nums)
 
     def __hash__(self):
-        return hash((self._den, frozenset(self._nums.items())))
+        return hash((self._den, self._w, frozenset(self._nums.items())))
 
     def __add__(self, other):
         return self._combination([(1, self), (1, other)])
@@ -135,6 +159,14 @@ class _Terms:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self._items())!r})"
+
+
+def _rekeyed(nums, w, to):
+    """nums on the keys k*w + m, moved to the keys k*to + m (every m < to):
+    nums itself if w = to, else its nonzero entries."""
+    if w == to:
+        return nums
+    return {key // w * to + key % w: v for key, v in nums.items() if v}
 
 
 class NcPoly(_Terms):
@@ -164,7 +196,7 @@ class NcPoly(_Terms):
     def __mul__(self, other):
         if not isinstance(other, NcPoly):
             return self.scale(other)
-        out: dict[str, int] = {}
+        out = {}
         for wa, ca in self._nums.items():
             for wb, cb in other._nums.items():
                 w = wa + wb
@@ -179,25 +211,42 @@ class NcPoly(_Terms):
 
 
 class NormalPoly(_Terms):
-    """Polynomial on the normal basis y^k x^m, keyed by (k, m).
+    """Polynomial on the normal basis y^k x^m, given and read keyed by (k, m).
 
     Stored form: int numerators n_key, none zero, over one denominator
-    den > 0 with gcd(content, den) = 1, content being the gcd of the n_key;
-    zero is ({}, 1).  It is canonical: the coefficient n_key/den has the
-    reduced denominator den/g_key, g_key = gcd(n_key, den), and for each
-    prime p the largest power of p in these is v_p(den) - min v_p(g_key) =
-    v_p(den), as gcd over the keys of g_key = gcd(content, den) = 1.  So den
-    is the lcm of the reduced denominators and n_key = den * coefficient:
-    both are fixed by the coefficients, ``==`` and ``hash`` are structural,
-    and ``cleared`` of the coefficients returns (nums, den) unchanged.
+    den > 0 with gcd(content, den) = 1, content being the gcd of the n_key,
+    on the int keys k*W + m, W = 1 + the largest x-degree m (1 for zero and
+    for polynomials in y alone); zero is ({}, 1, 1).  It is canonical: the
+    coefficient n_key/den has the reduced denominator den/g_key,
+    g_key = gcd(n_key, den), and for each prime p the largest power of p in
+    these is v_p(den) - min v_p(g_key) = v_p(den), as gcd over the keys of
+    g_key = gcd(content, den) = 1.  So den is the lcm of the reduced
+    denominators and n_key = den * coefficient, W is fixed by the support,
+    and m < W makes divmod(key, W) = (k, m), so keys are one-to-one: all of
+    (nums, den, W) is fixed by the coefficients, ``==`` and ``hash`` are
+    structural, and ``cleared`` of the coefficients returns (nums, den)
+    unchanged.  Keys are decoded only at the edges: ``items()``,
+    ``coefficient()``, ``numerators()``, ``support()``, ``degree``,
+    ``embed`` and ``str``.
     """
 
     __slots__ = ()
 
+    def __init__(self, terms=None):
+        super().__init__(terms)
+        self._w = w = 1 + max((m for _, m in self._nums), default=0)
+        self._nums = {k * w + m: v for (k, m), v in self._nums.items()}
+
     @staticmethod
     def _key(key) -> "tuple[int, int]":
+        """(k, m) for y^k x^m: a ValueError unless both are ints >= 0."""
         k, m = key
-        return (k, m)
+        if not (type(k) is type(m) is int and k >= 0 <= m):
+            raise ValueError(f"{key!r} is not a pair of exponents (k, m) of y^k x^m")
+        return k, m
+
+    def _pairs(self):
+        return [(divmod(key, self._w), v) for key, v in self._nums.items()]
 
     @classmethod
     def one(cls) -> "NormalPoly":
@@ -212,18 +261,18 @@ class NormalPoly(_Terms):
         return sorted(self._items(), key=lambda kv: (-sum(kv[0]), kv[0][0]))
 
     def coefficient(self, k: int, m: int) -> Scalar:
-        return self._value(self._nums.get((k, m), 0))
+        return self._value(self._nums.get(k * self._w + m, 0) if 0 <= m < self._w else 0)
 
     def support(self) -> "list[tuple[int, int]]":
         return [km for km, _ in self.items()]
 
     @property
     def degree(self) -> int:
-        return max((k + m for k, m in self._nums), default=-1)
+        return max((sum(km) for km, _ in self._pairs()), default=-1)
 
     def embed(self) -> NcPoly:
         """The same element as a word polynomial (y's before x's)."""
-        return NcPoly._of({Y * k + X * m: v for (k, m), v in self._nums.items()}, self._den)
+        return NcPoly._of({Y * k + X * m: v for (k, m), v in self._pairs()}, self._den)
 
     def __str__(self) -> str:
         return format_terms((word_text(Y * k + X * m), c) for (k, m), c in self.items())
@@ -320,12 +369,8 @@ class RewriteSystem(_Record):
 
     def leftmost_match(self, word: str) -> "tuple[int, int] | None":
         """(position, rule index) of the leftmost redex, or None."""
-        best = None
-        for ridx, (lead, _) in enumerate(self.rules):
-            pos = word.find(lead)
-            if pos >= 0 and (best is None or pos < best[0]):
-                best = (pos, ridx)
-        return best
+        return min(((word.find(lead), i) for i, (lead, _) in enumerate(self.rules)
+                    if lead in word), default=None)
 
 
 @lru_cache(maxsize=None)
@@ -381,9 +426,7 @@ def _metered(fn):
     """fn as a public call: the calls it makes share its expansion budget."""
     @wraps(fn)
     def call(*args, **kwargs):
-        if _left.get() is not None:
-            return fn(*args, **kwargs)
-        token = _left.set([EXPANSION_BITS])
+        token = _left.set(_left.get() or [EXPANSION_BITS])
         try:
             return fn(*args, **kwargs)
         finally:
@@ -487,9 +530,6 @@ def _admitted(b: int, c: int) -> "tuple[int, ...]":
     return _x_power_times_y_power(b, c)
 
 
-_x_degree = itemgetter(1)  # of a key (k, m)
-
-
 @_metered
 def multiply(f: NormalPoly, g: NormalPoly) -> NormalPoly:
     """Product in the algebra, returned in normal form.
@@ -499,29 +539,34 @@ def multiply(f: NormalPoly, g: NormalPoly) -> NormalPoly:
     a sum of integer products through the closed form of x^b y^c
     (``_expansion``), looked up once per term of f and distinct y-degree c
     of g.  One gcd of d = d_f d_g with the sums (stopping at 1) divides
-    them and d once, which leaves the stored form of ``NormalPoly``.
+    them and d once (``_reduced``), which leaves the stored form of
+    ``NormalPoly``.
 
     Keys.  The relation is homogeneous, so every term of y^a x^b y^c x^e =
     y^a (x^b y^c) x^e has degree a + b + c + e: entry j of the expansion is
-    the coefficient of (k, m) = (a + c + j, b - j + e).  With W = 1 + the
-    largest x-degree of f + that of g, PQ is summed on the int k*W + m,
-    which starts at (a + c)*W + b + e and steps by W - 1.  Since
-    0 <= m <= b + e < W, divmod(key, W) is (k, m): a tuple is formed once
-    per output term.  tests/multiply_oracle.py (termwise, rational) and
-    test_multiply_matches_engine (``reduce_poly``) are the oracles.
+    the coefficient of (k, m) = (a + c + j, b - j + e).  Theorem: the
+    x-degree of fg is that of f plus that of g, so the W of fg is
+    W_f + W_g - 1.  Entry j = 0 of every expansion is 1, so the only terms
+    of x-degree B + E, B and E the x-degrees of f and g, come from j = 0,
+    b = B and e = E: the top x-part of fg is f_B(y) g_E(y) x^(B+E), with
+    f_B, g_E the nonzero coefficients of x^B in f and x^E in g, and it is
+    nonzero because Q[y] is a domain.  So PQ is summed on the stored keys
+    k*W + m of fg, which start at (a + c)*W + b + e and step by W - 1; only
+    the |f| + |g| input keys are decoded.  tests/multiply_oracle.py
+    (termwise, rational) and test_multiply_matches_engine (``reduce_poly``)
+    are the oracles.
     """
     if not (f._nums and g._nums):
         return NormalPoly()
-    by_c: dict[int, list] = {}
-    top = 0  # the largest x-degree of g
-    for (c, e), q in g._nums.items():
+    by_c = {}
+    for key, q in g._nums.items():
+        c, e = divmod(key, g._w)
         by_c.setdefault(c, []).append((e, q))
-        if e > top:
-            top = e
-    w = 1 + max(f._nums, key=_x_degree)[1] + top
+    w = f._w + g._w - 1
     step = w - 1
-    out: dict[int, int] = {}
-    for (a, b), p in f._nums.items():
+    out = {}
+    for key, p in f._nums.items():
+        a, b = divmod(key, f._w)
         for c, row in by_c.items():
             expansion = _expansion(b, c) or _admitted(b, c)
             base = (a + c) * w + b
@@ -531,11 +576,7 @@ def multiply(f: NormalPoly, g: NormalPoly) -> NormalPoly:
                 for v in expansion:
                     out[key] = out.get(key, 0) + pq * v
                     key += step
-    d = f._den * g._den
-    c = gcd(d, *out.values())
-    if c == 1:
-        return NormalPoly._of({divmod(key, w): v for key, v in out.items() if v}, d)
-    return NormalPoly._of({divmod(key, w): v // c for key, v in out.items() if v}, d // c)
+    return NormalPoly._reduced(out, f._den * g._den, w)
 
 
 def _power(p: NormalPoly, e: int) -> NormalPoly:
@@ -561,10 +602,7 @@ def _ambiguities(rs: RewriteSystem):
                     found.add((u + v[t:], i, 0, j, len(u) - t))
             # inclusion: v occurs properly inside u
             if i != j and len(v) < len(u):
-                start = u.find(v)
-                while start >= 0:
-                    found.add((u, i, 0, j, start))
-                    start = u.find(v, start + 1)
+                found.update((u, i, 0, j, s) for s in range(len(u)) if u.startswith(v, s))
     ranks = rs.ranks()
     # deglex_key is one-to-one on words, so this key orders distinct tuples
     return sorted(found, key=lambda t: (deglex_key(t[0], ranks), t[1], t[3], t[4]))

@@ -169,10 +169,11 @@ def test_only_the_raw_product_sites_bypass_the_product_kernel():
 
 
 # The stored form of ``freealg._Terms``: int numerators over one
-# denominator, proved canonical in the ``NormalPoly`` docstring.  Only
-# freealg.py reads or writes it; other modules and the tests go through
-# ``items()``, ``coefficient()`` and ``numerators()``.
-STORED_FORM = ("_nums", "_den")
+# denominator and, for ``NormalPoly``, the width W of its int keys k*W + m,
+# proved canonical in the ``NormalPoly`` docstring.  Only freealg.py reads
+# or writes it; other modules go through ``items()``, ``coefficient()`` and
+# ``numerators()``, and the tests read it at one site, to check it.
+STORED_FORM = ("_nums", "_den", "_w")
 
 
 def test_only_freealg_touches_the_stored_form():
@@ -180,7 +181,7 @@ def test_only_freealg_touches_the_stored_form():
         return isinstance(node, ast.Attribute) and node.attr in STORED_FORM
 
     assert {site.split(".")[0] for site in source_sites(match)} == {"freealg"}
-    assert source_sites(match, Path(__file__).resolve().parent) == set()
+    assert source_sites(match, Path(__file__).resolve().parent) == {"test_freealg.stored_form"}
 
 
 # Every ``functools.lru_cache`` of the package with its maxsize.  An

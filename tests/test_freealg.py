@@ -261,7 +261,9 @@ def test_multiply_integer_key_edge_cases():
         (NormalPoly({(10 ** 9, 0): 2, (0, 10 ** 9): Fraction(1, 3)}), one),
     ]
     for f, g in cases:
-        assert normalized(multiply(f, g)) == oracle_multiply(f, g)
+        product = normalized(multiply(f, g))
+        assert product == oracle_multiply(f, g)
+        assert width(product) == (width(f) + width(g) - 1 if product.support() else 1)
     assert multiply(*cases[3]) == NormalPoly({(0, 2): 1})
     # (x + y)(x - y) = x^2 - (yx + y^2) + yx - y^2 = x^2 - 2y^2
     f, g = NormalPoly({(0, 1): 1, (1, 0): 1}), NormalPoly({(0, 1): 1, (1, 0): -1})
@@ -286,6 +288,7 @@ def test_multiply_allocates_nothing_of_the_size_of_the_degree():
         tracemalloc.stop()
     assert peak < 20_000
     assert product == oracle_multiply(f, g) and len(product.support()) == 5
+    assert width(product) == 10 ** 9 + 2
 
 
 def test_normal_form_matches_engine_on_long_words():
@@ -530,6 +533,127 @@ def test_term_core_rejects_floats():
                  lambda: NormalPoly.one().scale(2.0)):
         with pytest.raises(TypeError):
             make()
+
+
+def test_normal_poly_rejects_keys_that_are_not_exponents():
+    # (0, -1) once printed as 1 and times y gave 0, (-1, 2) printed as x^2,
+    # and (True, 2.0) was accepted and then failed to print
+    for key in ((0, -1), (-1, 2), (True, 2.0), (True, 0), (1, 2.0), ("0", 1)):
+        for make in (lambda: NormalPoly({key: 1}), lambda: NormalPoly([(key, 0)]),
+                     lambda: NormalPoly.monomial(*key)):
+            with pytest.raises(ValueError):
+                make()
+    assert NormalPoly([([2, 1], 3)]) == NormalPoly.monomial(2, 1, 3)
+
+
+# -- the stored keys of NormalPoly ------------------------------------------------------
+
+
+def stored_form(p):
+    """(numerators, denominator, W) as p stores them: the one place where the
+    tests read the stored form (pinned in tests/test_api.py)."""
+    return p._nums, p._den, p._w
+
+
+def width(p):
+    """W of p, after asserting that it is 1 + the largest x-degree of p (1
+    for zero and for polynomials in y alone), that the stored keys are the
+    ints k*W + m of ``numerators()``, and that ``==`` and ``hash`` agree
+    with a rebuild from ``items()``."""
+    nums, den, w = stored_form(p)
+    assert w == 1 + max((m for _, m in p.support()), default=0)
+    assert all(type(key) is int for key in nums)
+    assert ({divmod(key, w): v for key, v in nums.items()}, den) == p.numerators()
+    same(NormalPoly(p.items()), p)
+    return w
+
+
+def x_degree(p):
+    return max((m for _, m in p.support()), default=-1)
+
+
+def test_normal_poly_stores_int_keys_of_width_one_plus_its_x_degree():
+    rng = random.Random(23)
+    phi = JordanAutomorphism(Fraction(-3, 2), UniPoly([Fraction(1, 2), 0, 2]))
+    assert stored_form(NormalPoly.zero()) == ({}, 1, 1)
+    # y and x both store {1: 1} over 1, at W = 1 and W = 2
+    y, x = NormalPoly.monomial(1, 0), NormalPoly.monomial(0, 1)
+    assert stored_form(y)[:2] == stored_form(x)[:2] and y != x
+    for p in (NormalPoly.one(), NormalPoly({(7, 0): Fraction(1, 3), (2, 0): -1}),
+              NormalPoly([((0, 3), 1), ((4, 0), 2), ((0, 3), -1)])):
+        assert width(p) == 1
+    for _ in range(60):
+        f, g = rand_workload_poly(rng, 8, 12), rand_workload_poly(rng, 8, 12)
+        wf, wg = width(f), width(g)
+        # the linear operations, and a top x-degree that cancels
+        top = NormalPoly([(km, c) for km, c in f.items() if km[1] == x_degree(f)])
+        rest = f - top
+        assert width(rest) < wf and x_degree(rest) < x_degree(f)
+        same(rest + top, f)
+        assert width(f + g) == width(f - g) == max(wf, wg)
+        assert width(f - f) == width(f.scale(0)) == width(f + (-f)) == 1
+        assert width(f.scale(Fraction(-2, 7))) == width(-f) == wf
+        # y-only parts: the sum of operands of W = 1 stays at W = 1
+        ys = NormalPoly([(km, c) for km, c in g.items() if km[1] == 0])
+        assert width(ys + ys.scale(3) - ys) == 1
+        # products, powers and the algebra maps
+        assert width(multiply(f, g)) == wf + wg - 1
+        assert width(_power(f, 3)) == 3 * wf - 2
+        u, v = rand_ncpoly(rng), rand_ncpoly(rng)
+        width(normal_form(u + v))
+        width(apply_automorphism(phi, u - v))
+        width(normal_form(u.scale(Fraction(1, 2)) + u.scale(Fraction(-1, 2))))
+
+
+def test_multiply_adds_the_x_degrees():
+    """The x-degree of fg is that of f plus that of g, so the W of the
+    product is W_f + W_g - 1; 500 products against the termwise oracle."""
+    rng = random.Random(24)
+    for _ in range(500):
+        f, g = rand_workload_poly(rng, 5, 10), rand_workload_poly(rng, 5, 10)
+        product = multiply(f, g)
+        assert product == oracle_multiply(f, g)
+        assert x_degree(product) == x_degree(f) + x_degree(g)
+        assert width(product) == width(f) + width(g) - 1
+
+
+def test_coefficient_reads_no_key_of_another_exponent():
+    p = NormalPoly({(1, 0): 5, (0, 2): Fraction(1, 2), (3, 1): -1})
+    assert width(p) == 3
+    # k*W + m = 3 is the key of (1, 0): only (1, 0) may read it
+    assert p.coefficient(1, 0) == 5
+    for k, m in ((0, 3), (2, -3), (-1, 6), (0, 7), (4, -1), (-1, 0)):
+        assert p.coefficient(k, m) == 0
+    rng = random.Random(25)
+    for _ in range(40):
+        f = rand_workload_poly(rng, 8, 12)
+        w, coeffs = width(f), dict(f.items())
+        for k in range(42):
+            for m in range(-1, w + 2):
+                assert f.coefficient(k, m) == coeffs.get((k, m), 0)
+
+
+def test_normal_poly_reads_back_what_it_was_given():
+    """items(), coefficient(), support(), degree, numerators() and str from
+    the int keys, against a model keyed by (k, m)."""
+    rng = random.Random(26)
+    for _ in range(60):
+        model = {}
+        for _ in range(rng.randint(0, 10)):
+            k, m = rng.randint(0, 30), rng.randint(0, 30)
+            model[(k, m)] = model.get((k, m), 0) + rand_rational(rng)
+        model = {km: c for km, c in model.items() if c}
+        p = NormalPoly(model)
+        order = sorted(model, key=lambda km: (-sum(km), km[0]))
+        assert p.items() == [(km, model[km]) for km in order]
+        assert p.support() == order
+        assert p.degree == max(map(sum, model), default=-1)
+        assert all(p.coefficient(*km) == c for km, c in model.items())
+        nums, den = p.numerators()
+        assert set(nums) == set(model)
+        assert (list(nums.values()), den) == cleared([model[km] for km in nums])
+        words = NcPoly({"y" * k + "x" * m: c for (k, m), c in model.items()})
+        assert p.embed() == words and str(p) == str(words)
 
 
 # -- overlaps and confluence -----------------------------------------------------------
