@@ -1,13 +1,13 @@
 """Free algebra on {x, y}, the Jordan-plane product and the rewriting engine.
 
 Monomials are plain strings over the alphabet.  ``NcPoly`` (keyed by word)
-and ``NormalPoly`` (y^k x^m keyed by the int k*W + m, W = 1 + its largest
-x-degree) share one term core, ``_Terms``, which stores int numerators over
-one denominator in lowest terms, and W (the proof that this form is
-canonical is in ``NormalPoly``).  The linear operations sum numerators on
-a common denominator and the largest W and reduce once in ``_reduced``;
-``items()``, ``coefficient()`` and ``numerators()`` decode the keys to
-(k, m) and present exact scalars.  Normal forms on the basis y^k x^m come
+and ``NormalPoly`` (y^k x^m keyed by its number ``_index(k, m)`` in the
+normal basis, by degree and then by k) share one term core, ``_Terms``,
+which stores int numerators over one denominator in lowest terms (the proof
+that this form is canonical is in ``NormalPoly``).  The linear operations
+sum numerators on a common denominator and reduce once in ``_reduced``;
+``items()`` and ``numerators()`` decode the keys to (k, m), and ``items()``
+and ``coefficient()`` present exact scalars.  Normal forms on the basis y^k x^m come
 from the Ore-extension product ``multiply``: the algebra is
 k[y][x; y^2 d/dy] (see ``normal_form``).  ``multiply`` is fraction-free
 and tuple-free: it sums the stored numerators on the stored keys of the
@@ -25,7 +25,7 @@ from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import groupby
-from math import factorial, gcd, lcm
+from math import factorial, gcd, isqrt, lcm
 
 from .errors import OutOfRangeError, PolyParseError
 from .polynomials import UniPoly
@@ -50,11 +50,10 @@ def _ranks(alphabet) -> "dict[str, int]":
 class _Terms:
     """Shared core of ``NcPoly`` and ``NormalPoly``: a finite rational
     combination of keys, stored as int numerators ``_nums`` (no zeros) over
-    one denominator ``_den`` and a key width ``_w``, in the form proved
-    canonical in ``NormalPoly``; words need no width, so an ``NcPoly`` has
-    W = 1.  Equality holds only within one class."""
+    one denominator ``_den``, in the form proved canonical in
+    ``NormalPoly``.  Equality holds only within one class."""
 
-    __slots__ = ("_nums", "_den", "_w")
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, terms=None):
         data = {}
@@ -64,12 +63,11 @@ class _Terms:
                 data[key] = data.get(key, 0) + exact(coeff)
         nums, self._den = cleared(data.values())
         self._nums = {key: v for key, v in zip(data, nums) if v}
-        self._w = 1
 
     @staticmethod
     def _key(key):
-        """An input key as stored before encoding: a word as it is; the
-        pairs of ``NormalPoly`` are checked."""
+        """An input key as stored: a word as it is; ``NormalPoly`` checks
+        its pairs and numbers them."""
         return key
 
     def _pairs(self):
@@ -77,47 +75,34 @@ class _Terms:
         return self._nums.items()
 
     @classmethod
-    def _of(cls, nums: dict, den: int, w=1):
-        """Wrap numerators, a denominator and W already in the stored form."""
+    def _of(cls, nums: dict, den: int):
+        """Wrap numerators and a denominator already in the stored form."""
         res = cls.__new__(cls)
         res._nums = nums
         res._den = den
-        res._w = w
         return res
 
     @classmethod
-    def _reduced(cls, sums: dict, den: int, w=1):
-        """The element sum of v/den over the int sums v on keys of width w,
-        in the stored form: zero sums dropped, the rest and den divided by
-        their gcd, and W = 1 if no sum is left.  sums itself is kept when
-        the gcd is 1 and no sum is zero."""
+    def _reduced(cls, sums: dict, den: int):
+        """The element sum of v/den over the int sums v, in the stored form:
+        zero sums dropped, the rest and den divided by their gcd.  sums
+        itself is kept when the gcd is 1 and no sum is zero."""
         g = gcd(den, *sums.values())
         if g == 1 and all(sums.values()):
-            return cls._of(sums, den, w)
-        nums = {key: v // g for key, v in sums.items() if v}
-        return cls._of(nums, den // g, w if nums else 1)
+            return cls._of(sums, den)
+        return cls._of({key: v // g for key, v in sums.items() if v}, den // g)
 
     @classmethod
     def _combination(cls, pairs, den: int = 1):
         """sum of n * p over the (int n, element p) pairs, divided by den:
-        the numerators summed over the lcm of the denominators, on the keys
-        of the largest W.  Every n is nonzero, except in a lone pair
-        (``scale(0)``, whose zero ``_reduced`` gives W = 1).  An operand of
-        smaller W has a smaller top x-degree, so the top x-degree of the sum
-        can cancel only where two or more operands have the largest W: only
-        then is W recomputed."""
+        the numerators summed over the lcm of the denominators."""
         common = lcm(*(p._den for _, p in pairs))
-        ws = [p._w for _, p in pairs]
-        w = max(ws, default=1)
         out = {}
         for n, p in pairs:
             s = n * (common // p._den)
-            for key, v in _rekeyed(p._nums, p._w, w).items():
+            for key, v in p._nums.items():
                 out[key] = out.get(key, 0) + s * v
-        if w > 1 and ws.count(w) > 1:
-            top = 1 + max((key % w for key, v in out.items() if v), default=0)
-            out, w = _rekeyed(out, w, top), top
-        return cls._reduced(out, common * den, w)
+        return cls._reduced(out, common * den)
 
     @classmethod
     def zero(cls):
@@ -139,10 +124,10 @@ class _Terms:
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and self._den == other._den
-                and self._w == other._w and self._nums == other._nums)
+                and self._nums == other._nums)
 
     def __hash__(self):
-        return hash((self._den, self._w, frozenset(self._nums.items())))
+        return hash((self._den, frozenset(self._nums.items())))
 
     def __add__(self, other):
         return self._combination([(1, self), (1, other)])
@@ -161,12 +146,19 @@ class _Terms:
         return f"{type(self).__name__}({dict(self._items())!r})"
 
 
-def _rekeyed(nums, w, to):
-    """nums on the keys k*w + m, moved to the keys k*to + m (every m < to):
-    nums itself if w = to, else its nonzero entries."""
-    if w == to:
-        return nums
-    return {key // w * to + key % w: v for key, v in nums.items() if v}
+def _index(k: int, m: int) -> int:
+    """The number of y^k x^m in the normal basis, by degree d = k + m and
+    then by k: T(d) + k, T(d) = d(d+1)/2, so degree d fills [T(d), T(d+1))."""
+    d = k + m
+    return d * (d + 1) // 2 + k
+
+
+def _exponents(key: int) -> "tuple[int, int]":
+    """(k, m) of the key ``_index(k, m)``: its degree d is the one with
+    T(d) <= key < T(d+1), and 8 T(d) + 1 = (2d + 1)^2."""
+    d = (isqrt(8 * key + 1) - 1) // 2
+    k = key - d * (d + 1) // 2
+    return k, d - k
 
 
 class NcPoly(_Terms):
@@ -215,38 +207,31 @@ class NormalPoly(_Terms):
 
     Stored form: int numerators n_key, none zero, over one denominator
     den > 0 with gcd(content, den) = 1, content being the gcd of the n_key,
-    on the int keys k*W + m, W = 1 + the largest x-degree m (1 for zero and
-    for polynomials in y alone); zero is ({}, 1, 1).  It is canonical: the
-    coefficient n_key/den has the reduced denominator den/g_key,
-    g_key = gcd(n_key, den), and for each prime p the largest power of p in
-    these is v_p(den) - min v_p(g_key) = v_p(den), as gcd over the keys of
-    g_key = gcd(content, den) = 1.  So den is the lcm of the reduced
-    denominators and n_key = den * coefficient, W is fixed by the support,
-    and m < W makes divmod(key, W) = (k, m), so keys are one-to-one: all of
-    (nums, den, W) is fixed by the coefficients, ``==`` and ``hash`` are
-    structural, and ``cleared`` of the coefficients returns (nums, den)
-    unchanged.  Keys are decoded only at the edges: ``items()``,
-    ``coefficient()``, ``numerators()``, ``support()``, ``degree``,
-    ``embed`` and ``str``.
+    on the int keys ``_index(k, m)``, one fixed numbering of the basis;
+    zero is ({}, 1).  It is canonical: the coefficient n_key/den has the
+    reduced denominator den/g_key, g_key = gcd(n_key, den), and for each
+    prime p the largest power of p in these is v_p(den) - min v_p(g_key) =
+    v_p(den), as gcd over the keys of g_key = gcd(content, den) = 1.  So den
+    is the lcm of the reduced denominators and n_key = den * coefficient,
+    and ``_exponents`` inverts ``_index`` on k, m >= 0: all of (nums, den)
+    is fixed by the coefficients, ``==`` and ``hash`` are structural, and
+    ``cleared`` of the coefficients returns (nums, den) unchanged.  Keys are
+    decoded only at the edges: ``items()``, ``numerators()``, ``support()``,
+    ``degree``, ``embed`` and ``str``.
     """
 
     __slots__ = ()
 
-    def __init__(self, terms=None):
-        super().__init__(terms)
-        self._w = w = 1 + max((m for _, m in self._nums), default=0)
-        self._nums = {k * w + m: v for (k, m), v in self._nums.items()}
-
     @staticmethod
-    def _key(key) -> "tuple[int, int]":
-        """(k, m) for y^k x^m: a ValueError unless both are ints >= 0."""
+    def _key(key) -> int:
+        """``_index(k, m)`` for y^k x^m: a ValueError unless both are ints >= 0."""
         k, m = key
         if not (type(k) is type(m) is int and k >= 0 <= m):
             raise ValueError(f"{key!r} is not a pair of exponents (k, m) of y^k x^m")
-        return k, m
+        return _index(k, m)
 
     def _pairs(self):
-        return [(divmod(key, self._w), v) for key, v in self._nums.items()]
+        return [(_exponents(key), v) for key, v in self._nums.items()]
 
     @classmethod
     def one(cls) -> "NormalPoly":
@@ -261,14 +246,14 @@ class NormalPoly(_Terms):
         return sorted(self._items(), key=lambda kv: (-sum(kv[0]), kv[0][0]))
 
     def coefficient(self, k: int, m: int) -> Scalar:
-        return self._value(self._nums.get(k * self._w + m, 0) if 0 <= m < self._w else 0)
+        return self._value(self._nums.get(_index(k, m), 0) if k >= 0 <= m else 0)
 
     def support(self) -> "list[tuple[int, int]]":
         return [km for km, _ in self.items()]
 
     @property
     def degree(self) -> int:
-        return max((sum(km) for km, _ in self._pairs()), default=-1)
+        return sum(_exponents(max(self._nums))) if self._nums else -1
 
     def embed(self) -> NcPoly:
         """The same element as a word polynomial (y's before x's)."""
@@ -543,40 +528,31 @@ def multiply(f: NormalPoly, g: NormalPoly) -> NormalPoly:
     ``NormalPoly``.
 
     Keys.  The relation is homogeneous, so every term of y^a x^b y^c x^e =
-    y^a (x^b y^c) x^e has degree a + b + c + e: entry j of the expansion is
-    the coefficient of (k, m) = (a + c + j, b - j + e).  Theorem: the
-    x-degree of fg is that of f plus that of g, so the W of fg is
-    W_f + W_g - 1.  Entry j = 0 of every expansion is 1, so the only terms
-    of x-degree B + E, B and E the x-degrees of f and g, come from j = 0,
-    b = B and e = E: the top x-part of fg is f_B(y) g_E(y) x^(B+E), with
-    f_B, g_E the nonzero coefficients of x^B in f and x^E in g, and it is
-    nonzero because Q[y] is a domain.  So PQ is summed on the stored keys
-    k*W + m of fg, which start at (a + c)*W + b + e and step by W - 1; only
-    the |f| + |g| input keys are decoded.  tests/multiply_oracle.py
-    (termwise, rational) and test_multiply_matches_engine (``reduce_poly``)
-    are the oracles.
+    y^a (x^b y^c) x^e has degree D = a + b + c + e: entry j of the
+    expansion is the coefficient of (k, m) = (a + c + j, b + e - j), whose
+    key is T(D) + a + c + j.  So PQ is summed on consecutive keys from
+    ``_index(a + c, b + e)``; only the |f| + |g| input keys are decoded.
+    tests/multiply_oracle.py (termwise, rational) and
+    test_multiply_matches_engine (``reduce_poly``) are the oracles.
     """
     if not (f._nums and g._nums):
         return NormalPoly()
     by_c = {}
     for key, q in g._nums.items():
-        c, e = divmod(key, g._w)
+        c, e = _exponents(key)
         by_c.setdefault(c, []).append((e, q))
-    w = f._w + g._w - 1
-    step = w - 1
     out = {}
     for key, p in f._nums.items():
-        a, b = divmod(key, f._w)
+        a, b = _exponents(key)
         for c, row in by_c.items():
             expansion = _expansion(b, c) or _admitted(b, c)
-            base = (a + c) * w + b
             for e, q in row:
                 pq = p * q
-                key = base + e
+                key = _index(a + c, b + e)
                 for v in expansion:
                     out[key] = out.get(key, 0) + pq * v
-                    key += step
-    return NormalPoly._reduced(out, f._den * g._den, w)
+                    key += 1
+    return NormalPoly._reduced(out, f._den * g._den)
 
 
 def _power(p: NormalPoly, e: int) -> NormalPoly:

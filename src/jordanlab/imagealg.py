@@ -22,7 +22,7 @@ from functools import cached_property
 from operator import mul
 
 from .errors import IrrationalEigenvaluesError, OutOfRangeError
-from .freealg import NormalPoly
+from .freealg import NormalPoly, _exponents, _index
 from .matrices import (
     QMatrix,
     SpanBuilder,
@@ -45,18 +45,16 @@ class ImageAlgebra(_Record):
     Stores the span's integral reduced-echelon rows (gcd-reduced, positive
     pivots) and their pivot columns: an immutable, hashable snapshot from
     which the dimension is read directly and the basis is built on demand.
-
-    ``closure_certified`` is True by construction: the theorem of
-    ``_right_ideal`` proves the span closed under right products by X and
-    Y, so no product of a basis element is tested.
+    The theorem of ``_right_ideal`` proves the span closed under right
+    products by X and Y, so no product of a basis element is tested.
     """
 
     # rows: a tuple of int per basis element, pivot-sorted; pivots: the
     # pivot column of each row.  No __slots__: ``basis`` is cached in __dict__.
-    _fields = ("rep", "rows", "pivots", "closure_certified")
+    _fields = ("rep", "rows", "pivots")
 
-    def __init__(self, rep: RepPair, rows: tuple, pivots: tuple, closure_certified: bool):
-        super().__init__(rep, rows, pivots, closure_certified)
+    def __init__(self, rep: RepPair, rows: tuple, pivots: tuple):
+        super().__init__(rep, rows, pivots)
 
     @property
     def dim(self) -> int:
@@ -140,7 +138,7 @@ def _right_ideal(rep: RepPair, seeds) -> SpanBuilder:
 def image_algebra(rep: RepPair) -> ImageAlgebra:
     """A as the right ideal I*A: all words in X, Y from the identity seed."""
     span = _right_ideal(rep, [QMatrix.identity(rep.n).entries])
-    return ImageAlgebra(rep, tuple(map(tuple, span.rows)), tuple(span.pivots), True)
+    return ImageAlgebra(rep, tuple(map(tuple, span.rows)), tuple(span.pivots))
 
 
 def dim_bound(n: int) -> int:
@@ -386,10 +384,11 @@ def _transposed(vec, n: int) -> tuple:
 
 
 def _normal_monomials(max_degree: int) -> "list[tuple[int, int]]":
-    """(k, m) of every y^k x^m with k + m <= max_degree, by (degree, number of y's)."""
+    """(k, m) of every y^k x^m with k + m <= max_degree, in the order of their
+    keys ``_index(k, m)``: by degree, then by number of y's."""
     if max_degree < 0:
         raise OutOfRangeError(f"max_degree must be >= 0, got {max_degree}")
-    return [(k, d - k) for d in range(max_degree + 1) for k in range(d + 1)]
+    return [_exponents(i) for i in range(_index(0, max_degree + 1))]
 
 
 def discover_relations(rep: RepPair, max_degree: int) -> "list[NormalPoly]":
@@ -416,12 +415,11 @@ def discover_relations(rep: RepPair, max_degree: int) -> "list[NormalPoly]":
 
 
 def relation_coefficient_vector(poly: NormalPoly, max_degree: int) -> "tuple[Scalar, ...]":
-    """Coefficients of a normal polynomial over the discover_relations basis order."""
-    monomials = _normal_monomials(max_degree)
-    index = {km: i for i, km in enumerate(monomials)}
-    vec: list[Scalar] = [0] * len(monomials)
+    """Coefficients of a normal polynomial over the discover_relations basis
+    order: the coefficient of y^k x^m at ``_index(k, m)``."""
+    vec: list[Scalar] = [0] * len(_normal_monomials(max_degree))
     for (k, m), c in poly.items():
-        if (k, m) not in index:
+        if k + m > max_degree:
             raise ValueError(f"monomial y^{k} x^{m} exceeds degree bound {max_degree}")
-        vec[index[(k, m)]] = c
+        vec[_index(k, m)] = c
     return tuple(vec)

@@ -169,11 +169,11 @@ def test_only_the_raw_product_sites_bypass_the_product_kernel():
 
 
 # The stored form of ``freealg._Terms``: int numerators over one
-# denominator and, for ``NormalPoly``, the width W of its int keys k*W + m,
-# proved canonical in the ``NormalPoly`` docstring.  Only freealg.py reads
-# or writes it; other modules go through ``items()``, ``coefficient()`` and
-# ``numerators()``, and the tests read it at one site, to check it.
-STORED_FORM = ("_nums", "_den", "_w")
+# denominator, proved canonical in the ``NormalPoly`` docstring.  Only
+# freealg.py reads or writes it; other modules go through ``items()``,
+# ``coefficient()`` and ``numerators()``, and the tests read it at one
+# site, to check it.
+STORED_FORM = ("_nums", "_den")
 
 
 def test_only_freealg_touches_the_stored_form():

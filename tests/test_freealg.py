@@ -28,7 +28,7 @@ from jordanlab import (
     parse_poly,
     reduce_poly,
 )
-from jordanlab.freealg import _power
+from jordanlab.freealg import _exponents, _index, _power
 from jordanlab.scalars import cleared
 from multiply_oracle import multiply as oracle_multiply
 from multiply_oracle import x_power_times_y_power as oracle_expansion
@@ -261,9 +261,8 @@ def test_multiply_integer_key_edge_cases():
         (NormalPoly({(10 ** 9, 0): 2, (0, 10 ** 9): Fraction(1, 3)}), one),
     ]
     for f, g in cases:
-        product = normalized(multiply(f, g))
+        product = keyed(normalized(multiply(f, g)))
         assert product == oracle_multiply(f, g)
-        assert width(product) == (width(f) + width(g) - 1 if product.support() else 1)
     assert multiply(*cases[3]) == NormalPoly({(0, 2): 1})
     # (x + y)(x - y) = x^2 - (yx + y^2) + yx - y^2 = x^2 - 2y^2
     f, g = NormalPoly({(0, 1): 1, (1, 0): 1}), NormalPoly({(0, 1): 1, (1, 0): -1})
@@ -287,8 +286,7 @@ def test_multiply_allocates_nothing_of_the_size_of_the_degree():
     finally:
         tracemalloc.stop()
     assert peak < 20_000
-    assert product == oracle_multiply(f, g) and len(product.support()) == 5
-    assert width(product) == 10 ** 9 + 2
+    assert keyed(product) == oracle_multiply(f, g) and len(product.support()) == 5
 
 
 def test_normal_form_matches_engine_on_long_words():
@@ -550,86 +548,102 @@ def test_normal_poly_rejects_keys_that_are_not_exponents():
 
 
 def stored_form(p):
-    """(numerators, denominator, W) as p stores them: the one place where the
+    """(numerators, denominator) as p stores them: the one place where the
     tests read the stored form (pinned in tests/test_api.py)."""
-    return p._nums, p._den, p._w
+    return p._nums, p._den
 
 
-def width(p):
-    """W of p, after asserting that it is 1 + the largest x-degree of p (1
-    for zero and for polynomials in y alone), that the stored keys are the
-    ints k*W + m of ``numerators()``, and that ``==`` and ``hash`` agree
-    with a rebuild from ``items()``."""
-    nums, den, w = stored_form(p)
-    assert w == 1 + max((m for _, m in p.support()), default=0)
+def keyed(p):
+    """p, after asserting that its stored keys are the ints ``_index(k, m)``
+    of the keys (k, m) of ``numerators()``, and that ``==`` and ``hash``
+    agree with a rebuild from ``items()``."""
+    nums, den = stored_form(p)
     assert all(type(key) is int for key in nums)
-    assert ({divmod(key, w): v for key, v in nums.items()}, den) == p.numerators()
+    by_km, den_read = p.numerators()
+    assert ({_index(k, m): v for (k, m), v in by_km.items()}, den_read) == (nums, den)
     same(NormalPoly(p.items()), p)
-    return w
+    return p
 
 
 def x_degree(p):
     return max((m for _, m in p.support()), default=-1)
 
 
-def test_normal_poly_stores_int_keys_of_width_one_plus_its_x_degree():
+def triangular(d):
+    return d * (d + 1) // 2
+
+
+def test_index_numbers_the_normal_basis_by_degree_then_k():
+    for k in range(60):
+        for m in range(60):
+            key = _index(k, m)
+            assert type(key) is int and _exponents(key) == (k, m)
+    # the keys of degree d fill [T(d), T(d+1)) in the order of k
+    for d in range(60):
+        assert [_index(k, d - k) for k in range(d + 1)] == list(range(triangular(d),
+                                                                      triangular(d + 1)))
+    assert [_index(*_exponents(key)) for key in range(2000)] == list(range(2000))
+    # isqrt decodes exactly far beyond float precision
+    for d in (10 ** 9, 10 ** 18, 10 ** 30):
+        for k in (0, 1, d // 3, d - 1, d):
+            assert _exponents(_index(k, d - k)) == (k, d - k)
+        assert _index(0, d) == triangular(d) and _index(d, 0) == triangular(d + 1) - 1
+
+
+def test_normal_poly_stores_the_index_of_its_exponents():
     rng = random.Random(23)
     phi = JordanAutomorphism(Fraction(-3, 2), UniPoly([Fraction(1, 2), 0, 2]))
-    assert stored_form(NormalPoly.zero()) == ({}, 1, 1)
-    # y and x both store {1: 1} over 1, at W = 1 and W = 2
-    y, x = NormalPoly.monomial(1, 0), NormalPoly.monomial(0, 1)
-    assert stored_form(y)[:2] == stored_form(x)[:2] and y != x
-    for p in (NormalPoly.one(), NormalPoly({(7, 0): Fraction(1, 3), (2, 0): -1}),
-              NormalPoly([((0, 3), 1), ((4, 0), 2), ((0, 3), -1)])):
-        assert width(p) == 1
+    assert stored_form(NormalPoly.zero()) == ({}, 1)
+    # 1, x, y and x^2 are the basis elements 0, 1, 2 and 3
+    for key, (k, m) in enumerate(((0, 0), (0, 1), (1, 0), (0, 2))):
+        assert stored_form(NormalPoly.monomial(k, m, 3)) == ({key: 3}, 1)
+    assert stored_form(NormalPoly({(0, 1): 3, (1, 0): Fraction(1, 2)})) == ({1: 6, 2: 1}, 2)
     for _ in range(60):
-        f, g = rand_workload_poly(rng, 8, 12), rand_workload_poly(rng, 8, 12)
-        wf, wg = width(f), width(g)
-        # the linear operations, and a top x-degree that cancels
+        f, g = keyed(rand_workload_poly(rng, 8, 12)), keyed(rand_workload_poly(rng, 8, 12))
+        # a top x-degree that cancels
         top = NormalPoly([(km, c) for km, c in f.items() if km[1] == x_degree(f)])
-        rest = f - top
-        assert width(rest) < wf and x_degree(rest) < x_degree(f)
-        same(rest + top, f)
-        assert width(f + g) == width(f - g) == max(wf, wg)
-        assert width(f - f) == width(f.scale(0)) == width(f + (-f)) == 1
-        assert width(f.scale(Fraction(-2, 7))) == width(-f) == wf
-        # y-only parts: the sum of operands of W = 1 stays at W = 1
-        ys = NormalPoly([(km, c) for km, c in g.items() if km[1] == 0])
-        assert width(ys + ys.scale(3) - ys) == 1
-        # products, powers and the algebra maps
-        assert width(multiply(f, g)) == wf + wg - 1
-        assert width(_power(f, 3)) == 3 * wf - 2
+        rest = keyed(f - top)
+        assert x_degree(rest) < x_degree(f)
+        same(keyed(rest + top), f)
+        for zero in (f - f, f.scale(0), f + (-f)):
+            assert stored_form(zero) == ({}, 1)
+        # the linear operations, products, powers and the algebra maps
         u, v = rand_ncpoly(rng), rand_ncpoly(rng)
-        width(normal_form(u + v))
-        width(apply_automorphism(phi, u - v))
-        width(normal_form(u.scale(Fraction(1, 2)) + u.scale(Fraction(-1, 2))))
+        for p in (f + g, f - g, f.scale(Fraction(-2, 7)), -f, multiply(f, g), _power(f, 3),
+                  normal_form(u + v), apply_automorphism(phi, u - v),
+                  normal_form(u.scale(Fraction(1, 2)) + u.scale(Fraction(-1, 2)))):
+            keyed(p)
 
 
 def test_multiply_adds_the_x_degrees():
-    """The x-degree of fg is that of f plus that of g, so the W of the
-    product is W_f + W_g - 1; 500 products against the termwise oracle."""
+    """The x-degree of fg is that of f plus that of g; 500 products against
+    the termwise oracle."""
     rng = random.Random(24)
     for _ in range(500):
         f, g = rand_workload_poly(rng, 5, 10), rand_workload_poly(rng, 5, 10)
-        product = multiply(f, g)
+        product = keyed(multiply(f, g))
         assert product == oracle_multiply(f, g)
         assert x_degree(product) == x_degree(f) + x_degree(g)
-        assert width(product) == width(f) + width(g) - 1
 
 
 def test_coefficient_reads_no_key_of_another_exponent():
-    p = NormalPoly({(1, 0): 5, (0, 2): Fraction(1, 2), (3, 1): -1})
-    assert width(p) == 3
-    # k*W + m = 3 is the key of (1, 0): only (1, 0) may read it
+    p = keyed(NormalPoly({(1, 0): 5, (0, 2): Fraction(1, 2), (3, 1): -1}))
     assert p.coefficient(1, 0) == 5
     for k, m in ((0, 3), (2, -3), (-1, 6), (0, 7), (4, -1), (-1, 0)):
         assert p.coefficient(k, m) == 0
+    # pairs outside k, m >= 0 whose _index is the key of a term of q
+    q = keyed(NormalPoly({(0, 0): 7, (1, 0): 5, (0, 2): 1, (3, 1): -1}))
+    for km, alias in (((-1, 2), (0, 0)), ((0, -1), (0, 0)), ((-3, 5), (0, 0)),
+                      ((-1, 3), (1, 0)), ((2, -1), (0, 2)), ((7, -4), (3, 1)),
+                      ((-2, 7), (3, 1))):
+        assert _index(*km) == _index(*alias) and q.coefficient(*alias) != 0
+        assert q.coefficient(*km) == 0
     rng = random.Random(25)
     for _ in range(40):
-        f = rand_workload_poly(rng, 8, 12)
-        w, coeffs = width(f), dict(f.items())
-        for k in range(42):
-            for m in range(-1, w + 2):
+        f = keyed(rand_workload_poly(rng, 8, 12))
+        top, coeffs = x_degree(f), dict(f.items())
+        for k in range(-2, 42):
+            for m in range(-1, top + 3):
                 assert f.coefficient(k, m) == coeffs.get((k, m), 0)
 
 

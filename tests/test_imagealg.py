@@ -95,7 +95,6 @@ def test_image_dim_one_dimensional():
 
 def test_image_contains_identity_and_closed():
     a = image_algebra(epsilon_rep(4))
-    assert a.closure_certified
     span = SpanBuilder(16)
     for b in a.basis:
         span.add(b.entries)
@@ -142,7 +141,6 @@ def test_image_basis_is_lazy_canonical_and_hashable():
         assert a.basis is a.basis
         again = image_algebra(rep)
         assert again == a and hash(again) == hash(a)
-        assert a.closure_certified
 
 
 def test_dim_bound_values():
@@ -802,6 +800,27 @@ def test_relations_degree_zero_empty():
     for _ in range(5):
         rep = rand_rep(rng, rng.randint(1, 4))
         assert discover_relations(rep, 0) == []
+
+
+def test_monomial_order_is_the_key_order_of_normal_poly():
+    """The columns of discover_relations are the monomials by (degree,
+    number of y's), which is the order of the keys ``_index`` of
+    ``NormalPoly``, and relation_coefficient_vector places each term there."""
+    from jordanlab.freealg import _index
+
+    for d in range(31):
+        by_degree = [(k, e - k) for e in range(d + 1) for k in range(e + 1)]
+        assert imagealg._normal_monomials(d) == by_degree
+        assert [_index(k, m) for k, m in by_degree] == list(range(len(by_degree)))
+    rng = random.Random(36)
+    for _ in range(20):
+        d = rng.randint(0, 8)
+        terms = {(k, e - k): rng.randint(-5, 5) or 1 for e in range(d + 1)
+                 for k in range(e + 1) if rng.random() < 0.3}
+        vec = relation_coefficient_vector(NormalPoly(terms), d)
+        assert vec == tuple(terms.get(km, 0) for km in imagealg._normal_monomials(d))
+    with pytest.raises(ValueError):
+        relation_coefficient_vector(NormalPoly({(2, 2): 1}), 3)
 
 
 def test_relations_reject_negative_degree():

@@ -46,8 +46,8 @@ RECORDS = {
     RepPair: (("X", "Y"), (x_zero(3), jordan_block(3)), (QMatrix.zeros(3), QMatrix.zeros(3))),
     Violation: (("residual",), (jordan_block(2),), (QMatrix.identity(2),)),
     CanonicalParams: (("lam", "mu"), (1, Fraction(1, 2)), (1, 0)),
-    ImageAlgebra: (("rep", "rows", "pivots", "closure_certified"),
-                   (EPS3, A3.rows, A3.pivots, True), (EPS3, A3.rows, A3.pivots, False)),
+    ImageAlgebra: (("rep", "rows", "pivots"),
+                   (EPS3, A3.rows, A3.pivots), (EPS3, A3.rows[:-1], A3.pivots[:-1])),
     QuiverData: (("vertices", "arrows"), ((0,), ((1,),)), ((0,), ((2,),))),
     StratumInfo: (("partition", "fiber_dim", "base_dim", "stratum_dim", "image_dim_bound",
                    "tame"), (Partition((2,)), 2, 2, 4, 2, TameLabel.TAME),
