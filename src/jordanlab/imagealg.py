@@ -9,7 +9,7 @@ A = k[X] + YA, so s*A is the X-chains of the seeds' products s*Y^j, each
 stopped at its first rejected candidate (proof in ``_right_ideal``).  It
 runs on flat integer vectors (row-major n x n entries) and integer
 products; a ``QMatrix`` is built only for what a public function returns.
-The radical is the kernel of the trace form on the stored rows of A (proof
+The radical is the kernel of the trace form on the reduced rows of A (proof
 in ``radical_basis``).  The eigenprojections of X are central (proof in
 ``idempotents``), so the quiver is diagonal and each vertex's loops are
 closed in its eigen-summand's m_i^2 coordinates.  Everything here needs a
@@ -36,36 +36,57 @@ from .matrices import (
 )
 from .polynomials import UniPoly, rational_roots
 from .reps import RepPair, evaluate
-from .scalars import Scalar, _Record, cleared, primitive_integral, scalar_str
+from .scalars import Scalar, _Record, _set, cleared, primitive_integral, scalar_str
 
 
 class ImageAlgebra(_Record):
     """The unital algebra generated by X and Y, as an echelonized span.
 
-    Stores the span's integral reduced-echelon rows (gcd-reduced, positive
-    pivots) and their pivot columns: an immutable, hashable snapshot from
-    which the dimension is read directly and the basis is built on demand.
+    Its fields are the span's canonical integral reduced rows
+    (``SpanBuilder``) and their pivot columns: an immutable, hashable
+    snapshot.  ``image_algebra`` keeps the closure's span and reads the
+    fields and the basis from it on first use, so ``dim``, which needs only
+    the pivots, never forms the reduced rows; equality, hash, repr and
+    pickling read the fields, as for ``ImageAlgebra(rep, rows, pivots)``.
     The theorem of ``_right_ideal`` proves the span closed under right
     products by X and Y, so no product of a basis element is tested.
     """
 
-    # rows: a tuple of int per basis element, pivot-sorted; pivots: the
-    # pivot column of each row.  No __slots__: ``basis`` is cached in __dict__.
+    # rows: a tuple of int per basis element, pivot-sorted; pivots: the pivot
+    # column of each row.  No __slots__: the span's reads are cached in __dict__.
     _fields = ("rep", "rows", "pivots")
 
     def __init__(self, rep: RepPair, rows: tuple, pivots: tuple):
         super().__init__(rep, rows, pivots)
 
+    @classmethod
+    def _of_span(cls, rep: RepPair, span: SpanBuilder) -> "ImageAlgebra":
+        algebra = cls.__new__(cls)
+        _set(algebra, "rep", rep)
+        _set(algebra, "_span", span)
+        return algebra
+
+    @cached_property
+    def _span(self) -> SpanBuilder:
+        return SpanBuilder(self.rep.n ** 2, list(self.rows), list(self.pivots))
+
+    @cached_property
+    def rows(self) -> tuple:
+        return tuple(map(tuple, self._span.rows))
+
+    @cached_property
+    def pivots(self) -> tuple:
+        return tuple(self._span.pivots)
+
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     @cached_property
     def basis(self) -> tuple:
         """QMatrix basis in canonical reduced-echelon order (unit pivots)."""
         n = self.rep.n
-        span = SpanBuilder(n * n, list(self.rows), list(self.pivots))
-        return tuple(QMatrix(n, n, vec) for vec in span.basis_vectors())
+        return tuple(QMatrix(n, n, vec) for vec in self._span.basis_vectors())
 
 
 def _right_ideal(rep: RepPair, seeds) -> SpanBuilder:
@@ -77,11 +98,12 @@ def _right_ideal(rep: RepPair, seeds) -> SpanBuilder:
     deepest level to level 0, each seed product v starts an X-chain: the
     span takes v, then the product by X of the row it stored for v, and so
     on until it rejects a candidate.  That row is primitive and zero at
-    every earlier pivot, so it is smaller than the raw product v*X^k.  The
-    products are by the primitive integer multiples of X and Y (closing
-    under products by a nonzero multiple of a matrix is closing under
-    products by the matrix), so every product is integral and no fraction
-    is formed.
+    every pivot of the span before it, whether or not the span is kept
+    reduced (``SpanBuilder.add``), so it is smaller than the raw product
+    v*X^k.  The products are by the primitive integer multiples of X and Y
+    (closing under products by a nonzero multiple of a matrix is closing
+    under products by the matrix), so every product is integral and no
+    fraction is formed.
 
     Theorem: the span is M.  Proof, with A = k[X] + YA and AY = YA
     (``quiver``, (a) and (b)):
@@ -96,7 +118,8 @@ def _right_ideal(rep: RepPair, seeds) -> SpanBuilder:
         u_k is c_k*v*X^k + t_k with c_k != 0 and t_k in S_k, so the span
         before it is S_k, and it is accepted iff v*X^k is.  For k = 0,
         u_0 = v.  The row stored for an accepted u_k is r_k = beta*u_k + s
-        with beta != 0 and s in S_k (``SpanBuilder.add``), and S_k*X lies
+        with beta != 0 and s in S_k (``SpanBuilder.add``); the step needs
+        nothing else of r_k, and no later add changes it.  S_k*X lies
         in S + span(v*X, ..., v*X^k), which is S_(k+1), as S is X-stable.
         So u_(k+1) = r_k*X = beta*c_k*v*X^(k+1) + (beta*t_k + s)*X, a
         nonzero multiple of v*X^(k+1) plus a vector of S_(k+1).  Hence the
@@ -137,8 +160,7 @@ def _right_ideal(rep: RepPair, seeds) -> SpanBuilder:
 
 def image_algebra(rep: RepPair) -> ImageAlgebra:
     """A as the right ideal I*A: all words in X, Y from the identity seed."""
-    span = _right_ideal(rep, [QMatrix.identity(rep.n).entries])
-    return ImageAlgebra(rep, tuple(map(tuple, span.rows)), tuple(span.pivots))
+    return ImageAlgebra._of_span(rep, _right_ideal(rep, [QMatrix.identity(rep.n).entries]))
 
 
 def dim_bound(n: int) -> int:
@@ -176,17 +198,19 @@ def radical_basis(a: ImageAlgebra) -> "list[QMatrix]":
     r traces vanish iff every chi_i(b) does.
 
     So no closure runs.  Traces against the powers of the primitive integer
-    multiple x of X (each a nonzero multiple) are taken on the stored rows
-    u_j of A, which are zero at each other's pivots p_j.  ``nullspace_basis``
-    of that trace matrix with its columns reversed gives, per non-pivot
-    column, a vector with 1 there, 0 at the other non-pivot columns and
-    nonzero entries only before it; read backwards, these are zero before
-    their 1 and at every other vector's 1: the reduced-echelon basis of the
-    kernel in Q^(dim A), each with at most r + 1 nonzero entries.  For such
+    multiple x of X (each a nonzero multiple) are taken on the reduced rows
+    u_j of A (``ImageAlgebra.rows``), zero at each other's pivots p_j.
+    ``nullspace_basis`` of that trace matrix with its columns reversed
+    gives, per non-pivot column, a vector with 1 there, 0 at the other
+    non-pivot columns and nonzero entries only before it; read backwards,
+    these are zero before their 1 and at every other vector's 1: the
+    reduced-echelon basis of the kernel in Q^(dim A), each with at most
+    r + 1 nonzero entries.  For such
     a c, led at l, w = sum_j c_j u_j is zero before p_l, c_l u_l != 0 at
     p_l, and zero at every other w's lead.  So the w are a basis of J in
-    echelon form: ``_echelon`` takes no elimination step on them, and its
-    rows are J's canonical ``SpanBuilder`` rows, those of any closure.
+    echelon form, zero at each other's pivots: ``_echelon`` takes no
+    elimination step on them, nor does the read of its reduced rows, and
+    those are J's canonical ``SpanBuilder`` rows, those of any closure.
     """
     rep, n, d = a.rep, a.rep.n, a.dim
     xt = QMatrix(n, n, _transposed(primitive_integral(rep.X.entries), n))
@@ -368,14 +392,15 @@ def ideal_codim(a: ImageAlgebra, gens) -> int:
     That pair satisfies the relation, X^T(-Y^T) - (-Y^T)X^T = (XY - YX)^T
     = (Y^2)^T = (-Y^T)^2, so the pair is not re-verified, and
     ``_right_ideal`` closes M^T A^T from any spanning set of M^T, such as
-    the transposed rows of M.  Transposition keeps dimensions.
+    the transposed echelon rows of M's span, so the reduced rows of M are
+    never formed.  Transposition keeps dimensions.
     """
     rep, n = a.rep, a.rep.n
     images = [primitive_integral(evaluate(g, rep).entries) for g in gens]
     right = _right_ideal(rep, images)
     flipped = RepPair._proved(QMatrix(n, n, _transposed(rep.X.entries, n)),
                               -QMatrix(n, n, _transposed(rep.Y.entries, n)))
-    return a.dim - _right_ideal(flipped, [_transposed(row, n) for row in right.rows]).rank
+    return a.dim - _right_ideal(flipped, [_transposed(row, n) for row in right._rows]).rank
 
 
 def _transposed(vec, n: int) -> tuple:

@@ -11,14 +11,15 @@ way.  So no ``Fraction`` arithmetic happens inside a product, and a
 ``QMatrix`` is built only for the result.
 
 There is one elimination routine, ``SpanBuilder``:
-a fraction-free integral reduced row-echelon form kept with primitive rows
-and positive pivots.  Each elimination step divides the pivot entry and the
-factor by their gcd before it scales, and a new vector's content is divided
-out once, after its last step (proofs in ``_reduce`` and ``add``).
-``rank``, ``nullspace_basis``, ``solve`` and ``inverse`` are views of the
-echelon form of a matrix's rows; since that form is unique (proof in the
-``SpanBuilder`` docstring), their results do not depend on the elimination
-order.  The test suite checks them against sympy.
+a fraction-free integral echelon form kept with primitive rows and positive
+pivots.  Each elimination step divides the pivot entry and the factor by
+their gcd before it scales, and a vector's content is divided out once,
+after its last step (proofs in ``_reduce`` and ``add``).  ``add`` does no
+back-substitution; the reduced form is formed only when ``rows`` is read.
+``rank`` reads the echelon form; ``nullspace_basis``, ``solve`` and
+``inverse`` read the reduced rows, which are unique (proof in the
+``SpanBuilder`` docstring), so their results do not depend on the
+elimination order.  The test suite checks them against sympy.
 """
 
 from __future__ import annotations
@@ -270,83 +271,80 @@ def int_normalized(m: QMatrix) -> QMatrix:
 
 
 class SpanBuilder(_Record):
-    """Incrementally maintained integral reduced row-echelon form of a span.
+    """Incrementally maintained integral echelon form of a span.
 
     This is the package's only elimination routine: ``rank``,
     ``nullspace_basis``, ``solve`` and ``inverse`` read their answers off
-    the span of a matrix's rows.  Invariant: ``rows`` are primitive integer
-    vectors (coprime entries) sorted by pivot column, each with a positive
-    entry at its own pivot and a zero at every other row's pivot.
+    the span of a matrix's rows.  Invariant: the stored rows ``_rows`` are
+    primitive integer vectors (coprime entries) sorted by pivot column, each
+    zero before its own pivot and positive at it.  The rank, ``_reduce`` and
+    ``add`` need no more; ``rows`` makes the reduced form from it on the
+    first read after an ``add`` (``_back_substitute``), so a caller that
+    reads only ranks never forms it.
 
-    Canonical form.  Dividing each row by its pivot entry gives the reduced
-    row-echelon form (RREF) of the span, and the RREF of a row space V is
-    unique: its pivot columns are the positions at which nonzero vectors of
-    V have their first nonzero entry, and the row with pivot p is the only
-    vector of V with 1 at p and 0 at the other pivots (a vector of V is the
-    combination of the rows whose coefficients are its entries at the pivot
-    columns).  A nonzero rational vector has exactly one positive multiple
-    that is a primitive integer vector, so the integral rows are unique
-    too.  Hence ``rows`` and ``pivots`` depend only on the span, not on
-    which vectors were added or in what order, and neither does anything
-    read off them: the rank, the kernel basis, the inverse, and the
-    solution with free variables set to 0.
+    Canonical form.  A nonzero combination of the rows leads at the pivot
+    of its first row with a nonzero coefficient, so the pivots are the
+    positions at which nonzero vectors of the span V lead, and the only
+    vector of V zero at every pivot is 0.  The reduced rows are zero at
+    every other row's pivot; divided by their pivot entries they are the
+    reduced row-echelon form (RREF) of V, which is unique: the row with
+    pivot p is the only vector of V with 1 at p and 0 at the other pivots.
+    A nonzero rational vector has exactly one positive multiple that is a
+    primitive integer vector, so the integral rows are unique too.  Hence
+    ``rows`` and ``pivots`` depend only on the span, not on which vectors
+    were added or in what order, and neither does anything read off them:
+    the rank, the kernel basis, the inverse, and the solution with free
+    variables set to 0.
 
     ``add`` keeps the invariant: the new vector is reduced against every
-    row, which zeroes it at the existing pivots, and made primitive with a
-    positive leading entry; each row that is nonzero at the new pivot is
-    then combined with it, which zeroes that entry and leaves the row's own
-    pivot entry positive.  Rows are replaced or inserted, never mutated in
-    place, so a copy of the two lists is an independent span, and the row
-    ``add`` returns is never changed by a later ``add``.
+    row, made primitive with a positive leading entry and inserted at its
+    pivot; no other row changes.  Rows are replaced or inserted, never
+    mutated in place, so a copy ``SpanBuilder(length, list(rows),
+    list(pivots))`` is an independent span, and a row ``add`` returned is
+    never changed by a later ``add`` or read.
     """
 
-    # rows: integer rows, pivot-sorted; pivots: pivot column of each row.
-    __slots__ = _fields = ("length", "rows", "pivots")
+    # _rows: integer rows, pivot-sorted; pivots: pivot column of each row;
+    # _rref: whether _rows are reduced (no add since the last read).
+    __slots__ = ("length", "_rows", "pivots", "_rref")
+    _fields = ("length", "rows", "pivots")
     __hash__ = None
 
     def __init__(self, length: int, rows: "list | None" = None, pivots: "list | None" = None):
         _set(self, "length", length)
-        _set(self, "rows", [] if rows is None else rows)
+        _set(self, "_rows", [] if rows is None else rows)
         _set(self, "pivots", [] if pivots is None else pivots)
+        _set(self, "_rref", False)
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
-    def _reduce(self, vec: "list[int]") -> "list[int]":
-        """The integer vector vec reduced to zero at every pivot, made primitive.
+    @property
+    def rows(self) -> list:
+        """The integral reduced rows, formed on the first read after an ``add``."""
+        if not self._rref:
+            self._back_substitute()
+        return self._rows
 
-        Against the row with pivot p and pivot entry pv > 0, where
-        f = vec[p] != 0, the step is vec <- (pv/g)*vec - (f/g)*row with
-        g = gcd(pv, f); when pv divides f, pv/g = 1 and vec is not scaled.
-        (a) The step is integral: g divides pv and f.
-        (b) It zeroes entry p, as (pv/g)*f - (f/g)*pv = 0, and only scales
-            the entries at the other pivots by pv/g, as the row is zero
-            there; so no step undoes an earlier one.
-        (c) It is pv/g > 0 times the rational step vec - (f/pv)*row, and
-            scaling vec by c > 0 scales f by c; so by induction vec stays
-            a positive multiple of the rationally reduced vector.
-        A nonzero rational vector has exactly one positive multiple that is
-        a primitive integer vector, so dividing out the content once, at
-        the end, gives the same row as dividing it out after every step,
-        and no factor is multiplied in only to be divided out again.
+    def _back_substitute(self) -> None:
+        """Make every row zero at every other row's pivot, bottom-up.
+
+        Row i is zero at the pivots above it, which come before its own.
+        The rows below it are already reduced, each zero at every pivot but
+        its own, so the ``_reduce`` of row i against them zeroes it at their
+        pivots and only scales its entries at the other pivots, by pv/g > 0:
+        its own pivot entry stays positive, and its content is divided out
+        once.  So the rows end as the canonical RREF of the class docstring;
+        a row already reduced stays the same object.
         """
-        for row, p in zip(self.rows, self.pivots):
-            f = vec[p]
-            if f:
-                pv = row[p]
-                g = gcd(pv, f)
-                if g == pv:
-                    f //= g
-                    vec = [a - f * b for a, b in zip(vec, row)]
-                else:
-                    pv //= g
-                    f //= g
-                    vec = [pv * a - f * b for a, b in zip(vec, row)]
-        return content_free(vec)
+        rows, pivots = self._rows, self.pivots
+        for i in range(len(rows) - 2, -1, -1):
+            rows[i] = _reduce(rows[i], rows[i + 1:], pivots[i + 1:])
+        _set(self, "_rref", True)
 
     def contains(self, vec) -> bool:
-        return not any(self._reduce(cleared(vec)[0]))
+        return not any(_reduce(cleared(vec)[0], self._rows, self.pivots))
 
     def add(self, vec) -> "list[int] | None":
         """Insert a rational vector; the row stored for it if it enlarged
@@ -360,47 +358,68 @@ class SpanBuilder(_Record):
         as the span holds it, a nonempty and so truthy list; the caller must
         not mutate it.
 
-        Back-substitution combines each row that is nonzero at the new
-        pivot p with the new row w (positive entry lead at p) by the step of
-        ``_reduce``: row <- (lead/g)*row - (f/g)*w, g = gcd(lead, f).  It is
-        integral, zeroes entry p, keeps the row zero at the other pivots
-        (w is zero there), and scales the row by lead/g > 0, so its own
-        pivot entry stays positive; its content is then divided out, which
-        makes the row the primitive multiple the invariant asks for.
+        That row is the primitive, positive-led multiple of the one vector
+        of vec + V zero at every pivot (two such differ by a vector of V
+        zero at every pivot, which is 0), whatever form the rows are kept
+        in: a span kept reduced stores the same row.
         """
-        work = self._reduce(cleared(vec)[0])
+        work = _reduce(cleared(vec)[0], self._rows, self.pivots)
         lead = next(filter(None, work), 0)
         if not lead:
             return None
         pivot = work.index(lead)  # every entry before the first nonzero is 0
         if lead < 0:
             work = [-v for v in work]
-            lead = -lead
-        for idx, row in enumerate(self.rows):
-            f = row[pivot]
-            if f:
-                g = gcd(lead, f)
-                scale, f = lead // g, f // g
-                self.rows[idx] = content_free([scale * a - f * b for a, b in zip(row, work)])
         at = bisect(self.pivots, pivot)
-        self.rows.insert(at, work)
+        self._rows.insert(at, work)
         self.pivots.insert(at, pivot)
+        _set(self, "_rref", False)
         return work
 
     def basis_vectors(self) -> "list[tuple[Scalar, ...]]":
         """The RREF rows (unit pivots) as exact scalar tuples."""
-        out = []
-        for row, p in zip(self.rows, self.pivots):
+        return [_divided(row, row[p]) for row, p in zip(self.rows, self.pivots)]
+
+
+def _reduce(vec: "list[int]", rows, pivots) -> "list[int]":
+    """The integer vector vec reduced to zero at the pivots of the given
+    rows (``SpanBuilder``'s invariant), made primitive.
+
+    Against the row with pivot p and pivot entry pv > 0, where
+    f = vec[p] != 0, the step is vec <- (pv/g)*vec - (f/g)*row with
+    g = gcd(pv, f); when pv divides f, pv/g = 1 and vec is not scaled.
+    (a) The step is integral: g divides pv and f.
+    (b) It zeroes entry p, as (pv/g)*f - (f/g)*pv = 0, and only scales the
+        entries before p by pv/g, as the row is zero there; so, in pivot
+        order, no step undoes an earlier one and vec ends zero at every
+        pivot.  The rows need only be in echelon form: a step may change
+        entries at later pivots, which later steps zero.
+    (c) It is pv/g > 0 times the rational step vec - (f/pv)*row, and
+        scaling vec by c > 0 scales f by c; so by induction vec stays a
+        positive multiple of the rationally reduced vector.
+    A nonzero rational vector has exactly one positive multiple that is a
+    primitive integer vector, so dividing out the content once, at the
+    end, gives the same row as dividing it out after every step, and no
+    factor is multiplied in only to be divided out again.
+    """
+    for row, p in zip(rows, pivots):
+        f = vec[p]
+        if f:
             pv = row[p]
-            if pv == 1:
-                out.append(tuple(row))
+            g = gcd(pv, f)
+            if g == pv:
+                f //= g
+                vec = [a - f * b for a, b in zip(vec, row)]
             else:
-                out.append(tuple(exact(Fraction(v, pv)) for v in row))
-        return out
+                pv //= g
+                f //= g
+                vec = [pv * a - f * b for a, b in zip(vec, row)]
+    return content_free(vec)
 
 
 def _echelon(rows, length: int) -> SpanBuilder:
-    """The integral RREF of the span of the given rows, each of that length."""
+    """The span of the given rows, each of that length, in integral echelon
+    form; its RREF is formed only if its ``rows`` are read."""
     span = SpanBuilder(length)
     for row in rows:
         span.add(row)

@@ -168,6 +168,30 @@ def test_only_the_raw_product_sites_bypass_the_product_kernel():
     assert {s for s in sites if not s.startswith("matrices.")} == RAW_PRODUCT_SITES
 
 
+# Every function that reads ``SpanBuilder``'s echelon rows ``_rows`` or its
+# ``_rref`` flag.  Outside matrices.py only ``ideal_codim`` does: its
+# second closure needs a spanning set of M, not M's reduced rows.  Every
+# other reduced row leaves a span through the ``rows`` property, which
+# forms the reduced form first; a new private reader fails here.
+ECHELON_SITES = {
+    "imagealg.ideal_codim",
+    "matrices.SpanBuilder",
+    "matrices.SpanBuilder.__init__",
+    "matrices.SpanBuilder._back_substitute",
+    "matrices.SpanBuilder.add",
+    "matrices.SpanBuilder.contains",
+    "matrices.SpanBuilder.rows",
+}
+
+
+def test_only_the_echelon_sites_read_the_unreduced_rows():
+    def match(node):
+        return (isinstance(node, ast.Attribute) and node.attr in ("_rows", "_rref")
+                or isinstance(node, ast.Constant) and node.value in ("_rows", "_rref"))
+
+    assert source_sites(match) == ECHELON_SITES
+
+
 # The stored form of ``freealg._Terms``: int numerators over one
 # denominator, proved canonical in the ``NormalPoly`` docstring.  Only
 # freealg.py reads or writes it; other modules go through ``items()``,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 import sys
 from collections import deque
@@ -11,6 +12,7 @@ from math import gcd, lcm
 import pytest
 
 from jordanlab import (
+    ImageAlgebra,
     IrrationalEigenvaluesError,
     NormalPoly,
     OutOfRangeError,
@@ -29,12 +31,14 @@ from jordanlab import (
     ideal_codim,
     idempotents,
     image_algebra,
+    jacobian_rank,
     jordan_block,
     nilpotency_index,
     normal_form,
     parse_poly,
     quiver,
     radical_basis,
+    rank,
     rational_spectrum,
     relation_coefficient_vector,
     x_zero,
@@ -158,6 +162,69 @@ def test_image_dim_conjugation_invariant():
         c, c_inv = rand_unimodular(rng, n)
         b = image_algebra(conjugate(rep, c, c_inv))
         assert a.dim == b.dim
+
+
+@pytest.fixture
+def back_substitutions(monkeypatch):
+    """The spans whose reduced rows are formed, one entry per forming."""
+    formed = []
+    original = SpanBuilder._back_substitute
+
+    def counted(span):
+        formed.append(span)
+        original(span)
+
+    monkeypatch.setattr(SpanBuilder, "_back_substitute", counted)
+    return formed
+
+
+def lazy_reps() -> "list[RepPair]":
+    rng = random.Random(29)
+    return [epsilon_rep(8)] + [rand_rep(rng, 2 + i % 7) for i in range(14)]
+
+
+def test_rank_only_callers_form_no_reduced_rows(back_substitutions):
+    gens, reps = [parse_poly(g) for g in WILD_GENS], lazy_reps()
+    back_substitutions.clear()  # rand_rep reads the inverse of its conjugator
+    for rep in reps:
+        a = image_algebra(rep)
+        assert a.dim == len(a._span.pivots)
+        ideal_codim(a, gens)
+        rank(rep.X)
+        assert back_substitutions == []
+        try:
+            spectrum = rational_spectrum(rep.X)
+        except IrrationalEigenvaluesError:
+            continue
+        quiver(a)
+        # Only the spectral split reads reduced rows: the kernel basis of
+        # each eigenvalue and the inverse of C, none of the closures.
+        assert len(back_substitutions) == (len(spectrum) + 1 if len(spectrum) > 1 else 0)
+        back_substitutions.clear()
+    for n in range(2, 9):
+        jacobian_rank(n, range(1, n), [0] * (n - 1))
+    assert back_substitutions == []
+
+
+def test_image_algebra_forms_its_reduced_rows_once_on_first_read(back_substitutions):
+    a = image_algebra(epsilon_rep(8))
+    assert a.dim == 20 and back_substitutions == []
+    rows = a.rows
+    assert back_substitutions == [a._span]
+    assert a.rows is rows and a.pivots == tuple(a._span.pivots)
+    assert a.basis and radical_basis(a)
+    assert back_substitutions[:1] == [a._span] and a._span not in back_substitutions[1:]
+
+
+def test_image_algebra_of_a_span_is_the_record_of_its_fields():
+    for rep in lazy_reps():
+        a = image_algebra(rep)
+        record = ImageAlgebra(rep, a.rows, a.pivots)
+        assert a == record and record == a and hash(a) == hash(record)
+        assert repr(a) == repr(record)
+        assert pickle.loads(pickle.dumps(a)) == record
+        assert pickle.dumps(image_algebra(rep)) == pickle.dumps(record)
+        assert (a.dim, a.basis) == (record.dim, record.basis)
 
 
 # -- radical -------------------------------------------------------------------

@@ -14,7 +14,7 @@ import json  # noqa: E402
 import random  # noqa: E402
 from fractions import Fraction  # noqa: E402
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from jordanlab import (  # noqa: E402
     NcPoly,
@@ -43,6 +43,7 @@ from jordanlab.sampling import rand_normal_poly, rand_rep, rand_unimodular  # no
 from jordanlab.strata import _orbit_differential  # noqa: E402
 from multiply_oracle import multiply as oracle_multiply  # noqa: E402
 from orbit_oracle import matrix_differential, polynomial_in_j  # noqa: E402
+from span_oracle import EagerSpan  # noqa: E402
 
 SCALARS = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 SIZES = st.integers(min_value=0, max_value=3)
@@ -114,6 +115,59 @@ def test_span_basis_is_sympy_rref(length_and_rows):
     assert span.basis_vectors() == [
         tuple(exact(Fraction(int(v.p), int(v.q))) for v in reduced.row(i))
         for i in range(len(pivots))]
+
+
+@st.composite
+def span_programs(draw):
+    """A length <= 5 and up to 16 steps on a span: adds and membership tests
+    of combinations of a few rational vectors (so zero and dependent vectors
+    are frequent), re-adds of the last vector added, reads and copies."""
+    length = draw(st.integers(min_value=0, max_value=5))
+    base = draw(st.lists(st.lists(SCALARS, min_size=length, max_size=length),
+                         min_size=1, max_size=4))
+    vectors = st.lists(st.integers(min_value=-2, max_value=2),
+                       min_size=len(base), max_size=len(base)).map(
+        lambda cs: [sum((c * b[i] for c, b in zip(cs, base)), Fraction(0))
+                    for i in range(length)])
+    step = st.one_of(st.tuples(st.sampled_from(("add", "contains")), vectors),
+                     st.tuples(st.sampled_from(("repeat", "read", "copy")), st.none()))
+    return length, draw(st.lists(step, max_size=16))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(span_programs())
+@example((0, [("add", []), ("read", None), ("copy", None), ("repeat", None)]))
+@example((1, [("add", [Fraction(-2, 3)]), ("read", None), ("add", [0]), ("copy", None),
+              ("repeat", None), ("contains", [5]), ("read", None)]))
+def test_span_matches_the_eager_oracle(program):
+    """The echelon span against the back-substituting one it replaced: the
+    same row from every add, rank, membership and reduced rows; no row an
+    add returned changes later, and a copy is independent of its source."""
+    length, steps = program
+    span, oracle = SpanBuilder(length), EagerSpan(length)
+    returned, copied, last = [], [], None
+    for kind, vec in steps:
+        if kind == "repeat":
+            kind, vec = "add", last
+        if kind == "add" and vec is not None:
+            last = vec
+            row = span.add(vec)
+            assert row == oracle.add(vec)
+            if row is not None:
+                returned.append((row, list(row)))
+        elif kind == "contains":
+            assert span.contains(vec) == oracle.contains(vec)
+        elif kind == "read":
+            assert (span.rows, span.pivots) == (oracle.rows, oracle.pivots)
+        elif kind == "copy":
+            copied.append((span, list(span.rows), list(span.pivots)))
+            span = SpanBuilder(length, list(span.rows), list(span.pivots))
+            oracle = EagerSpan(length, list(oracle.rows), list(oracle.pivots))
+        assert span.rank == oracle.rank
+        assert all(row == value for row, value in returned)
+    assert (span.rows, span.pivots) == (oracle.rows, oracle.pivots)
+    for source, rows, pivots in copied:
+        assert (source.rows, source.pivots) == (rows, pivots)
 
 
 @st.composite
