@@ -4,10 +4,11 @@ All arithmetic is exact, and the hot loops run on plain integers.  There
 is one product kernel, ``_product``: it clears each factor's denominators
 once (``scalars.cleared``), chains the integer products in one flat kernel
 (``flat_matmul``) and divides each result entry once.  ``@`` and every
-change of basis (``reps.conjugate``, ``sampling.rand_rep``,
-the eigen-summands and eigenprojections of ``imagealg``) multiply
-through it; ``poly_at_matrix`` runs Horner's rule on integers in the same
-way.  So no ``Fraction`` arithmetic happens inside a product, and a
+change of basis (``reps.conjugate``, the eigen-summands and
+eigenprojections of ``imagealg``) multiply through it;
+``poly_at_matrix`` runs Horner's rule on integers in the same way, and
+``sampling.rand_rep`` conjugates its integer factors in ``flat_matmul``
+itself.  So no ``Fraction`` arithmetic happens inside a product, and a
 ``QMatrix`` is built only for the result.
 
 There is one elimination routine, ``SpanBuilder``:
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 from .errors import InputFormatError, NonSquareError, SingularMatrixError, SizeMismatchError
@@ -511,13 +513,26 @@ def char_poly(m: QMatrix) -> UniPoly:
 
 def poly_at_matrix(p: UniPoly, m: QMatrix) -> QMatrix:
     """Evaluate a univariate polynomial at a square matrix, by Horner's rule
-    on integers.
+    on integers that steps over each run of zero coefficients at once.
 
     Write p = P/c and m = M/e with P and M integral (``cleared``), and let
     D = deg p.  Then c*e^D*p(m) = sum_k P_k e^D (M/e)^k = Q(M) for the
-    integer polynomial Q with coefficients Q_k = P_k*e^(D-k).  So Horner's
-    rule for Q at M runs on integers only, and p(m) = Q(M)/(c*e^D) needs
-    one division per entry.
+    integer polynomial Q with coefficients Q_k = P_k*e^(D-k).  So Q(M) is
+    formed on integers only, and p(m) = Q(M)/(c*e^D) needs one division
+    per entry.
+
+    Let k_0 = D > k_1 > ... > k_r be the k with Q_k != 0.  Horner's rule
+    R_0 = Q_D, R_i = R_(i-1) M^(k_(i-1) - k_i) + Q_(k_i) I and Q(M) =
+    R_r M^(k_r) gives R_i = sum_(j<=i) Q_(k_j) M^(k_j - k_i) by induction:
+    it is plain Horner with each run of g - 1 zero coefficients folded
+    into one step, since those g steps multiply by M and add 0.  R_0 is a
+    scalar, so its first step scales a power.  Each power M^g is formed by
+    repeated squaring from the squares M^(2^s), kept for the call, all on
+    integers, so the result is exact.  A power not yet formed costs at
+    most floor(log2 g) squarings and popcount(g) - 1 products, which is at
+    most g - 1 (checked directly for g < 8; for g >= 8 it is at most
+    2 log2 g <= g - 1), so a gap of g costs at most g products: never more
+    than the D products of plain Horner, and at most 2 log2 D for t^D.
     """
     if not m.is_square:
         raise NonSquareError("polynomial of a non-square matrix")
@@ -527,14 +542,32 @@ def poly_at_matrix(p: UniPoly, m: QMatrix) -> QMatrix:
     coeffs, c = cleared(p.coeffs)
     mat, e = cleared(m.entries)
     deg = p.degree
-    out = [0] * (n * n)
-    for k in range(deg, -1, -1):
-        if k < deg:
-            out = flat_matmul(out, mat, n, n, n)
-        q = coeffs[k] * e ** (deg - k)
-        if q:
+    squares = [mat]
+    powers = {1: mat}
+
+    def times_power(out, g: int) -> "list[int]":  # out M^g; None stands for R_0
+        if g not in powers:
+            while 1 << len(squares) <= g:
+                squares.append(flat_matmul(squares[-1], squares[-1], n, n, n))
+            bits = [sq for s, sq in enumerate(squares) if g >> s & 1]
+            powers[g] = reduce(lambda a, b: flat_matmul(a, b, n, n, n), bits)
+        if out is None:
+            return [coeffs[deg] * v for v in powers[g]]
+        return flat_matmul(out, powers[g], n, n, n)
+
+    out = None
+    top = deg
+    for k in range(deg - 1, -1, -1):
+        if coeffs[k]:
+            out = times_power(out, top - k)
+            q = coeffs[k] * e ** (deg - k)
             for i in range(0, n * n, n + 1):
                 out[i] += q
+            top = k
+    if top:
+        out = times_power(out, top)
+    elif out is None:  # deg = 0
+        out = [coeffs[0] if i % (n + 1) == 0 else 0 for i in range(n * n)]
     return QMatrix(n, n, _divided(out, c * e ** deg))
 
 

@@ -102,8 +102,8 @@ class RepPair(_Record):
     where a docstring proves the relation:
     - ``conjugate``: conjugation by an invertible c is an automorphism;
     - ``sampling.rand_rep`` and ``rep build``: a fiber point of
-      ``fiber_basis``, conjugated in ``rand_rep`` by a matrix and its exact
-      inverse, as in ``conjugate``;
+      ``fiber_basis``, conjugated in ``rand_rep`` on integers by a
+      unimodular c = L U and c^-1 = U^-1 L^-1, as in ``conjugate``;
     - ``imagealg._summands`` (for ``strata.decompose`` and ``quiver``):
       the diagonal blocks of the pair in a generalized eigenbasis of X;
     - ``imagealg.ideal_codim``: the pair (X^T, -Y^T).

@@ -125,15 +125,20 @@ PROVED_SITES = {
 # ``quiver``, the combinations of A's stored integer rows by the kernel rows
 # in ``radical_basis`` (wrapping those rows in a QMatrix would coerce dim A
 # * n^2 entries, and the echelon form, not one denominator, scales the
-# result), the relation check, and the sampler's integer sums.  A new
-# hand-rolled product fails here; it belongs in ``_product``.
+# result), the relation check, and the sampler: its integer sums, the
+# integer c = L U and c^-1 = U^-1 L^-1 of ``_unimodular_ints``, and
+# ``rand_rep``, which conjugates on integers (X's numerators over 12, c J as
+# a column shift of c) and divides each entry of X once by 12, where
+# ``_product`` would wrap and clear five matrices.  A new hand-rolled
+# product fails here; it belongs in ``_product``.
 RAW_PRODUCT_SITES = {
     "imagealg._right_ideal",
     "imagealg.quiver",
     "imagealg.radical_basis",
     "reps._relation_residual",
+    "sampling._unimodular_ints",
     "sampling.rand_fiber_point",
-    "sampling.rand_unimodular",
+    "sampling.rand_rep",
 }
 
 

@@ -13,11 +13,13 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from jordanlab import Partition, QMatrix, RepPair, block_diag, conjugate
 from jordanlab.cli import COMMANDS, GROUPS, build_parser, rep_to_json, run
+from jordanlab.matrices import flat_matmul
 from jordanlab.reps import fiber_basis, jordan_block, jordan_matrix, x_zero
 from jordanlab.sampling import rand_rep, rand_unimodular
 
@@ -529,6 +531,24 @@ def test_high_powers_of_y_vanish_on_a_rep_at_once(capture, tmp_path, argv, expec
     code, out, err = capture(*[str(path) if a == "REP" else a for a in argv])
     assert time.perf_counter() - start < 1.0
     assert (code, out, err) == (0, expected, "")
+
+
+def test_a_high_power_of_x_is_refused_after_few_products(capture, tmp_path):
+    # X^99999 has entries of about 47712 digits, too long to print.  Plain
+    # Horner took one product per coefficient, 99999 in all, and seconds
+    # before the refusal; repeated squaring takes 16 squarings and 9 more
+    # products (99999 has 17 bits, 10 of them set).
+    code, out, _ = capture("rep", "build", "--partition", "2", "--canonical", "3,1")
+    path = tmp_path / "rep2.json"
+    path.write_text(out)
+    start = time.perf_counter()
+    with mock.patch("jordanlab.matrices.flat_matmul", wraps=flat_matmul) as kernel:
+        code, out, err = capture("rep", "eval", str(path), "x^99999")
+    assert time.perf_counter() - start < 2.0
+    assert kernel.call_count == 25
+    assert (code, out) == (1, "")
+    assert err.startswith("error: OutOfRangeError: a number of about 47712 digits ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [("strata", "census", "--n", "100000"),

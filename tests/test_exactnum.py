@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
+from unittest import mock
 
 import pytest
 
@@ -36,10 +38,11 @@ from jordanlab import (
     solve,
     squarefree_part,
 )
-from jordanlab.matrices import _product
+from jordanlab.matrices import _product, flat_matmul
 from jordanlab.reps import jordan_block
-from jordanlab.sampling import rand_rep
+from jordanlab.sampling import rand_nonzero_rational, rand_rep
 from jordanlab.scalars import cleared, content_free, exact, primitive_integral
+from horner_oracle import horner_poly_at_matrix
 
 
 def rand_rational(rng):
@@ -292,6 +295,31 @@ def test_poly_at_matrix_matches_fraction_horner():
             got = poly_at_matrix(p, m)
             assert (got.rows, got.cols) == (n, n)
             assert_exact_entries(got.entries, naive_poly_at(p, m))
+
+
+def test_poly_at_matrix_makes_no_more_products_than_horner():
+    # Plain Horner makes deg p products.  Gaps of one or two cost one
+    # product each (the powers M and M^2 are formed once), t^m costs
+    # floor(log2 m) squarings and popcount(m) - 1 products, and a dense
+    # polynomial scales M for its first step instead of multiplying by it.
+    rng = random.Random(47)
+    m = operand(rng, 3, 3, "mixed")
+
+    def products(p: UniPoly) -> int:
+        with mock.patch("jordanlab.matrices.flat_matmul", wraps=flat_matmul) as kernel:
+            got = poly_at_matrix(p, m)
+        assert got == horner_poly_at_matrix(p, m)
+        return kernel.call_count
+
+    for deg in range(1, 40):
+        assert products(UniPoly((0,) * deg + (1,))) == (
+            deg.bit_length() - 1 + bin(deg).count("1") - 1) <= deg
+        assert products(UniPoly([rand_nonzero_rational(rng) for _ in range(deg + 1)])) == deg - 1
+        gaps = [rng.choice((1, 2)) for _ in range(deg)]
+        coeffs = [0] * (sum(gaps) + 1)
+        for k in accumulate(gaps, initial=0):
+            coeffs[k] = rand_nonzero_rational(rng)
+        assert products(UniPoly(coeffs)) <= sum(gaps) - 1
 
 
 # -- solve / inverse -------------------------------------------------------------

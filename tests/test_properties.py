@@ -1,4 +1,5 @@
-"""Property tests of the fraction-free products, the elimination kernel
+"""Property tests of the fraction-free products, ``poly_at_matrix`` (against
+plain Horner), the elimination kernel
 (against sympy's rref), the orbit-map series, the text and JSON round trips,
 the algebra product (against its termwise oracle, and associativity),
 conjugation invariance, the closure of right ideals, rational roots and the
@@ -13,6 +14,7 @@ pytest.importorskip("hypothesis")
 import json  # noqa: E402
 import random  # noqa: E402
 from fractions import Fraction  # noqa: E402
+from unittest import mock  # noqa: E402
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
@@ -38,9 +40,11 @@ from jordanlab import (  # noqa: E402
     rational_roots,
 )
 from jordanlab.imagealg import _right_ideal  # noqa: E402
+from jordanlab.matrices import flat_matmul  # noqa: E402
 from jordanlab.reps import _centralizer_supports  # noqa: E402
 from jordanlab.sampling import rand_normal_poly, rand_rep, rand_unimodular  # noqa: E402
 from jordanlab.strata import _orbit_differential  # noqa: E402
+from horner_oracle import horner_poly_at_matrix  # noqa: E402
 from multiply_oracle import multiply as oracle_multiply  # noqa: E402
 from orbit_oracle import matrix_differential, polynomial_in_j  # noqa: E402
 from span_oracle import EagerSpan  # noqa: E402
@@ -81,6 +85,29 @@ def test_matmul_is_associative(abc):
 @given(POLYS, POLYS, squares())
 def test_poly_at_matrix_is_multiplicative(p, q, m):
     assert poly_at_matrix(p * q, m) == poly_at_matrix(p, m) @ poly_at_matrix(q, m)
+
+
+@st.composite
+def spread_polys(draw):
+    """A polynomial of degree up to 40: dense, sparse (about three of four
+    coefficients 0) or a multiple of t^m."""
+    deg = draw(st.integers(min_value=0, max_value=40))
+    kind = draw(st.sampled_from(("dense", "sparse", "power")))
+    entry = {"dense": SCALARS, "sparse": st.one_of(st.just(0), st.just(0), st.just(0), SCALARS),
+             "power": st.just(0)}[kind]
+    lower = draw(st.lists(entry, min_size=deg, max_size=deg))
+    return UniPoly(lower + [draw(SCALARS.filter(bool))])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(spread_polys(), squares())
+def test_poly_at_matrix_matches_plain_horner_in_fewer_products(p, m):
+    # Plain Horner makes deg p products; stepping over the zero runs never
+    # makes more (proof in the ``poly_at_matrix`` docstring).
+    with mock.patch("jordanlab.matrices.flat_matmul", wraps=flat_matmul) as kernel:
+        got = poly_at_matrix(p, m)
+    assert got == horner_poly_at_matrix(p, m)
+    assert kernel.call_count <= p.degree
 
 
 @st.composite

@@ -38,7 +38,7 @@ from jordanlab import (
 from jordanlab import imagealg
 from jordanlab.cli import rep_to_json, run
 from jordanlab.matrices import parse_matrix
-from jordanlab.sampling import rand_rep, rand_unimodular
+from jordanlab.sampling import _unit_lower_inverse, rand_rep, rand_unimodular
 
 
 def fraction_product(*mats: QMatrix) -> QMatrix:
@@ -79,13 +79,39 @@ def rand_rep_by_fractions(rng: random.Random, n: int) -> "tuple[QMatrix, QMatrix
 
 def test_rand_rep_pairs_verify_and_match_the_fraction_path():
     draws = 0
-    for n in range(1, 9):
+    for n in range(1, 11):
         for seed in range(30):
             rep = rand_rep(random.Random(f"{n}/{seed}"), n)
             assert RepPair(rep.X, rep.Y) == rep
             assert (rep.X, rep.Y) == rand_rep_by_fractions(random.Random(f"{n}/{seed}"), n)
             draws += 1
-    assert draws >= 200
+    assert draws >= 300
+
+
+def test_rand_unimodular_inverse_is_the_elimination_inverse():
+    # c_inv = U^-1 L^-1 is formed by substitution, with no elimination; the
+    # proof of rand_rep needs c c_inv = I.
+    draws = 0
+    for n in range(1, 11):
+        for seed in range(30):
+            c, c_inv = rand_unimodular(random.Random(f"unimodular {n}/{seed}"), n)
+            assert all(type(v) is int for v in c.entries + c_inv.entries)
+            assert fraction_product(c, c_inv) == QMatrix.identity(n)
+            assert c_inv == inverse(c)
+            draws += 1
+    assert draws >= 300
+
+
+def test_unit_lower_inverse_is_the_elimination_inverse():
+    rng = random.Random(67)
+    for trial in range(120):
+        n = trial % 11
+        bound = (3, 50, 2**40)[trial % 3]
+        low = [1 if i == j else (rng.randint(-bound, bound) if i > j else 0)
+               for i in range(n) for j in range(n)]
+        got = _unit_lower_inverse(low, n)
+        assert all(type(v) is int for v in got)
+        assert QMatrix(n, n, tuple(got)) == inverse(QMatrix(n, n, tuple(low)))
 
 
 def test_conjugate_refuses_a_wrong_inverse():
