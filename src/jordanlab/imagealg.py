@@ -19,6 +19,7 @@ rational spectrum of X, and refuses (typed error) an irrational one.
 from __future__ import annotations
 
 from functools import cached_property
+from math import lcm
 from operator import mul
 
 from .errors import IrrationalEigenvaluesError, OutOfRangeError
@@ -27,6 +28,8 @@ from .matrices import (
     QMatrix,
     SpanBuilder,
     _echelon,
+    _kernel,
+    _num_rows,
     _product,
     char_poly,
     flat_matmul,
@@ -36,7 +39,7 @@ from .matrices import (
 )
 from .polynomials import UniPoly, rational_roots
 from .reps import RepPair, evaluate
-from .scalars import Scalar, _Record, _set, cleared, primitive_integral, scalar_str
+from .scalars import Scalar, _Record, _set, content_free, scalar_str
 
 
 class ImageAlgebra(_Record):
@@ -85,8 +88,14 @@ class ImageAlgebra(_Record):
     @cached_property
     def basis(self) -> tuple:
         """QMatrix basis in canonical reduced-echelon order (unit pivots)."""
-        n = self.rep.n
-        return tuple(QMatrix(n, n, vec) for vec in self._span.basis_vectors())
+        return tuple(_unit_pivot_rows(self._span, self.rep.n))
+
+
+def _unit_pivot_rows(span: SpanBuilder, n: int) -> "list[QMatrix]":
+    """The span's reduced rows over their pivot entries, as n x n matrices:
+    a reduced row is primitive with row[p] > 0 at its pivot p, so (row,
+    row[p]) is already the stored form of ``QMatrix``."""
+    return [QMatrix._of(n, n, tuple(row), row[p]) for row, p in zip(span.rows, span.pivots)]
 
 
 def _right_ideal(rep: RepPair, seeds) -> SpanBuilder:
@@ -145,7 +154,7 @@ def _right_ideal(rep: RepPair, seeds) -> SpanBuilder:
     which map Y^iA onto Y^(i+1)A since AY = YA, give Y^jA = Y^nu A = 0.
     """
     n = rep.n
-    x, y = primitive_integral(rep.X.entries), primitive_integral(rep.Y.entries)
+    x, y = content_free(rep.X.nums), content_free(rep.Y.nums)
     levels = [[vec for vec in seeds if any(vec)]]
     while levels[-1]:
         levels.append([w for w in (flat_matmul(v, y, n, n, n) for v in levels[-1]) if any(w)])
@@ -160,7 +169,7 @@ def _right_ideal(rep: RepPair, seeds) -> SpanBuilder:
 
 def image_algebra(rep: RepPair) -> ImageAlgebra:
     """A as the right ideal I*A: all words in X, Y from the identity seed."""
-    return ImageAlgebra._of_span(rep, _right_ideal(rep, [QMatrix.identity(rep.n).entries]))
+    return ImageAlgebra._of_span(rep, _right_ideal(rep, [QMatrix.identity(rep.n).nums]))
 
 
 def dim_bound(n: int) -> int:
@@ -200,68 +209,76 @@ def radical_basis(a: ImageAlgebra) -> "list[QMatrix]":
     So no closure runs.  Traces against the powers of the primitive integer
     multiple x of X (each a nonzero multiple) are taken on the reduced rows
     u_j of A (``ImageAlgebra.rows``), zero at each other's pivots p_j.
-    ``nullspace_basis`` of that trace matrix with its columns reversed
-    gives, per non-pivot column, a vector with 1 there, 0 at the other
+    The canonical kernel basis of that trace matrix with its columns
+    reversed (``matrices._kernel``, each vector times one positive integer)
+    has, per non-pivot column, a vector nonzero there, 0 at the other
     non-pivot columns and nonzero entries only before it; read backwards,
-    these are zero before their 1 and at every other vector's 1: the
-    reduced-echelon basis of the kernel in Q^(dim A), each with at most
-    r + 1 nonzero entries.  For such
-    a c, led at l, w = sum_j c_j u_j is zero before p_l, c_l u_l != 0 at
-    p_l, and zero at every other w's lead.  So the w are a basis of J in
+    these are zero before their lead and at every other vector's lead:
+    integral multiples of the reduced-echelon basis of the kernel in
+    Q^(dim A), each with at most r + 1 nonzero entries.  For such a c, led
+    at l, w = sum_j c_j u_j is zero before p_l, c_l u_l != 0 at p_l, and
+    zero at every other w's lead.  So the w are a basis of J in
     echelon form, zero at each other's pivots: ``_echelon`` takes no
     elimination step on them, nor does the read of its reduced rows, and
     those are J's canonical ``SpanBuilder`` rows, those of any closure.
     """
     rep, n, d = a.rep, a.rep.n, a.dim
-    xt = QMatrix(n, n, _transposed(primitive_integral(rep.X.entries), n))
-    forms = [QMatrix.identity(n)]  # (x^T)^k: tr(u x^k) is the dot product of u and (x^T)^k
+    xt = _transposed(content_free(rep.X.nums), n)
+    forms = [QMatrix.identity(n).nums]  # (x^T)^k: tr(u x^k) is the dot product of u and (x^T)^k
     for _ in rational_spectrum(rep.X)[1:]:
-        forms.append(forms[-1] @ xt)
-    traces = QMatrix(len(forms), d, tuple(sum(map(mul, u, f.entries))
-                                          for f in forms for u in reversed(a.rows)))
-    kernel = [cleared(vec[::-1])[0] for vec in reversed(nullspace_basis(traces))]
+        forms.append(flat_matmul(forms[-1], xt, n, n, n))
+    traces = ([sum(map(mul, u, f)) for u in reversed(a.rows)] for f in forms)
+    kernel = [vec[::-1] for vec in reversed(_kernel(traces, d)[0])]
     w = flat_matmul([c for vec in kernel for c in vec], [v for u in a.rows for v in u],
                     len(kernel), d, n * n)
     span = _echelon((w[i * n * n:(i + 1) * n * n] for i in range(len(kernel))), n * n)
-    return [QMatrix(n, n, vec) for vec in span.basis_vectors()]
+    return _unit_pivot_rows(span, n)
 
 
-def _eigenbasis(x: QMatrix, spectrum) -> "tuple[QMatrix, QMatrix]":
-    """C and C^-1, where the columns of C are the canonical kernel bases of
-    the (X - lambda)^mult in spectrum order: block i of C spans the
-    generalized eigenspace V_i of the i-th eigenvalue, of dimension mult
-    (Jordan form), and V is the direct sum of the V_i.  With one eigenvalue
-    (X - lambda)^n = 0 (Cayley-Hamilton), whose canonical kernel basis is
-    the standard basis: C = C^-1 = I, and nothing is computed."""
+def _eigenbasis(x: QMatrix, spectrum) -> QMatrix:
+    """C, whose columns are the canonical kernel bases of the (X - lambda)^mult
+    in spectrum order: block i of C spans the generalized eigenspace V_i of
+    the i-th eigenvalue, of dimension mult (Jordan form), and V is the
+    direct sum of the V_i.  With one eigenvalue (X - lambda)^n = 0
+    (Cayley-Hamilton), whose canonical kernel basis is the standard basis:
+    C = I, and nothing is computed."""
     n = x.rows
     if len(spectrum) == 1:
-        return (QMatrix.identity(n),) * 2
-    columns = []
-    for lam, mult in spectrum:
-        columns += nullspace_basis(poly_at_matrix(UniPoly.from_roots([lam] * mult), x))
-    c = QMatrix(n, n, tuple(columns[j][i] for i in range(n) for j in range(n)))
-    return c, inverse(c)
+        return QMatrix.identity(n)
+    kernels = [_kernel(_num_rows(poly_at_matrix(UniPoly.from_roots([lam] * mult), x)), n)
+               for lam, mult in spectrum]
+    den = lcm(*(d for _, d in kernels))  # the columns over one denominator
+    columns = [[v * (den // d) for v in vec] for basis, d in kernels for vec in basis]
+    return QMatrix._reduced(n, n, [columns[j][i] for i in range(n) for j in range(n)], den)
 
 
 def _summands(rep: RepPair, spectrum) -> "tuple[QMatrix, list[RepPair]]":
     """C of ``_eigenbasis`` and the summands (X_i, Y_i), the diagonal blocks
     of (C^-1 X C, C^-1 Y C) in spectrum order.
 
-    Block i of C spans V_i, the image of the eigenprojection e_i, which
-    commutes with Y (``idempotents``).  So V_i is Y-invariant, both
+    Block i of C, the n x m_i matrix C_i, spans V_i, the image of the
+    eigenprojection e_i, which commutes with X and Y (``idempotents``).  So
+    V_i is invariant under both, X C_i = C_i X_i and Y C_i = C_i Y_i, both
     conjugated matrices are block-diagonal, and each summand satisfies the
     relation, so it is not re-verified: the conjugated pair does
-    (``reps.conjugate``; C^-1 is the exact ``inverse``), and products of
-    block-diagonal matrices are taken block by block.
+    (``reps.conjugate``), and products of block-diagonal matrices are taken
+    block by block.
+
+    No inverse is formed.  Column f of C_i is the canonical kernel vector
+    of its free column f (``matrices._kernel``): 1 at f, which is its last
+    nonzero entry, and 0 at the other free columns F_i of its block.  So
+    the rows F_i of C_i are the identity, and the rows F_i of X C_i =
+    C_i X_i are X_i: X_i and Y_i are read off the two products X C and Y C.
     """
     n = rep.n
-    c, c_inv = _eigenbasis(rep.X, spectrum)
-    xb, yb = _product(c_inv, rep.X, c).entries, _product(c_inv, rep.Y, c).entries
+    c = _eigenbasis(rep.X, spectrum)
+    free = [max(i for i in range(n) if c.nums[i * n + j]) for j in range(n)]
+    products = _product(rep.X, c), _product(rep.Y, c)
     summands, lo = [], 0
     for _, m in spectrum:
-        block = [i * n + j for i in range(lo, lo + m) for j in range(lo, lo + m)]
-        summands.append(RepPair._proved(QMatrix(m, m, tuple(xb[k] for k in block)),
-                                        QMatrix(m, m, tuple(yb[k] for k in block))))
+        cells = [free[j] * n + k for j in range(lo, lo + m) for k in range(lo, lo + m)]
+        summands.append(RepPair._proved(*(QMatrix._reduced(m, m, [p.nums[i] for i in cells], p.den)
+                                          for p in products)))
         lo += m
     return c, summands
 
@@ -271,12 +288,13 @@ def _eigenprojections(x: QMatrix, spectrum) -> "list[QMatrix]":
     C P_i keeps the columns of block i and zeroes the others, so E_i is the
     product of those m_i columns of C and the m_i rows of C^-1 they meet:
     n^2 m_i steps where the full triple product takes about 2n^3."""
-    c, c_inv = _eigenbasis(x, spectrum)
+    c = _eigenbasis(x, spectrum)
+    c_inv = c if len(spectrum) == 1 else inverse(c)
     n, lo, out = x.rows, 0, []
     for _, m in spectrum:
-        cols = tuple(c.entries[i * n + j] for i in range(n) for j in range(lo, lo + m))
-        rows = c_inv.entries[lo * n:(lo + m) * n]
-        out.append(_product(QMatrix(n, m, cols), QMatrix(m, n, rows)))
+        cols = [c.nums[i * n + j] for i in range(n) for j in range(lo, lo + m)]
+        prod = flat_matmul(cols, c_inv.nums[lo * n:(lo + m) * n], n, m, n)
+        out.append(QMatrix._reduced(n, n, prod, c.den * c_inv.den))
         lo += m
     return out
 
@@ -369,8 +387,9 @@ def quiver(a: ImageAlgebra) -> QuiverData:
     spectrum = rational_spectrum(a.rep.X)
     loops = []
     for (lam, m), pair in zip(spectrum, _summands(a.rep, spectrum)[1]):
-        s = [v - lam if k % (m + 1) == 0 else v for k, v in enumerate(pair.X.entries)]
-        gens = [primitive_integral(pair.Y.entries), primitive_integral(s)]
+        p, q, d = lam.numerator, lam.denominator, pair.X.den  # q d (X_i - lam) is integral
+        s = [q * v - p * d if k % (m + 1) == 0 else q * v for k, v in enumerate(pair.X.nums)]
+        gens = [content_free(pair.Y.nums), content_free(s)]
         rad = _right_ideal(pair, gens).rank if len(spectrum) > 1 else a.dim - 1
         loops.append(rad - _right_ideal(
             pair, [flat_matmul(g, h, m, m, m) for g in gens for h in gens]).rank)
@@ -396,10 +415,11 @@ def ideal_codim(a: ImageAlgebra, gens) -> int:
     never formed.  Transposition keeps dimensions.
     """
     rep, n = a.rep, a.rep.n
-    images = [primitive_integral(evaluate(g, rep).entries) for g in gens]
+    images = [content_free(evaluate(g, rep).nums) for g in gens]
     right = _right_ideal(rep, images)
-    flipped = RepPair._proved(QMatrix(n, n, _transposed(rep.X.entries, n)),
-                              -QMatrix(n, n, _transposed(rep.Y.entries, n)))
+    # Transposition keeps the stored form: the same numerators over the same den.
+    flipped = RepPair._proved(QMatrix._of(n, n, _transposed(rep.X.nums, n), rep.X.den),
+                              -QMatrix._of(n, n, _transposed(rep.Y.nums, n), rep.Y.den))
     return a.dim - _right_ideal(flipped, [_transposed(row, n) for row in right._rows]).rank
 
 
@@ -429,11 +449,12 @@ def discover_relations(rep: RepPair, max_degree: int) -> "list[NormalPoly]":
     images = {(0, 0): QMatrix.identity(rep.n)}
     for k, m in monomials[1:]:
         images[k, m] = rep.Y @ images[k - 1, m] if k else images[0, m - 1] @ rep.X
-    columns = [images[km].entries for km in monomials]
+    den = lcm(*(m.den for m in images.values()))  # the columns over one denominator
+    columns = [[v * (den // images[km].den) for v in images[km].nums] for km in monomials]
     n2 = rep.n * rep.n
-    eval_matrix = QMatrix(n2, len(monomials),
-                          tuple(columns[c][r] for r in range(n2)
-                                for c in range(len(monomials))))
+    eval_matrix = QMatrix._reduced(n2, len(monomials),
+                                   [columns[c][r] for r in range(n2)
+                                    for c in range(len(monomials))], den)
     kernel = nullspace_basis(eval_matrix)
     return [NormalPoly({monomials[i]: v for i, v in enumerate(vec)})
             for vec in kernel]

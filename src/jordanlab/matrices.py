@@ -1,15 +1,16 @@
 """Dense exact-rational matrices and the elimination kernel.
 
-All arithmetic is exact, and the hot loops run on plain integers.  There
-is one product kernel, ``_product``: it clears each factor's denominators
-once (``scalars.cleared``), chains the integer products in one flat kernel
-(``flat_matmul``) and divides each result entry once.  ``@`` and every
-change of basis (``reps.conjugate``, the eigen-summands and
-eigenprojections of ``imagealg``) multiply through it;
-``poly_at_matrix`` runs Horner's rule on integers in the same way, and
-``sampling.rand_rep`` conjugates its integer factors in ``flat_matmul``
-itself.  So no ``Fraction`` arithmetic happens inside a product, and a
-``QMatrix`` is built only for the result.
+All arithmetic is exact, and the hot loops run on plain integers.  A
+``QMatrix`` stores int numerators over one denominator (proved canonical
+in its docstring) and forms its ``Fraction`` entries only when they are
+read.  There is one product kernel, ``_product``: it chains the factors'
+numerators in one flat integer kernel (``flat_matmul``) and reduces the
+result by one gcd.  ``@`` and every change of basis (``reps.conjugate``,
+the eigen-summands and eigenprojections of ``imagealg``) multiply through
+it; ``poly_at_matrix`` runs Horner's rule on integers in the same way, and
+``sampling.rand_rep`` conjugates its integer factors in it.  So no
+``Fraction`` arithmetic happens inside a product, a span or a spectral
+split.
 
 There is one elimination routine, ``SpanBuilder``:
 a fraction-free integral echelon form kept with primitive rows and positive
@@ -28,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InputFormatError, NonSquareError, SingularMatrixError, SizeMismatchError
 from .polynomials import UniPoly
@@ -40,27 +41,84 @@ from .scalars import (
     content_free,
     exact,
     parse_scalar,
-    primitive_integral,
     scalar_str,
 )
 
 
 class QMatrix(_Record):
-    __slots__ = _fields = ("rows", "cols", "entries")  # entries: row-major, rows*cols
+    """An exact rational rows x cols matrix.
+
+    Stored form: ``nums``, the row-major tuple of int numerators, over one
+    denominator ``den >= 1`` with gcd(content, den) = 1, content being the
+    gcd of the nums (so zero has den = 1).  It is canonical, as the
+    ``freealg.NormalPoly`` form is: entry k has the reduced denominator
+    den/g_k, g_k = gcd(nums_k, den), and for each prime p the largest power
+    of p among these is v_p(den) - min_k v_p(g_k) = v_p(den), as gcd_k g_k
+    = gcd(content, den) = 1.  So den is the lcm of the reduced denominators
+    and nums_k = den * entry_k: (nums, den) is what ``cleared`` makes of
+    the entries, and ``==`` and ``hash`` compare (rows, cols, nums, den).
+
+    ``entries``, the row-major exact scalars, is what the public
+    constructor coerces through ``exact`` and keeps; ``_of`` and
+    ``_reduced`` take numerators, and ``entries`` is formed on first read.
+    repr, pickling, ``str`` and JSON read the record (rows, cols, entries).
+    """
+
+    __slots__ = ("rows", "cols", "nums", "den", "_entries")
+    _fields = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: tuple):
         _set(self, "rows", rows)
         _set(self, "cols", cols)
-        _set(self, "entries", entries)
+        _set(self, "_entries", entries)
         self.__post_init__()
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative matrix dimensions")
-        ents = tuple(exact(v) for v in self.entries)
+        ents = tuple(exact(v) for v in self._entries)
         if len(ents) != self.rows * self.cols:
             raise ValueError("entry count does not match dimensions")
-        _set(self, "entries", ents)
+        nums, den = cleared(ents)
+        _set(self, "_entries", ents)
+        _set(self, "nums", tuple(nums))
+        _set(self, "den", den)
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, nums: tuple, den: int) -> "QMatrix":
+        """The matrix nums/den, for numerators and a denominator already in
+        the stored form."""
+        m = cls.__new__(cls)
+        _set(m, "rows", rows)
+        _set(m, "cols", cols)
+        _set(m, "nums", nums)
+        _set(m, "den", den)
+        _set(m, "_entries", None)
+        return m
+
+    @classmethod
+    def _reduced(cls, rows: int, cols: int, nums, den: int) -> "QMatrix":
+        """The matrix nums/den for int nums and den >= 1, put in the stored
+        form by one gcd."""
+        g = gcd(den, *nums)
+        if g > 1:
+            return cls._of(rows, cols, tuple(v // g for v in nums), den // g)
+        return cls._of(rows, cols, tuple(nums), den)
+
+    @property
+    def entries(self) -> tuple:
+        if self._entries is None:
+            _set(self, "_entries", _divided(self.nums, self.den))
+        return self._entries
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rows == other.rows and self.cols == other.cols
+                    and self.den == other.den and self.nums == other.nums)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.nums, self.den))
 
     # -- constructors ------------------------------------------------------
 
@@ -107,31 +165,32 @@ class QMatrix(_Record):
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.entries)
+        return not any(self.nums)
 
     def trace(self) -> Scalar:
         if not self.is_square:
             raise NonSquareError("trace of a non-square matrix")
-        return exact(Fraction(sum(self.entries[i * self.cols + i] for i in range(self.rows))))
+        return exact(Fraction(sum(self.nums[::self.cols + 1]), self.den))
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         self._same_shape(other)
-        return QMatrix(self.rows, self.cols,
-                       tuple(a + b for a, b in zip(self.entries, other.entries)))
+        den = lcm(self.den, other.den)  # the numerators summed over one denominator
+        s, t = den // self.den, den // other.den
+        return QMatrix._reduced(self.rows, self.cols,
+                                [s * a + t * b for a, b in zip(self.nums, other.nums)], den)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
-        self._same_shape(other)
-        return QMatrix(self.rows, self.cols,
-                       tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self + -other
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return QMatrix._of(self.rows, self.cols, tuple(-a for a in self.nums), self.den)
 
     def scale(self, c) -> "QMatrix":
         c = exact(c)
-        return QMatrix(self.rows, self.cols, tuple(c * a for a in self.entries))
+        return QMatrix._reduced(self.rows, self.cols, [c.numerator * a for a in self.nums],
+                                self.den * c.denominator)
 
     def __mul__(self, c):
         return self.scale(c)
@@ -180,7 +239,7 @@ def flat_matmul(a, b, n: int, k: int, m: int) -> list:
     return out
 
 
-def _divided(values: "list[int]", d: int) -> tuple:
+def _divided(values, d: int) -> tuple:
     """The exact scalars v/d; a Fraction is built only when d does not divide v."""
     if d == 1:
         return tuple(values)
@@ -190,21 +249,20 @@ def _divided(values: "list[int]", d: int) -> tuple:
 def _product(*factors: QMatrix) -> QMatrix:
     """The exact product of one or more matrices, left to right.
 
-    Fraction-free: with each factor m_i = A_i/d_i for integer A_i
-    (``cleared``, once per factor), the product is (A_1 ... A_k)/(d_1 ...
-    d_k) entry by entry, so the integer products are chained in
-    ``flat_matmul`` and each result entry is divided once.
+    Fraction-free: with each factor m_i = A_i/d_i in its stored form, the
+    product is (A_1 ... A_k)/(d_1 ... d_k), so the integer products are
+    chained in ``flat_matmul`` and one gcd puts the result in the stored
+    form (``QMatrix._reduced``).
     """
     first = factors[0]
     rows, cols = first.rows, first.cols
-    acc, d = cleared(first.entries)
+    acc, d = first.nums, first.den
     for m in factors[1:]:
         if cols != m.rows:
             raise SizeMismatchError(f"cannot multiply {rows}x{cols} by {m.rows}x{m.cols}")
-        b, e = cleared(m.entries)
-        acc = flat_matmul(acc, b, rows, cols, m.cols)
-        cols, d = m.cols, d * e
-    return QMatrix(rows, cols, _divided(acc, d))
+        acc = flat_matmul(acc, m.nums, rows, cols, m.cols)
+        cols, d = m.cols, d * m.den
+    return QMatrix._reduced(rows, cols, acc, d)
 
 
 def block_diag(blocks) -> QMatrix:
@@ -269,7 +327,7 @@ def int_normalized(m: QMatrix) -> QMatrix:
     Span computations may replace any element by a nonzero multiple; doing
     so keeps span arithmetic integral and small.
     """
-    return QMatrix(m.rows, m.cols, tuple(primitive_integral(m.entries)))
+    return QMatrix._of(m.rows, m.cols, tuple(content_free(m.nums)), 1)
 
 
 class SpanBuilder(_Record):
@@ -428,27 +486,38 @@ def _echelon(rows, length: int) -> SpanBuilder:
     return span
 
 
+def _num_rows(m: QMatrix):
+    """The rows of the integer matrix den*m, which span the row space of m."""
+    c = m.cols
+    return (m.nums[i * c:(i + 1) * c] for i in range(m.rows))
+
+
 def rank(m: QMatrix) -> int:
     """Rank over the rationals."""
-    return _echelon(map(m.row, range(m.rows)), m.cols).rank
+    return _echelon(_num_rows(m), m.cols).rank
 
 
 def nullspace_basis(m: QMatrix) -> "list[tuple[Scalar, ...]]":
     """Canonical (reduced-echelon) basis of the right kernel."""
-    span = _echelon(map(m.row, range(m.rows)), m.cols)
-    pivot_cols = set(span.pivots)
+    basis, den = _kernel(_num_rows(m), m.cols)
+    return [_divided(vec, den) for vec in basis]
+
+
+def _kernel(rows, length: int) -> "tuple[list[list[int]], int]":
+    """The canonical kernel basis of the matrix with the given integer rows,
+    as integer vectors over one denominator d, the lcm of the pivot entries
+    of its reduced rows.  The vector of free column f is 1 at f and
+    -row[f]/row[c] at the pivot c of each reduced row, 0 elsewhere."""
+    span = _echelon(rows, length)
+    den = lcm(*(row[c] for row, c in zip(span.rows, span.pivots)))
     basis = []
-    for free in range(m.cols):
-        if free in pivot_cols:
-            continue
-        vec: list[Scalar] = [0] * m.cols
-        vec[free] = 1
+    for free in sorted(set(range(length)) - set(span.pivots)):
+        vec = [0] * length
+        vec[free] = den
         for row, c in zip(span.rows, span.pivots):
-            num = row[free]
-            if num:
-                vec[c] = exact(Fraction(-num, row[c]))
-        basis.append(tuple(vec))
-    return basis
+            vec[c] = -row[free] * (den // row[c])
+        basis.append(vec)
+    return basis, den
 
 
 def solve(m: QMatrix, rhs) -> "tuple[Scalar, ...] | None":
@@ -457,7 +526,7 @@ def solve(m: QMatrix, rhs) -> "tuple[Scalar, ...] | None":
     if len(b) != m.rows:
         raise SizeMismatchError("right-hand side length does not match rows")
     n = m.cols
-    span = _echelon(([*m.row(i), b[i]] for i in range(m.rows)), n + 1)
+    span = _echelon(([*row, v * m.den] for row, v in zip(_num_rows(m), b)), n + 1)
     if span.pivots and span.pivots[-1] == n:
         return None  # inconsistent system
     vec: list[Scalar] = [0] * n
@@ -472,25 +541,22 @@ def inverse(m: QMatrix) -> QMatrix:
     if m is singular."""
     if not m.is_square:
         raise NonSquareError("inverse of a non-square matrix")
-    n = m.rows
-    a, d = cleared(m.entries)
-    rows = []
-    for i in range(n):
-        row = a[i * n:(i + 1) * n] + [0] * n
-        row[n + i] = d
-        rows.append(row)
+    n, d = m.rows, m.den
     # Row i is d times row i of [m | I], an integer row with the same span.
-    span = _echelon(rows, 2 * n)
+    span = _echelon(([*row] + [d if j == i else 0 for j in range(n)]
+                     for i, row in enumerate(_num_rows(m))), 2 * n)
     if span.pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return QMatrix(n, n, tuple(v for i, row in enumerate(span.rows)
-                               for v in _divided(row[n:], row[i])))
+    # Row i of the reduced rows is its pivot entry p_i times [e_i | row i of m^-1].
+    den = lcm(*(row[i] for i, row in enumerate(span.rows)))
+    return QMatrix._reduced(n, n, [v * (den // row[i]) for i, row in enumerate(span.rows)
+                                   for v in row[n:]], den)
 
 
 def char_poly(m: QMatrix) -> UniPoly:
     """Monic characteristic polynomial det(tI - m) via Faddeev-LeVerrier.
 
-    It runs on the integer A = d*m (``cleared``): M_1 = I, a_(n-k) =
+    It runs on the integer A = d*m (the stored form): M_1 = I, a_(n-k) =
     -tr(A M_k)/k, M_(k+1) = A M_k + a_(n-k) I give det(tI - A) = sum a_j t^j.
     Each division is exact: by Newton's identities -tr(A M_k)/k is a_(n-k),
     (-1)^k times the sum of the k x k principal minors of A, an integer;
@@ -499,8 +565,7 @@ def char_poly(m: QMatrix) -> UniPoly:
     """
     if not m.is_square:
         raise NonSquareError("characteristic polynomial of a non-square matrix")
-    n = m.rows
-    a, d = cleared(m.entries)
+    n, a, d = m.rows, m.nums, m.den
     coeffs = [0] * n + [1]
     am = [0] * (n * n)
     for k in range(1, n + 1):
@@ -515,24 +580,11 @@ def poly_at_matrix(p: UniPoly, m: QMatrix) -> QMatrix:
     """Evaluate a univariate polynomial at a square matrix, by Horner's rule
     on integers that steps over each run of zero coefficients at once.
 
-    Write p = P/c and m = M/e with P and M integral (``cleared``), and let
+    Write p = P/c (``cleared``) and m = M/e (its stored form), and let
     D = deg p.  Then c*e^D*p(m) = sum_k P_k e^D (M/e)^k = Q(M) for the
     integer polynomial Q with coefficients Q_k = P_k*e^(D-k).  So Q(M) is
-    formed on integers only, and p(m) = Q(M)/(c*e^D) needs one division
-    per entry.
-
-    Let k_0 = D > k_1 > ... > k_r be the k with Q_k != 0.  Horner's rule
-    R_0 = Q_D, R_i = R_(i-1) M^(k_(i-1) - k_i) + Q_(k_i) I and Q(M) =
-    R_r M^(k_r) gives R_i = sum_(j<=i) Q_(k_j) M^(k_j - k_i) by induction:
-    it is plain Horner with each run of g - 1 zero coefficients folded
-    into one step, since those g steps multiply by M and add 0.  R_0 is a
-    scalar, so its first step scales a power.  Each power M^g is formed by
-    repeated squaring from the squares M^(2^s), kept for the call, all on
-    integers, so the result is exact.  A power not yet formed costs at
-    most floor(log2 g) squarings and popcount(g) - 1 products, which is at
-    most g - 1 (checked directly for g < 8; for g >= 8 it is at most
-    2 log2 g <= g - 1), so a gap of g costs at most g products: never more
-    than the D products of plain Horner, and at most 2 log2 D for t^D.
+    formed on integers only (``_horner``), and p(m) = Q(M)/(c*e^D) needs
+    one gcd.
     """
     if not m.is_square:
         raise NonSquareError("polynomial of a non-square matrix")
@@ -540,24 +592,47 @@ def poly_at_matrix(p: UniPoly, m: QMatrix) -> QMatrix:
     if p.is_zero():
         return QMatrix.zeros(n)
     coeffs, c = cleared(p.coeffs)
-    mat, e = cleared(m.entries)
-    deg = p.degree
-    squares = [mat]
-    powers = {1: mat}
+    out = _horner(coeffs, m.den, p.degree, {1: m.nums}, n)
+    return QMatrix._reduced(n, n, out, c * m.den ** p.degree)
+
+
+def _horner(coeffs: "list[int]", e: int, deg: int, powers: dict, n: int) -> "list[int]":
+    """Q(M) = sum_k Q_k M^k, Q_k = coeffs[k]*e^(deg-k), for int coeffs, not
+    all 0, with len(coeffs) <= deg + 1; row-major, on integers only.
+    ``powers`` maps g to M^g for the integer n x n M, at least M^1; each
+    power formed here is added to it, so callers that share it
+    (``reps.evaluate``, one per row in Y) form each power once.
+
+    Let k_0 > k_1 > ... > k_r be the k with Q_k != 0.  Horner's rule
+    R_0 = Q_(k_0), R_i = R_(i-1) M^(k_(i-1) - k_i) + Q_(k_i) I and Q(M) =
+    R_r M^(k_r) gives R_i = sum_(j<=i) Q_(k_j) M^(k_j - k_i) by induction:
+    it is plain Horner with each run of g - 1 zero coefficients folded
+    into one step, since those g steps multiply by M and add 0.  R_0 is a
+    scalar, so its first step scales a power.  Each power M^g is formed by
+    repeated squaring from the squares M^(2^s).  A power not yet formed
+    costs at most floor(log2 g) squarings and popcount(g) - 1 products,
+    which is at most g - 1 (checked directly for g < 8; for g >= 8 it is
+    at most 2 log2 g <= g - 1), so a gap of g costs at most g products:
+    never more than the k_0 products of plain Horner, and at most
+    2 log2 k_0 for t^(k_0).
+    """
+    top = max(k for k, v in enumerate(coeffs) if v)
+    lead = coeffs[top] * e ** (deg - top)
 
     def times_power(out, g: int) -> "list[int]":  # out M^g; None stands for R_0
         if g not in powers:
-            while 1 << len(squares) <= g:
-                squares.append(flat_matmul(squares[-1], squares[-1], n, n, n))
-            bits = [sq for s, sq in enumerate(squares) if g >> s & 1]
-            powers[g] = reduce(lambda a, b: flat_matmul(a, b, n, n, n), bits)
+            for s in range(1, g.bit_length()):
+                if 1 << s not in powers:
+                    half = powers[1 << (s - 1)]
+                    powers[1 << s] = flat_matmul(half, half, n, n, n)
+            powers[g] = reduce(lambda a, b: flat_matmul(a, b, n, n, n),
+                               [powers[1 << s] for s in range(g.bit_length()) if g >> s & 1])
         if out is None:
-            return [coeffs[deg] * v for v in powers[g]]
+            return [lead * v for v in powers[g]]
         return flat_matmul(out, powers[g], n, n, n)
 
     out = None
-    top = deg
-    for k in range(deg - 1, -1, -1):
+    for k in range(top - 1, -1, -1):
         if coeffs[k]:
             out = times_power(out, top - k)
             q = coeffs[k] * e ** (deg - k)
@@ -566,9 +641,9 @@ def poly_at_matrix(p: UniPoly, m: QMatrix) -> QMatrix:
             top = k
     if top:
         out = times_power(out, top)
-    elif out is None:  # deg = 0
-        out = [coeffs[0] if i % (n + 1) == 0 else 0 for i in range(n * n)]
-    return QMatrix(n, n, _divided(out, c * e ** deg))
+    elif out is None:  # a constant
+        out = [lead if i % (n + 1) == 0 else 0 for i in range(n * n)]
+    return out
 
 
 def nilpotency_index(m: QMatrix) -> "int | None":

@@ -12,9 +12,9 @@ algebra dimensions, orbit data and census numbers.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from math import lcm
 from typing import NamedTuple
 
 from .errors import (
@@ -24,9 +24,9 @@ from .errors import (
     SizeMismatchError,
 )
 from .freealg import NcPoly, NormalPoly, normal_form
-from .matrices import QMatrix, _product, block_diag, flat_matmul, inverse, poly_at_matrix
+from .matrices import QMatrix, _horner, _product, block_diag, flat_matmul, inverse
 from .polynomials import UniPoly
-from .scalars import Scalar, _Record, _set, cleared
+from .scalars import Scalar, _Record, _set
 
 
 class Partition(_Record):
@@ -160,18 +160,18 @@ class RepPair(_Record):
 def _relation_residual(x: QMatrix, y: QMatrix) -> "QMatrix | None":
     """XY - YX - Y^2, or None when it vanishes.
 
-    Computed on the jointly denominator-cleared pair (``cleared``): with
-    (X, Y) = (A, B)/d the residual is ((A - B)B - BA)/d^2, so the check is
-    two integer products.
+    Computed on the pair over one denominator: with (X, Y) = (A, B)/d, d
+    the lcm of the two stored denominators, the residual is ((A - B)B -
+    BA)/d^2, so the check is two integer products.
     """
-    n = x.rows
-    ab, d = cleared(x.entries + y.entries)
-    a, b = ab[:n * n], ab[n * n:]
+    n, d = x.rows, lcm(x.den, y.den)
+    a = [v * (d // x.den) for v in x.nums]
+    b = [v * (d // y.den) for v in y.nums]
     left = flat_matmul([p - q for p, q in zip(a, b)], b, n, n, n)
     residual = [p - q for p, q in zip(left, flat_matmul(b, a, n, n, n))]
     if not any(residual):
         return None
-    return QMatrix(n, n, tuple(Fraction(v, d * d) for v in residual))
+    return QMatrix._reduced(n, n, residual, d * d)
 
 
 class Violation(_Record):
@@ -300,7 +300,7 @@ def fiber_basis(p: Partition) -> FiberBasis:
         entries = [0] * (n * n)
         for cell in cells:
             entries[cell] = 1
-        basis.append(QMatrix(n, n, tuple(entries)))
+        basis.append(QMatrix._of(n, n, tuple(entries), 1))  # 0/1: integral
     return FiberBasis(_particular_solution(p), basis)
 
 
@@ -364,27 +364,34 @@ def evaluate(f, rep: RepPair) -> QMatrix:
     factors through R = k<x,y>/(xy - yx - y^2), where f and normal_form(f)
     are equal.  A letter outside {x, y} raises ValueError (``normal_form``).
     The normal form is stored as N/d with integer numerators N (see
-    ``NormalPoly``), so f(X, Y) = N(X, Y)/d.  N = sum_k Y^k p_k(X) is
-    evaluated by Horner's rule in Y, acc = Y acc + p_k(X) from the top k
-    down, each p_k(X) by ``poly_at_matrix``, and d divides the result once.
-    Y is nilpotent (``RepPair``), so Y^n = 0 and the terms with k >= n are
-    dropped before the table of the p_k is built.
+    ``NormalPoly``), so f(X, Y) = N(X, Y)/d.  Y is nilpotent (``RepPair``),
+    so Y^n = 0 and the terms with k >= n are dropped before the table of
+    the p_k, N = sum_(k<=K) Y^k p_k(X), is built.  Horner's rule in Y runs
+    on integers: with X = M/e and Y = B/g stored and D the largest degree
+    in x, I_K = Q_K(M) and I_k = B I_(k+1) + Q_k(M) give I_0 = e^D g^K
+    N(X, Y), where Q_k(M) = e^D g^(K-k) p_k(X) is ``matrices._horner`` of
+    g^(K-k) p_k.  The rows share one table of the powers of M, so each
+    power is formed once per call, and one gcd divides I_0 by d e^D g^K.
     """
     if isinstance(f, NcPoly):
         f = normal_form(f)
     if not isinstance(f, NormalPoly):
         raise TypeError(f"cannot evaluate {type(f).__name__}")
+    n, x, y = rep.n, rep.X, rep.Y
     nums, den = f.numerators()
-    terms = [(km, c) for km, c in nums.items() if km[0] < rep.n]
+    terms = [(km, c) for km, c in nums.items() if km[0] < n]
     top = max((k for (k, _), _ in terms), default=0)
-    width = max((m for (_, m), _ in terms), default=0) + 1
-    rows = [[0] * width for _ in range(top + 1)]  # rows[k]: p_k, lowest first
+    deg = max((m for (_, m), _ in terms), default=0)
+    rows = [[0] * (deg + 1) for _ in range(top + 1)]  # rows[k]: g^(K-k) p_k, lowest first
     for (k, m), c in terms:
-        rows[k][m] = c
-    acc = poly_at_matrix(UniPoly(rows.pop()), rep.X)
-    for row in reversed(rows):
-        acc = rep.Y @ acc + poly_at_matrix(UniPoly(row), rep.X)
-    return acc if den == 1 else acc.scale(Fraction(1, den))
+        rows[k][m] = c * y.den ** (top - k)
+    powers, acc = {1: x.nums}, [0] * (n * n)
+    for k in range(top, -1, -1):
+        if k < top:
+            acc = flat_matmul(y.nums, acc, n, n, n)
+        if any(rows[k]):
+            acc = [a + b for a, b in zip(acc, _horner(rows[k], x.den, deg, powers, n))]
+    return QMatrix._reduced(n, n, acc, den * x.den ** deg * y.den ** top)
 
 
 class WitnessResult(enum.Enum):

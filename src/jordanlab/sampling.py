@@ -11,9 +11,10 @@ import random
 from fractions import Fraction
 from itertools import accumulate
 
-from .matrices import QMatrix, _divided, flat_matmul, poly_at_matrix
+from .matrices import QMatrix, flat_matmul, poly_at_matrix
 from .polynomials import UniPoly
 from .freealg import NormalPoly
+from .imagealg import _transposed
 from .reps import (
     Partition,
     RepPair,
@@ -53,10 +54,10 @@ def _fiber_numerators(rng: random.Random, p: Partition) -> "list[int]":
     one rational draw per basis element in basis order.  Basis element i is
     the 0/1 matrix of the i-th support of ``_centralizer_supports`` (same
     order), so c_i is added on those cells and no basis matrix is built.
-    Every draw's denominator divides 12 = lcm(1, 2, 3, 4), so 12*c_i and
-    the particular solution's entries times 12 are integers.
+    Every draw's denominator divides 12 = lcm(1, 2, 3, 4), so 12*c_i is an
+    integer; the particular solution is integral, with den 1.
     """
-    acc = [12 * v for v in _particular_solution(p).entries]
+    acc = [12 * v for v in _particular_solution(p).nums]
     for cells in _centralizer_supports(p):
         num, den = _rand_ratio(rng)
         if num:
@@ -68,12 +69,8 @@ def _fiber_numerators(rng: random.Random, p: Partition) -> "list[int]":
 
 def rand_fiber_point(rng: random.Random, p: Partition) -> QMatrix:
     """Random solution X of the relation for Y = jordan_matrix(p): the
-    numerators of ``_fiber_numerators`` divided once per entry by 12."""
-    return QMatrix(p.n, p.n, _divided(_fiber_numerators(rng, p), 12))
-
-
-def _transposed(m: "list[int]", n: int) -> "list[int]":
-    return [m[j * n + i] for i in range(n) for j in range(n)]
+    numerators of ``_fiber_numerators`` over 12, reduced by one gcd."""
+    return QMatrix._reduced(p.n, p.n, _fiber_numerators(rng, p), 12)
 
 
 def _unit_lower_inverse(low: "list[int]", n: int) -> "list[int]":
@@ -126,7 +123,7 @@ def rand_unimodular(rng: random.Random, n: int) -> "tuple[QMatrix, QMatrix]":
     """Random integer matrix with determinant 1, plus its exact inverse
     (``_unimodular_ints``)."""
     c, c_inv = _unimodular_ints(rng, n)
-    return QMatrix(n, n, tuple(c)), QMatrix(n, n, tuple(c_inv))
+    return QMatrix._of(n, n, tuple(c), 1), QMatrix._of(n, n, tuple(c_inv), 1)
 
 
 def rand_rep(rng: random.Random, n: int) -> RepPair:
@@ -137,15 +134,13 @@ def rand_rep(rng: random.Random, n: int) -> RepPair:
     pair is (c X c_inv, c J c_inv) with X = A/12 for the integer A of
     ``_fiber_numerators``, J = jordan_matrix(p), and c, c_inv of
     ``_unimodular_ints``; it is formed on integers, and a ``QMatrix`` is
-    built only for the two results.
+    built from the numerators of each result.
     - c J is a column shift: J has a 1 at (j-1, j) for each column j that
       does not start a block of p and is 0 elsewhere, so column j of c J is
       column j-1 of c there and 0 at the first column of each block.  So
       Y = (c J) c_inv is one integer product.
-    - c X c_inv = (c A c_inv)/12, so X's image is two integer products and
-      one division by 12 per entry (``_divided``).  It is the same rational
-      matrix, with the same int or Fraction entries, as a product of the
-      three factors that clears their denominators.
+    - c X c_inv = (c A c_inv)/12, so X's image is two integer products
+      over 12, reduced by one gcd (``QMatrix._reduced``).
 
     Not re-verified.  Proof: X solves the relation for Y = J by the
     ``fiber_basis`` theorem, and c c_inv = I (``_unimodular_ints``), so
@@ -159,7 +154,7 @@ def rand_rep(rng: random.Random, n: int) -> RepPair:
     cj = [0 if j in starts else c[i + j - 1] for i in range(0, n * n, n) for j in range(n)]
     x = flat_matmul(flat_matmul(c, acc, n, n, n), c_inv, n, n, n)
     y = flat_matmul(cj, c_inv, n, n, n)
-    return RepPair._proved(QMatrix(n, n, _divided(x, 12)), QMatrix(n, n, tuple(y)))
+    return RepPair._proved(QMatrix._reduced(n, n, x, 12), QMatrix._of(n, n, tuple(y), 1))
 
 
 def rand_stabilizer_element(rng: random.Random, n: int) -> QMatrix:

@@ -129,8 +129,9 @@ def cleared(values) -> "tuple[list[int], int]":
     """Integers P and the least d >= 1 with values = P / d, entrywise.
 
     d is the lcm of the denominators; an all-integer input comes back as a
-    list of the same integers with d = 1.  Matrix products, Horner's rule,
-    the span kernel and ``primitive_integral`` clear their input here.
+    list of the same integers with d = 1.  ``QMatrix`` stores its entries
+    in this form; Horner's rule, the span kernel and ``primitive_integral``
+    clear their input here.
     """
     vec = list(values)
     dens = [v.denominator for v in vec if type(v) is not int]

@@ -125,20 +125,36 @@ PROVED_SITES = {
 # ``quiver``, the combinations of A's stored integer rows by the kernel rows
 # in ``radical_basis`` (wrapping those rows in a QMatrix would coerce dim A
 # * n^2 entries, and the echelon form, not one denominator, scales the
-# result), the relation check, and the sampler: its integer sums, the
-# integer c = L U and c^-1 = U^-1 L^-1 of ``_unimodular_ints``, and
-# ``rand_rep``, which conjugates on integers (X's numerators over 12, c J as
-# a column shift of c) and divides each entry of X once by 12, where
-# ``_product`` would wrap and clear five matrices.  A new hand-rolled
-# product fails here; it belongs in ``_product``.
+# result), the block products C[:, block] C^-1[block, :] of
+# ``_eigenprojections`` on the numerators of C and C^-1, the relation
+# check, ``evaluate``'s Horner rule in Y on the numerators of Y and of the
+# rows in X, and the sampler: the integer c = L U and c^-1 = U^-1 L^-1 of
+# ``_unimodular_ints``, and ``rand_rep``, which conjugates on integers
+# (X's numerators over 12, c J as a column shift of c), where ``_product``
+# would wrap five matrices.  A new hand-rolled product fails here; it
+# belongs in ``_product``.
 RAW_PRODUCT_SITES = {
+    "imagealg._eigenprojections",
     "imagealg._right_ideal",
     "imagealg.quiver",
     "imagealg.radical_basis",
     "reps._relation_residual",
+    "reps.evaluate",
     "sampling._unimodular_ints",
-    "sampling.rand_fiber_point",
     "sampling.rand_rep",
+}
+
+# Every function that reads a ``QMatrix`` as exact scalars: its ``entries``,
+# formed as Fractions on first read, or the public readers built on them.
+# Only the public readers of one entry or one row do; ``str``, JSON,
+# ``block_diag`` and ``full_block_canonicalize`` go through ``m[i, j]``.
+# Products, spans, spectral splits, evaluation and sampling read the stored
+# numerators ``nums`` over ``den`` instead, so a hot path that brings the
+# Fractions back fails here.
+ENTRY_READERS = {
+    "matrices.QMatrix.__getitem__",
+    "matrices.QMatrix.row",
+    "matrices.QMatrix.to_rows",
 }
 
 
@@ -171,6 +187,14 @@ def test_only_the_raw_product_sites_bypass_the_product_kernel():
     sites = source_sites(
         lambda node: isinstance(node, ast.Name) and node.id in ("flat_matmul", "_divided"))
     assert {s for s in sites if not s.startswith("matrices.")} == RAW_PRODUCT_SITES
+
+
+def test_only_the_entry_readers_form_fraction_entries():
+    assert source_sites(lambda node: isinstance(node, ast.Attribute)
+                        and node.attr in ("entries", "row", "to_rows")) == ENTRY_READERS
+    assert {site.split(".")[0] for site in source_sites(
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "_entries")} == {"matrices"}
+    assert "__post_init__" in vars(jordanlab.QMatrix)
 
 
 # Every function that reads ``SpanBuilder``'s echelon rows ``_rows`` or its

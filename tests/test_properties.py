@@ -1,4 +1,5 @@
-"""Property tests of the fraction-free products, ``poly_at_matrix`` (against
+"""Property tests of ``QMatrix``'s stored form (against the Fraction-entry
+matrix it replaced), the fraction-free products, ``poly_at_matrix`` (against
 plain Horner), the elimination kernel
 (against sympy's rref), the orbit-map series, the text and JSON round trips,
 the algebra product (against its termwise oracle, and associativity),
@@ -12,18 +13,22 @@ import pytest
 pytest.importorskip("hypothesis")
 
 import json  # noqa: E402
+import pickle  # noqa: E402
 import random  # noqa: E402
 from fractions import Fraction  # noqa: E402
+from math import gcd  # noqa: E402
 from unittest import mock  # noqa: E402
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from jordanlab import (  # noqa: E402
     NcPoly,
+    NonSquareError,
     NormalPoly,
     Partition,
     QMatrix,
     RepPair,
+    SizeMismatchError,
     SpanBuilder,
     UniPoly,
     census,
@@ -42,14 +47,24 @@ from jordanlab import (  # noqa: E402
 from jordanlab.imagealg import _right_ideal  # noqa: E402
 from jordanlab.matrices import flat_matmul  # noqa: E402
 from jordanlab.reps import _centralizer_supports  # noqa: E402
+from jordanlab.scalars import cleared  # noqa: E402
 from jordanlab.sampling import rand_normal_poly, rand_rep, rand_unimodular  # noqa: E402
 from jordanlab.strata import _orbit_differential  # noqa: E402
 from horner_oracle import horner_poly_at_matrix  # noqa: E402
 from multiply_oracle import multiply as oracle_multiply  # noqa: E402
+from qmatrix_oracle import QMatrix as OracleQMatrix  # noqa: E402
 from orbit_oracle import matrix_differential, polynomial_in_j  # noqa: E402
 from span_oracle import EagerSpan  # noqa: E402
 
 SCALARS = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+BIG = 2 ** 70
+WIDE_SCALARS = st.one_of(
+    st.just(0),
+    st.integers(min_value=-BIG, max_value=BIG),
+    st.builds(Fraction, st.integers(min_value=-BIG, max_value=BIG),
+              st.integers(min_value=1, max_value=12)),
+    st.builds(Fraction, st.integers(min_value=-12, max_value=12),
+              st.integers(min_value=1, max_value=12)))
 SIZES = st.integers(min_value=0, max_value=3)
 
 
@@ -334,3 +349,86 @@ def test_census_counts_the_fiber_basis(p):
     count = len(_centralizer_supports(p))
     assert count == len(fiber_basis(p).basis) == sum(min(a, b) for a in p for b in p)
     assert {row.partition: row.fiber_dim for row in census(p.n)}[p] == count
+
+
+# -- QMatrix against the Fraction-entry oracle ------------------------------
+
+
+@st.composite
+def oracle_cases(draw):
+    """Shapes 0..6, entries for two rows x cols matrices and one cols x
+    inner matrix, a scalar, and whether the entries are given as text."""
+    rows, cols, inner = (draw(st.integers(min_value=0, max_value=6)) for _ in range(3))
+
+    def entries(count):
+        return draw(st.lists(WIDE_SCALARS, min_size=count, max_size=count))
+
+    return (rows, cols, inner, entries(rows * cols), entries(rows * cols),
+            entries(cols * inner), draw(WIDE_SCALARS), draw(st.booleans()))
+
+
+def assert_stored_form(m: QMatrix) -> None:
+    # den >= 1 with gcd(content, den) = 1 (so zero has den 1), and the
+    # numerators are what ``cleared`` makes of the entries.
+    assert m.den >= 1 and gcd(m.den, *m.nums) == 1
+    assert m.den == 1 or any(m.nums)
+    assert cleared(m.entries) == (list(m.nums), m.den)
+
+
+def assert_matches_oracle(m: QMatrix, o: OracleQMatrix) -> None:
+    assert_stored_form(m)
+    assert (m.rows, m.cols) == (o.rows, o.cols)
+    assert m.entries == o.entries
+    assert [type(v) for v in m.entries] == [type(v) for v in o.entries]
+    assert repr(m) == repr(o) and str(m) == str(o)
+    assert matrix_to_json(m) == matrix_to_json(o)
+    assert m.is_zero() == o.is_zero()
+    assert [m.row(i) for i in range(m.rows)] == [o.row(i) for i in range(o.rows)]
+    assert all(m[i, j] == o[i, j] for i in range(m.rows) for j in range(m.cols))
+    assert m.__reduce__()[1] == o.__reduce__()[1]
+    again = pickle.loads(pickle.dumps(m))
+    assert again == m and hash(again) == hash(m)
+    # A result built from numerators equals the same matrix built from its
+    # entries: the stored form is canonical.
+    fresh = QMatrix(o.rows, o.cols, o.entries)
+    assert fresh == m and hash(fresh) == hash(m) and (fresh.nums, fresh.den) == (m.nums, m.den)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(oracle_cases())
+def test_qmatrix_matches_the_fraction_entry_oracle(case):
+    rows, cols, inner, a, b, c, s, as_text = case
+
+    def both(r, k, values):
+        given = tuple(str(v) for v in values) if as_text else tuple(values)
+        return QMatrix(r, k, given), OracleQMatrix(r, k, given)
+
+    (ma, oa), (mb, ob), (mc, oc) = both(rows, cols, a), both(rows, cols, b), both(cols, inner, c)
+    for m, o in [(ma, oa), (mb, ob), (mc, oc), (ma + mb, oa + ob), (ma - mb, oa - ob),
+                 (ma - ma, oa - oa), (-ma, -oa), (ma.scale(s), oa.scale(s)), (s * ma, s * oa),
+                 (ma @ mc, oa @ oc), (ma.scale(0) @ mc, oa.scale(0) @ oc)]:
+        assert_matches_oracle(m, o)
+    assert (ma == mb) == (oa == ob)
+    assert (ma + mb == mb + ma) and (ma - mb == -(mb - ma))
+    if rows == cols:
+        assert ma.trace() == oa.trace() and type(ma.trace()) is type(oa.trace())
+    else:
+        with pytest.raises(NonSquareError):
+            ma.trace()
+    if rows != cols:
+        with pytest.raises(SizeMismatchError):
+            ma @ mb
+        with pytest.raises(SizeMismatchError):
+            oa @ ob
+
+
+def test_qmatrix_refuses_floats_as_the_oracle_does():
+    for cls in (QMatrix, OracleQMatrix):
+        with pytest.raises(TypeError):
+            cls(1, 1, (0.5,))
+        with pytest.raises(TypeError):
+            cls.identity(2).scale(0.5)
+        with pytest.raises(ValueError):
+            cls(2, 2, (1, 2, 3))
+        with pytest.raises(ValueError):
+            cls(-1, 0, ())

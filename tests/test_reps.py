@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -511,6 +512,26 @@ def test_eval_matches_word_by_word_oracle():
             evaluate(NcPoly({"z": 1}), rep)
         with pytest.raises(ValueError):
             evaluate(NcPoly({"xzy": 2, "x": 1}), rep)
+
+
+def test_eval_forms_each_power_of_x_once():
+    # Each of the four rows in Y needs X^20000: 14 squarings and 4 more
+    # products, formed once and shared, plus one product by Y per power
+    # of Y.  One power table per row took 75 products.
+    from jordanlab import matrices, reps
+
+    rep = canonical_pair(3, 1, 4)
+    f = parse_poly("x^20000 + y*x^20000 + y^2*x^20000 + y^3*x^20000")
+    kernel = mock.Mock(wraps=matrices.flat_matmul)
+    with mock.patch.object(matrices, "flat_matmul", kernel), \
+            mock.patch.object(reps, "flat_matmul", kernel):
+        got = evaluate(f, rep)
+    assert kernel.call_count <= 21
+    power = poly_at_matrix(UniPoly([0] * 20000 + [1]), rep.X)
+    want = power
+    for _ in range(3):
+        want = power + rep.Y @ want
+    assert got == want
 
 
 def test_eval_product_homomorphism():
