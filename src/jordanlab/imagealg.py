@@ -29,15 +29,15 @@ from .matrices import (
     SpanBuilder,
     _echelon,
     _kernel,
-    _num_rows,
+    _power,
     _product,
+    _transposed,
     char_poly,
     flat_matmul,
     inverse,
     nullspace_basis,
-    poly_at_matrix,
 )
-from .polynomials import UniPoly, rational_roots
+from .polynomials import rational_roots
 from .reps import RepPair, evaluate
 from .scalars import Scalar, _Record, _set, content_free, scalar_str
 
@@ -241,15 +241,23 @@ def _eigenbasis(x: QMatrix, spectrum) -> QMatrix:
     the i-th eigenvalue, of dimension mult (Jordan form), and V is the
     direct sum of the V_i.  With one eigenvalue (X - lambda)^n = 0
     (Cayley-Hamilton), whose canonical kernel basis is the standard basis:
-    C = I, and nothing is computed."""
+    C = I, and nothing is computed.  The kernels are those of B^mult, B =
+    qd(X - lambda) (``_shifted``), a nonzero multiple of (X - lambda)^mult
+    formed on integers by repeated squaring (``matrices._power``)."""
     n = x.rows
     if len(spectrum) == 1:
         return QMatrix.identity(n)
-    kernels = [_kernel(_num_rows(poly_at_matrix(UniPoly.from_roots([lam] * mult), x)), n)
-               for lam, mult in spectrum]
+    powers = [_power({1: _shifted(x, lam)}, mult, n) for lam, mult in spectrum]
+    kernels = [_kernel((b[i * n:(i + 1) * n] for i in range(n)), n) for b in powers]
     den = lcm(*(d for _, d in kernels))  # the columns over one denominator
     columns = [[v * (den // d) for v in vec] for basis, d in kernels for vec in basis]
     return QMatrix._reduced(n, n, [columns[j][i] for i in range(n) for j in range(n)], den)
+
+
+def _shifted(x: QMatrix, lam) -> "list[int]":
+    """qA - pdI = qd(X - lambda), row-major, for lambda = p/q and X = A/d."""
+    p, q, d, n = lam.numerator, lam.denominator, x.den, x.rows
+    return [q * v - p * d if k % (n + 1) == 0 else q * v for k, v in enumerate(x.nums)]
 
 
 def _summands(rep: RepPair, spectrum) -> "tuple[QMatrix, list[RepPair]]":
@@ -387,9 +395,7 @@ def quiver(a: ImageAlgebra) -> QuiverData:
     spectrum = rational_spectrum(a.rep.X)
     loops = []
     for (lam, m), pair in zip(spectrum, _summands(a.rep, spectrum)[1]):
-        p, q, d = lam.numerator, lam.denominator, pair.X.den  # q d (X_i - lam) is integral
-        s = [q * v - p * d if k % (m + 1) == 0 else q * v for k, v in enumerate(pair.X.nums)]
-        gens = [content_free(pair.Y.nums), content_free(s)]
+        gens = [content_free(pair.Y.nums), content_free(_shifted(pair.X, lam))]
         rad = _right_ideal(pair, gens).rank if len(spectrum) > 1 else a.dim - 1
         loops.append(rad - _right_ideal(
             pair, [flat_matmul(g, h, m, m, m) for g in gens for h in gens]).rank)
@@ -421,11 +427,6 @@ def ideal_codim(a: ImageAlgebra, gens) -> int:
     flipped = RepPair._proved(QMatrix._of(n, n, _transposed(rep.X.nums, n), rep.X.den),
                               -QMatrix._of(n, n, _transposed(rep.Y.nums, n), rep.Y.den))
     return a.dim - _right_ideal(flipped, [_transposed(row, n) for row in right._rows]).rank
-
-
-def _transposed(vec, n: int) -> tuple:
-    """The row-major entries of the transpose of a row-major n x n matrix."""
-    return tuple(v for i in range(n) for v in vec[i::n])
 
 
 def _normal_monomials(max_degree: int) -> "list[tuple[int, int]]":

@@ -29,7 +29,8 @@ from __future__ import annotations
 from bisect import bisect
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+from operator import mul
 
 from .errors import InputFormatError, NonSquareError, SingularMatrixError, SizeMismatchError
 from .polynomials import UniPoly
@@ -237,6 +238,11 @@ def flat_matmul(a, b, n: int, k: int, m: int) -> list:
                     if bv != 0:
                         out[obase + j] += av * bv
     return out
+
+
+def _transposed(vec, n: int) -> tuple:
+    """The row-major entries of the transpose of a row-major n x n matrix."""
+    return tuple(v for i in range(n) for v in vec[i::n])
 
 
 def _divided(values, d: int) -> tuple:
@@ -554,26 +560,36 @@ def inverse(m: QMatrix) -> QMatrix:
 
 
 def char_poly(m: QMatrix) -> UniPoly:
-    """Monic characteristic polynomial det(tI - m) via Faddeev-LeVerrier.
+    """Monic characteristic polynomial det(tI - m), by Newton's identities
+    on the power sums p_k = tr(A^k) of the integer A = d*m (stored form).
 
-    It runs on the integer A = d*m (the stored form): M_1 = I, a_(n-k) =
-    -tr(A M_k)/k, M_(k+1) = A M_k + a_(n-k) I give det(tI - A) = sum a_j t^j.
-    Each division is exact: by Newton's identities -tr(A M_k)/k is a_(n-k),
-    (-1)^k times the sum of the k x k principal minors of A, an integer;
-    so M_(k+1) is integral too.  The t^k coefficient of det(tI - m) is
-    a_k/d^(n-k).
+    a_0 = 1, k a_k = -(a_(k-1) p_1 + ... + a_0 p_k) give det(tI - A) =
+    sum a_k t^(n-k); each division is exact, as a_k is (-1)^k times the sum
+    of the k x k principal minors of A.  det(tI - m) = d^-n det(dtI - A),
+    so its t^(n-k) coefficient is a_k/d^k.  Baby steps A^2..A^s, s =
+    ceil(sqrt(n)), and giant steps A^(2s)..A^(gs), g = floor((n-1)/s), give
+    every k <= n as i + js (1 <= i <= s, 0 <= j <= g), and tr(A^i A^(js))
+    is the dot product of A^i with the transpose of A^(js): s - 1 +
+    max(0, g - 1) products where Faddeev-LeVerrier makes n (Paterson &
+    Stockmeyer, SIAM J. Comput. 2, 1973).
     """
     if not m.is_square:
         raise NonSquareError("characteristic polynomial of a non-square matrix")
-    n, a, d = m.rows, m.nums, m.den
-    coeffs = [0] * n + [1]
-    am = [0] * (n * n)
+    n, d = m.rows, m.den
+    s = isqrt(n - 1) + 1 if n else 0
+    baby = [m.nums]  # A^1, ..., A^s
+    while len(baby) < s:
+        baby.append(flat_matmul(baby[-1], m.nums, n, n, n))
+    sums, giant = [sum(b[::n + 1]) for b in baby], baby[-1]  # sums[k - 1] = p_k
+    while len(sums) < n:
+        if len(sums) > s:
+            giant = flat_matmul(giant, baby[-1], n, n, n)
+        flipped = _transposed(giant, n)
+        sums += [sum(map(mul, b, flipped)) for b in baby[:n - len(sums)]]
+    a = [1]
     for k in range(1, n + 1):
-        for i in range(0, n * n, n + 1):
-            am[i] += coeffs[n - k + 1]
-        am = flat_matmul(a, am, n, n, n)
-        coeffs[n - k] = -sum(am[i] for i in range(0, n * n, n + 1)) // k
-    return UniPoly(Fraction(v, d ** (n - k)) for k, v in enumerate(coeffs))
+        a.append(-sum(map(mul, a[::-1], sums)) // k)
+    return UniPoly(Fraction(v, d ** k) for k, v in reversed(list(enumerate(a))))
 
 
 def poly_at_matrix(p: UniPoly, m: QMatrix) -> QMatrix:
@@ -620,16 +636,9 @@ def _horner(coeffs: "list[int]", e: int, deg: int, powers: dict, n: int) -> "lis
     lead = coeffs[top] * e ** (deg - top)
 
     def times_power(out, g: int) -> "list[int]":  # out M^g; None stands for R_0
-        if g not in powers:
-            for s in range(1, g.bit_length()):
-                if 1 << s not in powers:
-                    half = powers[1 << (s - 1)]
-                    powers[1 << s] = flat_matmul(half, half, n, n, n)
-            powers[g] = reduce(lambda a, b: flat_matmul(a, b, n, n, n),
-                               [powers[1 << s] for s in range(g.bit_length()) if g >> s & 1])
         if out is None:
-            return [lead * v for v in powers[g]]
-        return flat_matmul(out, powers[g], n, n, n)
+            return [lead * v for v in _power(powers, g, n)]
+        return flat_matmul(out, _power(powers, g, n), n, n, n)
 
     out = None
     for k in range(top - 1, -1, -1):
@@ -644,6 +653,20 @@ def _horner(coeffs: "list[int]", e: int, deg: int, powers: dict, n: int) -> "lis
     elif out is None:  # a constant
         out = [lead if i % (n + 1) == 0 else 0 for i in range(n * n)]
     return out
+
+
+def _power(powers: dict, g: int, n: int) -> "list[int]":
+    """M^g for g >= 1, by repeated squaring in the power table ``powers``
+    of the integer n x n M (see ``_horner``), which keeps every power it
+    forms: at most floor(log2 g) squarings and popcount(g) - 1 products."""
+    if g not in powers:
+        for s in range(1, g.bit_length()):
+            if 1 << s not in powers:
+                half = powers[1 << (s - 1)]
+                powers[1 << s] = flat_matmul(half, half, n, n, n)
+        powers[g] = reduce(lambda a, b: flat_matmul(a, b, n, n, n),
+                           [powers[1 << s] for s in range(g.bit_length()) if g >> s & 1])
+    return powers[g]
 
 
 def nilpotency_index(m: QMatrix) -> "int | None":

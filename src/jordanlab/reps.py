@@ -291,8 +291,9 @@ def fiber_basis(p: Partition) -> FiberBasis:
     other free column: it is the canonical vector of its last cell.
 
     The supports come from ``_centralizer_supports`` in this order;
-    ``strata.census`` counts them and ``sampling.rand_fiber_point`` sums
-    over them without building the matrices.
+    ``strata.census`` counts the diagonals (``_centralizer_diagonals``) and
+    ``sampling.rand_fiber_point`` sums over the supports without building
+    the matrices.
     """
     n = p.n
     basis = []
@@ -312,25 +313,29 @@ def _particular_solution(p: Partition) -> QMatrix:
 
 
 def _centralizer_supports(p: Partition) -> "list[list[int]]":
-    """The support of each 0/1 diagonal in the ``fiber_basis`` theorem, as
-    row-major cells of an n x n matrix: for each block (a, b), the
-    diagonals d in [max(0, n_b - n_a), n_b).  They are a basis of the
+    """The support of each diagonal of ``_centralizer_diagonals``, as
+    row-major cells of an n x n matrix."""
+    n = p.n
+    return [[(row + r) * n + col + r for r in range(i + 1)]
+            for row, col, i in _centralizer_diagonals(p)]
+
+
+def _centralizer_diagonals(p: Partition):
+    """(first row, first column, i) of each 0/1 diagonal of the
+    ``fiber_basis`` theorem, which has i + 1 cells: for each block (a, b),
+    the diagonals d in [max(0, n_b - n_a), n_b).  They are a basis of the
     centralizer of jordan_matrix(p), so their number is its dimension.
 
     They come sorted by last cell, the ``fiber_basis`` order.  Diagonal d
     of block (a, b) ends in the last column of block b, at local row
     i = n_b - 1 - d of block a, and d runs over its range exactly when i
     runs over [0, min(n_a, n_b)); so the loops take a, then i, then b."""
-    n = p.n
     starts = list(accumulate(p.parts, initial=0))
-    supports = []
     for start_a, n_a in zip(starts, p.parts):
         for i in range(n_a):
             for start_b, n_b in zip(starts, p.parts):
                 if i < n_b:
-                    supports.append([(start_a + r) * n + start_b + n_b - 1 - i + r
-                                     for r in range(i + 1)])
-    return supports
+                    yield start_a, start_b + n_b - 1 - i, i
 
 
 def conjugate(rep: RepPair, c: QMatrix, c_inv: "QMatrix | None" = None) -> RepPair:

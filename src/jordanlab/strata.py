@@ -17,8 +17,8 @@ from .errors import OutOfRangeError
 from .imagealg import _summands, dim_bound, rational_spectrum
 from .matrices import QMatrix, _echelon, char_poly
 from .polynomials import UniPoly
-from .reps import Partition, RepPair, _centralizer_supports
-from .scalars import Scalar, _Record, exact
+from .reps import Partition, RepPair, _centralizer_diagonals
+from .scalars import Scalar, _Record, cleared, exact
 
 
 class TameLabel(enum.Enum):
@@ -78,16 +78,16 @@ def census(n: int) -> "list[StratumInfo]":
     """One row per partition: fiber/base/stratum dimensions and labels.
 
     fiber_dim is the dimension of the centralizer of Y = jordan_matrix(p),
-    counted as the number of diagonals ``reps._centralizer_supports``
+    counted as the number of diagonals ``reps._centralizer_diagonals``
     enumerates: the ``fiber_basis`` theorem proves their 0/1 matrices a
-    basis, so no matrix is built.  It is not read off the closed forms
-    sum of min(p_a, p_b) or the paper's sum of (2(r - i) - 1) p_i, because
-    the acceptance suite checks the census against both, and a count taken
-    from either would check that formula against itself.
+    basis, so no matrix or cell list is built.  It is not read off the
+    closed forms sum of min(p_a, p_b) or the paper's sum of (2(r - i) - 1)
+    p_i, because the acceptance suite checks the census against both, and
+    a count taken from either would check that formula against itself.
     """
     out = []
     for p in partitions(n):
-        fiber_dim = len(_centralizer_supports(p))
+        fiber_dim = sum(1 for _ in _centralizer_diagonals(p))
         out.append(StratumInfo(
             partition=p,
             fiber_dim=fiber_dim,
@@ -166,13 +166,17 @@ def jacobian_rank(n: int, c_coeffs, x_coeffs) -> int:
     result (a float there still raises TypeError).  p(J) mod J^n is the upper-triangular Toeplitz matrix with
     entry (r, s) = p_(s-r), fixed linearly by its first row, so the matrix
     images have the rank of their coefficient rows (``_orbit_differential``).
+    The rows are taken at the integers c_i D^i = C_i D^(i-1) (c_i = C_i/D,
+    ``cleared``), i.e. at C(DJ): A_m becomes A_m D^m, so column m of row k
+    is scaled by D^m D^-(k+1), which keeps the rank.
     """
     if n < 2:
         raise OutOfRangeError("jacobian_rank is defined for n >= 2")
-    c = [exact(v) for v in islice(c_coeffs, n - 1)]
+    c, d = cleared(exact(v) for v in islice(c_coeffs, n - 1))
     for v in islice(x_coeffs, n - 1):
         exact(v)
-    return _echelon(_orbit_differential(n, c + [0] * (n - 1 - len(c))), n).rank
+    c = [v * d ** i for i, v in enumerate(c)] + [0] * (n - 1 - len(c))
+    return _echelon(_orbit_differential(n, c), n).rank
 
 
 def _orbit_differential(n: int, c: list) -> "list[list[Scalar]]":

@@ -166,6 +166,24 @@ def test_char_poly_fractional_entries():
     assert poly_at_matrix(p, m).is_zero()  # Cayley-Hamilton
 
 
+def test_char_poly_makes_baby_step_and_giant_step_products():
+    # s - 1 baby steps and g - 1 giant steps, s = ceil(sqrt(n)) and
+    # g = floor((n - 1)/s), where Faddeev-LeVerrier made n products.
+    from jordanlab import matrices
+
+    rng = random.Random(47)
+    counts = {}
+    for n in [*range(13), 16, 17, 25, 26, 50]:
+        m = QMatrix(n, n, tuple(rng.randint(-3, 3) for _ in range(n * n)))
+        kernel = mock.Mock(wraps=matrices.flat_matmul)
+        with mock.patch.object(matrices, "flat_matmul", kernel):
+            char_poly(m)
+        s = isqrt(n - 1) + 1 if n else 1
+        assert kernel.call_count == s - 1 + max(0, (n - 1) // s - 1)
+        counts[n] = kernel.call_count
+    assert (counts[0], counts[1], counts[2], counts[8], counts[50]) == (0, 0, 1, 3, 12)
+
+
 # -- nilpotency -----------------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ import sys
 from collections import deque
 from fractions import Fraction
 from math import gcd, lcm
+from unittest import mock
 
 import pytest
 
@@ -36,7 +37,9 @@ from jordanlab import (
     jordan_block,
     nilpotency_index,
     normal_form,
+    nullspace_basis,
     parse_poly,
+    poly_at_matrix,
     quiver,
     radical_basis,
     rank,
@@ -44,7 +47,7 @@ from jordanlab import (
     relation_coefficient_vector,
     x_zero,
 )
-from jordanlab import imagealg, polynomials
+from jordanlab import imagealg, matrices, polynomials
 from jordanlab.imagealg import _right_ideal
 from jordanlab.matrices import int_normalized
 from jordanlab.scalars import primitive_integral
@@ -390,6 +393,27 @@ def test_eigenprojections_equal_the_pairwise_products():
         want = [c @ QMatrix.diagonal(int(b == i) for b in block) @ c_inv
                 for i in range(len(spectrum))]
         assert imagealg._eigenprojections(rep.X, spectrum) == want
+
+
+def test_eigenbasis_squares_to_each_power_and_keeps_the_kernels():
+    # (X - lambda)^m is B^m for the integer B = qd(X - lambda), formed by
+    # repeated squaring: floor(log2 m) + popcount(m) - 1 products per
+    # eigenvalue, where Horner on (t - lambda)^m made m.  C is the kernel
+    # route through poly_at_matrix((t - lambda)^m, X).
+    several = set()
+    for rep in spectral_reps():
+        spectrum = rational_spectrum(rep.X)
+        if len(spectrum) == 1:
+            continue
+        kernel = mock.Mock(wraps=matrices.flat_matmul)
+        with mock.patch.object(matrices, "flat_matmul", kernel):
+            c = imagealg._eigenbasis(rep.X, spectrum)
+        assert kernel.call_count == sum(m.bit_length() + m.bit_count() - 2 for _, m in spectrum)
+        columns = [vec for lam, m in spectrum
+                   for vec in nullspace_basis(poly_at_matrix(UniPoly.from_roots([lam] * m), rep.X))]
+        assert c == QMatrix.from_rows(zip(*columns))
+        several.update(m for _, m in spectrum)
+    assert {1, 2, 3, 4, 5, 6} <= several
 
 
 def test_the_spectral_split_calls_no_extended_euclid(monkeypatch):

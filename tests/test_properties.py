@@ -1,7 +1,7 @@
 """Property tests of ``QMatrix``'s stored form (against the Fraction-entry
 matrix it replaced), the fraction-free products, ``poly_at_matrix`` (against
-plain Horner), the elimination kernel
-(against sympy's rref), the orbit-map series, the text and JSON round trips,
+plain Horner), ``char_poly`` (against Faddeev-LeVerrier and sympy), the
+elimination kernel (against sympy's rref), the orbit-map series, the text and JSON round trips,
 the algebra product (against its termwise oracle, and associativity),
 conjugation invariance, the closure of right ideals, rational roots and the
 centralizer count of the census (hypothesis, test-only)."""
@@ -32,6 +32,7 @@ from jordanlab import (  # noqa: E402
     SpanBuilder,
     UniPoly,
     census,
+    char_poly,
     conjugate,
     exact,
     fiber_basis,
@@ -50,6 +51,7 @@ from jordanlab.reps import _centralizer_supports  # noqa: E402
 from jordanlab.scalars import cleared  # noqa: E402
 from jordanlab.sampling import rand_normal_poly, rand_rep, rand_unimodular  # noqa: E402
 from jordanlab.strata import _orbit_differential  # noqa: E402
+from charpoly_oracle import faddeev_leverrier, sympy_det_poly  # noqa: E402
 from horner_oracle import horner_poly_at_matrix  # noqa: E402
 from multiply_oracle import multiply as oracle_multiply  # noqa: E402
 from qmatrix_oracle import QMatrix as OracleQMatrix  # noqa: E402
@@ -124,6 +126,38 @@ def test_poly_at_matrix_matches_plain_horner_in_fewer_products(p, m):
     assert got == horner_poly_at_matrix(p, m)
     assert kernel.call_count <= p.degree
 
+
+@st.composite
+def char_poly_cases(draw):
+    """An n x n matrix, n <= 12: int, small Fraction or wide (up to 2^70)
+    entries, zero, scalar, or nilpotent (strictly upper triangular,
+    conjugated by a unimodular matrix)."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    kind = draw(st.sampled_from(("int", "fraction", "wide", "zero", "scalar", "nilpotent")))
+    if kind == "zero":
+        return QMatrix.zeros(n)
+    if kind == "scalar":
+        return QMatrix.identity(n).scale(draw(WIDE_SCALARS))
+    if kind == "nilpotent":
+        entries = draw(st.lists(SCALARS, min_size=n * n, max_size=n * n))
+        upper = QMatrix(n, n, tuple(v if i // n < i % n else 0 for i, v in enumerate(entries)))
+        c, c_inv = rand_unimodular(random.Random(draw(SEEDS)), n)
+        return c @ upper @ c_inv
+    entry = {"int": st.integers(min_value=-9, max_value=9), "fraction": SCALARS,
+             "wide": WIDE_SCALARS}[kind]
+    return QMatrix(n, n, tuple(draw(st.lists(entry, min_size=n * n, max_size=n * n))))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(char_poly_cases())
+@example(QMatrix.zeros(0))
+@example(QMatrix.identity(12).scale(Fraction(BIG, 7)))
+@example(QMatrix(12, 12, tuple(BIG - 3 * i if i % 5 else -i for i in range(144))))
+@example(QMatrix(12, 12, tuple(int(i % 13 == 1) for i in range(144))))  # J_12
+def test_char_poly_matches_faddeev_leverrier_and_sympy(m):
+    got = char_poly(m)
+    assert got == faddeev_leverrier(m) == sympy_det_poly(m)
+    assert got.degree == m.rows and got.coeffs[-1] == 1
 
 @st.composite
 def scaled_rows(draw):

@@ -109,7 +109,7 @@ def test_zero_dimensional_rep():
 def test_one_eigenvalue_needs_no_eigenbasis(monkeypatch):
     # C = I: no (X - lambda)^n, no kernel of it and no inverse is computed.
     calls = []
-    for name in ("poly_at_matrix", "inverse"):
+    for name in ("_power", "inverse"):
         monkeypatch.setattr(imagealg, name, lambda *args, name=name: calls.append(name))
     rng = random.Random(25)
     reps = [epsilon_rep(n) for n in range(1, 9)]

@@ -54,6 +54,7 @@ from jordanlab.sampling import (
 )
 from blocks_oracle import RepeatedBlockSizesError, eigenvalues_distinct_blocks
 from centralizer_oracle import is_b_toeplitz, sylvester_operator
+from charpoly_oracle import sympy_char_poly
 from orbit_oracle import polynomial_in_j
 
 
@@ -266,20 +267,6 @@ def test_constructed_pairs_nilpotency_invariants():
         if roots is not None:
             s = UniPoly.from_roots([lam for lam, _ in roots])
             assert is_nilpotent(poly_at_matrix(s, rep.X))
-
-
-def sympy_char_poly(x: QMatrix):
-    """Oracle: det(tI - X) computed by sympy over QQ, independent of char_poly.
-
-    Returns the polynomial and whether it splits into linear factors over QQ.
-    """
-    sympy = pytest.importorskip("sympy")
-    m = sympy.Matrix(x.rows, x.cols,
-                     [sympy.Rational(v.numerator, v.denominator) for v in x.entries])
-    char = m.charpoly()
-    splits = all(f.degree() == 1 for f, _ in char.factor_list()[1])
-    coeffs = char.all_coeffs()  # highest degree first
-    return UniPoly([Fraction(int(c.p), int(c.q)) for c in reversed(coeffs)]), splits
 
 
 def doubled(c: QMatrix) -> QMatrix:

@@ -30,6 +30,7 @@ from jordanlab import (
     x_zero,
 )
 from jordanlab.sampling import rand_rational, rand_rep, rand_unimodular
+from jordanlab.scalars import cleared
 from jordanlab.strata import _orbit_differential
 from centralizer_oracle import sylvester_operator
 from orbit_oracle import matrix_differential, polynomial_in_j
@@ -294,6 +295,23 @@ def test_orbit_differential_matches_matrix_oracle():
                 assert image == polynomial_in_j(n, row)
             draws += 1
     assert draws >= 300
+
+
+def test_jacobian_rank_scales_the_rows_and_columns_of_the_series():
+    # jacobian_rank takes the series at the integers c_i D^i (c_i = C_i/D):
+    # row k is the rational row with its J^m entry times D^m D^-(k+1), and
+    # the rank is that of the rational rows.
+    rng = random.Random(48)
+    for n in range(2, 13):
+        for _ in range(6):
+            c = orbit_draw(rng, n)
+            nums, d = cleared(c)
+            ints = _orbit_differential(n, [v * d ** i for i, v in enumerate(nums)])
+            rows = _orbit_differential(n, c)
+            assert all(type(v) is int for row in ints for v in row)
+            assert ints == [[v * Fraction(d ** m, d ** (k + 1)) for m, v in enumerate(row)]
+                            for k, row in enumerate(rows, 1)]
+            assert jacobian_rank(n, c, []) == rank(QMatrix.from_rows(rows)) == n - 2
 
 
 def test_char_poly_of_assemblies_consistent():
